@@ -115,15 +115,23 @@ def test_coupled_moduli_conserved():
 
 
 def test_coupled_closed_form_agreement():
-    case = catalog("coupled_cubic")
+    # every case with a closed form, not only the coupled one
     eps, rtol = 0.1, 1e-10
-    amps0 = np.array([0.3 + 0.1j, 0.2 - 0.25j])
     grid = np.linspace(0.0, eps**-2, 64)
-    integrated = integrate_amplitude(case, amps0, (0.0, eps**-2), eps,
-                                     rtol=rtol, atol=1e-13, t_eval=grid)
-    closed = integrate_amplitude(case, amps0, (0.0, eps**-2), eps, t_eval=grid,
-                                 use_closed_form=True)
-    assert np.max(np.abs(integrated.y - closed.y)) <= 100 * rtol
+    checked = []
+    for name in msode.case_names():
+        case = catalog(name)
+        amps0 = np.array([0.3 + 0.1j, 0.2 - 0.25j])[: case.n_amplitudes]
+        try:
+            closed = integrate_amplitude(case, amps0, (0.0, eps**-2), eps,
+                                         t_eval=grid, use_closed_form=True)
+        except ValueError:  # the case declares no closed form
+            continue
+        integrated = integrate_amplitude(case, amps0, (0.0, eps**-2), eps,
+                                         rtol=rtol, atol=1e-13, t_eval=grid)
+        assert np.max(np.abs(integrated.y - closed.y)) <= 100 * rtol, name
+        checked.append(name)
+    assert {"damped_linear", "cubic", "coupled_cubic"} <= set(checked)
 
 
 def test_cubic_moduli_conserved():
@@ -153,6 +161,25 @@ def test_fit_reproduces_initial_conditions(name, eps):
     vals = np.squeeze(case.reconstruct(0.0, amps, eps))
     ders = np.squeeze(case.reconstruct_dt(0.0, amps, eps))
     assert abs(vals - 1.0) < 1e-12 and abs(ders) < 1e-12
+
+
+@pytest.mark.parametrize("name", msode.case_names())
+def test_reconstruct_dt_matches_finite_difference(name):
+    # reconstruct_dt along an integrated amplitude trajectory against a
+    # centered difference of reconstruct; the difference is second order,
+    # so halving h cuts the gap by about four
+    case = catalog(name)
+    eps, t0 = 0.02, 3.0
+    amps0 = fit_initial_amplitudes(case, case.default_ics, eps)
+    errors = []
+    for h in (2e-2, 1e-2):
+        traj = integrate_amplitude(case, amps0, (0.0, t0 + h), eps, rtol=1e-12,
+                                   atol=1e-14, t_eval=[t0 - h, t0, t0 + h])
+        y = reconstruct_on_grid(case, traj, eps)
+        fd = (y[:, 2] - y[:, 0]) / (2.0 * h)
+        errors.append(np.max(np.abs(fd - case.reconstruct_dt(t0, traj.y[1], eps))))
+    assert errors[1] <= errors[0] / 3.0
+    assert errors[1] <= 1e-4
 
 
 def test_fit_coupled_roundtrip():
