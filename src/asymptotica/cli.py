@@ -95,9 +95,25 @@ def _validate(config: dict, required: dict, optional: dict, where: str) -> dict:
     if accept is not None and not isinstance(accept, dict):
         raise ConfigError(f"{where}: accept must be an object")
     for key in ("rtol", "atol", "shoot_tol", "quad_tol", "newton_tol", "dt"):
-        if key in merged and merged[key] is not None and merged[key] <= 0:
-            raise ConfigError(f"{where}: {key} must be positive")
+        value = merged.get(key)
+        if value is not None and (type(value) not in (int, float) or value <= 0):
+            raise ConfigError(f"{where}: {key} must be a positive number")
     return merged
+
+
+def _eps_list(cfg: dict, where: str) -> list[float]:
+    """The eps sweep of a config (a single eps is a sweep of one), as floats.
+
+    Runs and their CSV files are keyed by eps, so repeated values are rejected.
+    """
+    values = cfg["eps"] if isinstance(cfg["eps"], list) else [cfg["eps"]]
+    try:
+        values = [float(e) for e in values]
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}: eps must be a number or a list of numbers") from None
+    if len(set(values)) != len(values):
+        raise ConfigError(f"{where}: eps values must be distinct, got {values}")
+    return values
 
 
 def _sweep_order(values: list, seed) -> list:
@@ -251,14 +267,13 @@ def _run_ode(config: dict, out: Path, name: str) -> tuple[dict, list[str]]:
         raise ConfigError("ode: give exactly one of 'horizon' and 'horizon_exponent'")
     if cfg["case"] not in msode.case_names():
         raise ConfigError(f"ode: unknown case {cfg['case']!r}; known: {msode.case_names()}")
-    eps_list = cfg["eps"] if isinstance(cfg["eps"], list) else [cfg["eps"]]
-    if cfg["horizon_exponent"] is not None and any(e == 0 for e in eps_list):
+    eps_values = _eps_list(cfg, "ode")
+    if cfg["horizon_exponent"] is not None and any(e == 0 for e in eps_values):
         raise ConfigError("ode: eps = 0 needs an explicit 'horizon'")
     case = msode.catalog(cfg["case"])
-    eps_values = cfg["eps"] if isinstance(cfg["eps"], list) else [cfg["eps"]]
     runs = {}
     for idx in _sweep_order(eps_values, cfg.get("seed")):
-        eps = float(eps_values[idx])
+        eps = eps_values[idx]
         runs[eps] = msode.compare(
             case,
             eps,
@@ -275,7 +290,7 @@ def _run_ode(config: dict, out: Path, name: str) -> tuple[dict, list[str]]:
     summary = {"case": case.name, "runs": []}
     failures = []
     accept = cfg.get("accept") or {}
-    for eps in [float(e) for e in eps_values]:
+    for eps in eps_values:
         report = runs[eps]
         paths = report.stats.pop("trajectories")
         y_direct, y_ms = paths["y_direct"], paths["y_multiscale"]
@@ -333,10 +348,10 @@ def _run_blayer(config: dict, out: Path, name: str) -> tuple[dict, list[str]]:
         optional={"n_grid": 8192, "shoot_tol": 1e-10},
         where="blayer",
     )
-    eps_values = cfg["eps"] if isinstance(cfg["eps"], list) else [cfg["eps"]]
+    eps_values = _eps_list(cfg, "blayer")
     results = {}
     for idx in _sweep_order(eps_values, cfg.get("seed")):
-        eps = float(eps_values[idx])
+        eps = eps_values[idx]
         if cfg["kind"] == "linear":
             problem = blayer.linear_problem(eps)
             x, y_ref = blayer.solve_bvp_fd(problem, int(cfg["n_grid"]))
@@ -358,7 +373,7 @@ def _run_blayer(config: dict, out: Path, name: str) -> tuple[dict, list[str]]:
         )
         results[eps] = {"eps": eps, "max_gap": float(gap.max()), **extra}
     summary = {"kind": cfg["kind"], "n_grid": int(cfg["n_grid"]),
-               "runs": [results[float(e)] for e in eps_values]}
+               "runs": [results[e] for e in eps_values]}
     failures = []
     accept = cfg.get("accept") or {}
     for run in summary["runs"]:
@@ -393,12 +408,13 @@ def _run_pde(config: dict, out: Path, name: str) -> tuple[dict, list[str]]:
     )
     failures = []
     accept = cfg.get("accept") or {}
-    if cfg["kind"] not in ("klein_gordon", "fourth_order"):
-        raise ConfigError(f"pde: unknown kind {cfg['kind']!r}")
+    try:
+        model = mspde.dispersion(cfg["kind"])
+    except (KeyError, TypeError):
+        raise ConfigError(f"pde: unknown kind {cfg['kind']!r}") from None
     if cfg["task"] == "phase_match":
-        d = mspde.dispersion(cfg["kind"])
         roots = mspde.find_phase_matched(
-            d, int(cfg["harmonic"]), tuple(cfg["k_range"])
+            model, int(cfg["harmonic"]), tuple(cfg["k_range"])
         )
         summary = {"task": "phase_match", "kind": cfg["kind"],
                    "harmonic": int(cfg["harmonic"]), "roots": roots}

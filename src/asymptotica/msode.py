@@ -1,14 +1,18 @@
 """Multiple-scales treatment of weakly nonlinear oscillators.
 
-Each catalog entry bundles one oscillator with everything needed to validate
-its slow-amplitude description against direct numerics:
+Each catalog entry is one :class:`CaseSpec` declaration.  A case declares
 
 * the original right hand side (integrated at high accuracy as the reference),
-* the amplitude-equation right hand side in the slow variables,
-* the reconstruction map from amplitudes back to the oscillator state,
-* an initial-condition fitter (Newton on the reconstruction and its time
-  derivative at t=0), and
-* closed forms where they exist.
+* the amplitude rate: every shipped flow has the form dA_j/dt = rate_j A_j,
+* its carrier terms (component, coefficient, eps power, amplitude powers,
+  carrier exponent lam); the reconstruction is y = 2 Re of their sum, and
+* an exact solution where one exists.
+
+Derived once from the declaration, for every case: the amplitude-equation
+right hand side, the reconstruction map, its time derivative (product rule
+along the amplitude flow), the initial-amplitude fit (Newton on the
+reconstruction and its time derivative at t=0) and, where the rate is
+constant along the flow, the closed form A0 e^{rate(A0) t}.
 
 The shipped cases:
 
@@ -26,7 +30,9 @@ The shipped cases:
 ``quadratic_damped``
     y'' + y' + eps y^2 = 0 with two real amplitudes: y = A + B e^{-t}
     - (eps/2) B^2 e^{-2t}, dA/dt = -eps A^2 - 2 eps^2 A^3,
-    dB/dt = 2 eps A B + 2 eps^2 A^2 B.
+    dB/dt = 2 eps A B + 2 eps^2 A^2 B, i.e. the rate
+    (-eps A - 2 eps^2 A^2, 2 eps A + 2 eps^2 A^2), which is not constant
+    along the flow, so this case has no closed form.
 
 ``coupled_cubic``
     x'' + 2x - y = eps x y^2, y'' + 3y - 2x = eps y x^2.  Two complex
@@ -41,6 +47,7 @@ pairs of reals so one real-valued integrator serves every case.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -128,9 +135,14 @@ def integrate_reference(
     )
 
 
+# (component, coefficient, eps power p, amplitude powers n, carrier exponent
+# lam): adds coefficient eps^p prod_j A_j^{n_j} e^{lam t} inside 2 Re(...).
+CarrierTerm = tuple[int, float, int, tuple[int, ...], complex]
+
+
 @dataclass(frozen=True)
 class CaseSpec:
-    """One catalog entry; see the module docstring for the equations."""
+    """One catalog entry; see the module docstring for what it declares and derives."""
 
     name: str
     n_components: int
@@ -140,11 +152,40 @@ class CaseSpec:
     validity_exponent: int
     default_ics: tuple[float, ...]
     original_rhs: Callable  # (t, state, eps) -> dstate
-    amplitude_rhs: Callable  # (t, amps, eps, terms) -> damps
-    reconstruct: Callable  # (t, amps, eps) -> components
-    reconstruct_dt: Callable  # (t, amps, eps) -> d/dt components
-    amplitude_closed_form: Optional[Callable] = None  # (t, amps0, eps, terms) -> amps
+    rate: Callable  # (amps, eps, terms) -> rates, dA_j/dt = rate_j A_j
+    carrier_terms: tuple[CarrierTerm, ...]
+    rate_conserved: bool = False  # constant along the flow: closed form exists
     exact: Optional[Callable] = None  # (t, eps) -> components
+
+    def amplitude_rhs(self, t, amps, eps, terms=2):
+        """dA/dt = rate(A) A."""
+        return np.asarray(self.rate(amps, eps, terms)) * amps
+
+    def amplitude_closed_form(self, t, amps0, eps, terms=2):
+        """A0 e^{rate(A0) t} on the grid t, shape (n_t, n_amp)."""
+        if not self.rate_conserved:
+            raise ValueError(f"case {self.name} has no closed-form amplitudes")
+        rates = np.asarray(self.rate(amps0, eps, terms))
+        return amps0[np.newaxis, :] * np.exp(np.multiply.outer(np.asarray(t), rates))
+
+    def reconstruct(self, t, amps, eps):
+        """Oscillator components from the amplitudes at time t."""
+        return self._carrier_sum(t, amps, eps)
+
+    def reconstruct_dt(self, t, amps, eps, terms=2):
+        """Product rule along the flow: d(A_j^n)/dt = n rate_j A_j^n."""
+        return self._carrier_sum(t, amps, eps, self.rate(amps, eps, terms))
+
+    def _carrier_sum(self, t, amps, eps, rates=None):
+        t = np.asarray(t, dtype=float)
+        sums = [0.0] * self.n_components
+        for comp, coef, p, powers, lam in self.carrier_terms:
+            monomial = math.prod(a**n for a, n in zip(amps, powers) if n)
+            term = coef * eps**p * np.exp(lam * t) * monomial
+            if rates is not None:
+                term = term * (lam + sum(n * r for n, r in zip(powers, rates) if n))
+            sums[comp] = sums[comp] + term
+        return np.stack([2.0 * np.real(s) for s in sums])
 
 
 # --- damped linear oscillator -------------------------------------------------
@@ -154,25 +195,8 @@ def _damped_linear_rhs(t, s, eps):
     return np.array([v, -y - eps * v])
 
 
-def _damped_linear_amp_rhs(t, a, eps, terms=2):
-    rate = -0.5 * eps
-    if terms >= 2:
-        rate = rate - 0.125j * eps * eps
-    return rate * a
-
-
-def _damped_linear_rec(t, a, eps):
-    return np.real(2.0 * a[0] * np.exp(1j * np.asarray(t)))[np.newaxis]
-
-
-def _damped_linear_rec_dt(t, a, eps, terms=2):
-    da = _damped_linear_amp_rhs(t, a, eps, terms)
-    return np.real(2.0 * (da[0] + 1j * a[0]) * np.exp(1j * np.asarray(t)))[np.newaxis]
-
-
-def _damped_linear_amp_closed(t, a0, eps, terms=2):
-    rate = -0.5 * eps - (0.125j * eps * eps if terms >= 2 else 0.0)
-    return a0[np.newaxis, :] * np.exp(rate * np.asarray(t))[:, np.newaxis]
+def _damped_linear_rate(a, eps, terms):
+    return (-0.5 * eps - (0.125j * eps * eps if terms >= 2 else 0.0),)
 
 
 def _damped_linear_exact(t, eps):
@@ -189,33 +213,9 @@ def _cubic_rhs(t, s, eps):
     return np.array([v, -y + eps * y**3])
 
 
-def _cubic_amp_rhs(t, a, eps, terms=2):
-    mod2 = np.abs(a) ** 2
-    da = -1.5j * eps * mod2 * a
-    if terms >= 2:
-        da = da - 0.9375j * eps * eps * mod2**2 * a
-    return da
-
-
-def _cubic_rec(t, a, eps):
-    e1 = np.exp(1j * np.asarray(t))
-    return np.real(2.0 * (a[0] * e1 - 0.125 * eps * a[0] ** 3 * e1**3))[np.newaxis]
-
-
-def _cubic_rec_dt(t, a, eps, terms=2):
-    da = _cubic_amp_rhs(t, a, eps, terms)
-    e1 = np.exp(1j * np.asarray(t))
-    lead = (da[0] + 1j * a[0]) * e1
-    corr = 0.125 * eps * (3.0 * a[0] ** 2 * da[0] + 3j * a[0] ** 3) * e1**3
-    return np.real(2.0 * (lead - corr))[np.newaxis]
-
-
-def _cubic_amp_closed(t, a0, eps, terms=2):
-    mod2 = np.abs(a0[0]) ** 2  # conserved by the flow
-    rate = -1.5j * eps * mod2
-    if terms >= 2:
-        rate = rate - 0.9375j * eps * eps * mod2**2
-    return a0[np.newaxis, :] * np.exp(rate * np.asarray(t))[:, np.newaxis]
+def _cubic_rate(a, eps, terms):
+    mod2 = np.abs(a[0]) ** 2
+    return (-1.5j * eps * mod2 - (0.9375j * eps * eps * mod2**2 if terms >= 2 else 0.0),)
 
 
 # --- damped oscillator with quadratic nonlinearity ----------------------------
@@ -225,27 +225,10 @@ def _quadratic_rhs(t, s, eps):
     return np.array([v, -v - eps * y**2])
 
 
-def _quadratic_amp_rhs(t, ab, eps, terms=2):
-    a, b = ab
-    da = -eps * a**2
-    db = 2.0 * eps * a * b
-    if terms >= 2:
-        da = da - 2.0 * eps * eps * a**3
-        db = db + 2.0 * eps * eps * a**2 * b
-    return np.array([da, db])
-
-
-def _quadratic_rec(t, ab, eps):
-    a, b = ab
-    decay = np.exp(-np.asarray(t, dtype=float))
-    return (a + b * decay - 0.5 * eps * b**2 * decay**2)[np.newaxis]
-
-
-def _quadratic_rec_dt(t, ab, eps, terms=2):
-    a, b = ab
-    da, db = _quadratic_amp_rhs(t, ab, eps, terms)
-    decay = np.exp(-np.asarray(t, dtype=float))
-    return (da + (db - b) * decay - eps * (b * db - b**2) * decay**2)[np.newaxis]
+def _quadratic_rate(ab, eps, terms):
+    a = ab[0]
+    second = 2.0 * eps * eps * a**2 if terms >= 2 else 0.0
+    return (-eps * a - second, 2.0 * eps * a + second)
 
 
 # --- two coupled cubic oscillators --------------------------------------------
@@ -257,46 +240,9 @@ def _coupled_rhs(t, s, eps):
     )
 
 
-def _coupled_amp_rhs(t, ab, eps, terms=2):
-    a, b = ab
-    return np.array(
-        [
-            0.5j * eps * (3.0 * np.abs(a) ** 2 - 2.0 * np.abs(b) ** 2) * a,
-            0.5j * eps * (3.0 * np.abs(b) ** 2 - np.abs(a) ** 2) * b,
-        ]
-    )
-
-
-def _coupled_rec(t, ab, eps):
-    a, b = ab
-    e1 = np.exp(-1j * np.asarray(t))
-    e2 = e1**2
-    x = np.real(2.0 * (a * e1 + b * e2))
-    y = np.real(2.0 * (a * e1 - 2.0 * b * e2))
-    return np.stack([x, y])
-
-
-def _coupled_rec_dt(t, ab, eps, terms=2):
-    a, b = ab
-    da, db = _coupled_amp_rhs(t, ab, eps, terms)
-    e1 = np.exp(-1j * np.asarray(t))
-    e2 = e1**2
-    fa = (da - 1j * a) * e1
-    fb = (db - 2j * b) * e2
-    return np.stack([np.real(2.0 * (fa + fb)), np.real(2.0 * (fa - 2.0 * fb))])
-
-
-def _coupled_amp_closed(t, ab0, eps, terms=2):
-    a0, b0 = ab0
-    ma, mb = np.abs(a0) ** 2, np.abs(b0) ** 2
-    tt = np.asarray(t)
-    return np.stack(
-        [
-            a0 * np.exp(0.5j * eps * (3.0 * ma - 2.0 * mb) * tt),
-            b0 * np.exp(0.5j * eps * (3.0 * mb - ma) * tt),
-        ],
-        axis=-1,
-    )
+def _coupled_rate(ab, eps, terms):
+    ma, mb = np.abs(ab[0]) ** 2, np.abs(ab[1]) ** 2
+    return (0.5j * eps * (3.0 * ma - 2.0 * mb), 0.5j * eps * (3.0 * mb - ma))
 
 
 def coupled_cubic_frequencies(a0: complex, b0: complex, eps: float) -> tuple[float, float]:
@@ -309,84 +255,76 @@ def coupled_cubic_frequencies(a0: complex, b0: complex, eps: float) -> tuple[flo
     return 1.0 + eps * (mb - 1.5 * ma), 2.0 + eps * (0.5 * ma - 1.5 * mb)
 
 
-def _coupled_default_ics() -> tuple[float, ...]:
-    amps = np.array([0.3 + 0.0j, 0.3 + 0.0j])
-    vals = _coupled_rec(0.0, amps, 0.0)
-    ders = _coupled_rec_dt(0.0, amps, 0.0)
-    return (float(vals[0]), float(vals[1]), float(ders[0]), float(ders[1]))
-
-
-_CATALOG: dict[str, CaseSpec] = {}
-
-
-def _register(case: CaseSpec):
-    _CATALOG[case.name] = case
-
-
-_register(
-    CaseSpec(
-        name="damped_linear",
-        n_components=1,
-        state_dim=2,
-        n_amplitudes=1,
-        real_amplitudes=False,
-        validity_exponent=3,
-        default_ics=(1.0, 0.0),
-        original_rhs=_damped_linear_rhs,
-        amplitude_rhs=_damped_linear_amp_rhs,
-        reconstruct=_damped_linear_rec,
-        reconstruct_dt=_damped_linear_rec_dt,
-        amplitude_closed_form=_damped_linear_amp_closed,
-        exact=_damped_linear_exact,
+_CATALOG: dict[str, CaseSpec] = {
+    case.name: case
+    for case in (
+        CaseSpec(
+            name="damped_linear",
+            n_components=1,
+            state_dim=2,
+            n_amplitudes=1,
+            real_amplitudes=False,
+            validity_exponent=3,
+            default_ics=(1.0, 0.0),
+            original_rhs=_damped_linear_rhs,
+            rate=_damped_linear_rate,
+            carrier_terms=((0, 1.0, 0, (1,), 1j),),  # y = A e^{it} + c.c.
+            rate_conserved=True,
+            exact=_damped_linear_exact,
+        ),
+        CaseSpec(
+            name="cubic",
+            n_components=1,
+            state_dim=2,
+            n_amplitudes=1,
+            real_amplitudes=False,
+            validity_exponent=3,
+            default_ics=(1.0, 0.0),
+            original_rhs=_cubic_rhs,
+            rate=_cubic_rate,
+            # y = A e^{it} - (eps/8) A^3 e^{3it} + c.c.
+            carrier_terms=((0, 1.0, 0, (1,), 1j), (0, -0.125, 1, (3,), 3j)),
+            rate_conserved=True,
+        ),
+        CaseSpec(
+            name="quadratic_damped",
+            n_components=1,
+            state_dim=2,
+            n_amplitudes=2,
+            real_amplitudes=True,
+            validity_exponent=3,
+            default_ics=(1.0, 1.0),
+            original_rhs=_quadratic_rhs,
+            rate=_quadratic_rate,
+            # y = A + B e^{-t} - (eps/2) B^2 e^{-2t}, halved inside 2 Re(...)
+            carrier_terms=(
+                (0, 0.5, 0, (1, 0), 0.0),
+                (0, 0.5, 0, (0, 1), -1.0),
+                (0, -0.25, 1, (0, 2), -2.0),
+            ),
+        ),
+        CaseSpec(
+            name="coupled_cubic",
+            n_components=2,
+            state_dim=4,
+            n_amplitudes=2,
+            real_amplitudes=False,
+            validity_exponent=2,
+            # the eps = 0 state of A = B = 0.3
+            default_ics=(1.2, -0.6, 0.0, 0.0),
+            original_rhs=_coupled_rhs,
+            rate=_coupled_rate,
+            # x = A e^{-it} + B e^{-2it} + c.c., y = A e^{-it} - 2B e^{-2it} + c.c.
+            carrier_terms=(
+                (0, 1.0, 0, (1, 0), -1j),
+                (0, 1.0, 0, (0, 1), -2j),
+                (1, 1.0, 0, (1, 0), -1j),
+                (1, -2.0, 0, (0, 1), -2j),
+            ),
+            rate_conserved=True,
+        ),
     )
-)
-_register(
-    CaseSpec(
-        name="cubic",
-        n_components=1,
-        state_dim=2,
-        n_amplitudes=1,
-        real_amplitudes=False,
-        validity_exponent=3,
-        default_ics=(1.0, 0.0),
-        original_rhs=_cubic_rhs,
-        amplitude_rhs=_cubic_amp_rhs,
-        reconstruct=_cubic_rec,
-        reconstruct_dt=_cubic_rec_dt,
-        amplitude_closed_form=_cubic_amp_closed,
-    )
-)
-_register(
-    CaseSpec(
-        name="quadratic_damped",
-        n_components=1,
-        state_dim=2,
-        n_amplitudes=2,
-        real_amplitudes=True,
-        validity_exponent=3,
-        default_ics=(1.0, 1.0),
-        original_rhs=_quadratic_rhs,
-        amplitude_rhs=_quadratic_amp_rhs,
-        reconstruct=_quadratic_rec,
-        reconstruct_dt=_quadratic_rec_dt,
-    )
-)
-_register(
-    CaseSpec(
-        name="coupled_cubic",
-        n_components=2,
-        state_dim=4,
-        n_amplitudes=2,
-        real_amplitudes=False,
-        validity_exponent=2,
-        default_ics=_coupled_default_ics(),
-        original_rhs=_coupled_rhs,
-        amplitude_rhs=_coupled_amp_rhs,
-        reconstruct=_coupled_rec,
-        reconstruct_dt=_coupled_rec_dt,
-        amplitude_closed_form=_coupled_amp_closed,
-    )
-)
+}
 
 
 def catalog(name: str) -> CaseSpec:
@@ -430,13 +368,11 @@ def integrate_amplitude(
     """Evolve the slow amplitudes; samples are complex with shape (n_t, n_amp).
 
     With ``use_closed_form`` the analytic amplitude solution replaces the
-    integrator for cases that have one (the coupled oscillators conserve their
-    moduli, so their amplitude system is solvable in closed form).
+    integrator for cases whose rate is constant along the flow (the moduli
+    that set it are conserved), so that A = A0 e^{rate(A0) t}.
     """
     amps0 = np.asarray(amps0)
     if use_closed_form:
-        if case.amplitude_closed_form is None:
-            raise ValueError(f"case {case.name} has no closed-form amplitudes")
         tt = np.linspace(*t_span, 512) if t_eval is None else np.asarray(t_eval)
         return Trajectory(
             t=tt,
@@ -451,14 +387,10 @@ def integrate_amplitude(
     traj = integrate_reference(
         rhs, _amps_to_real(amps0, case.real_amplitudes), t_span, rtol, atol, t_eval
     )
-    n = case.n_amplitudes
-    if case.real_amplitudes:
-        samples = traj.y[:, :n].astype(complex)
-    else:
-        samples = traj.y[:, :n] + 1j * traj.y[:, n : 2 * n]
+    samples = _real_to_amps(traj.y.T, case.n_amplitudes, case.real_amplitudes).T
     meta = dict(traj.meta)
     meta.update(eps=eps, case=case.name, terms=terms)
-    return Trajectory(t=traj.t, y=samples, meta=meta)
+    return Trajectory(t=traj.t, y=samples.astype(complex), meta=meta)
 
 
 def fit_initial_amplitudes(

@@ -1,6 +1,11 @@
 """Wave-packet multiple scales for 1D dispersive PDEs on periodic domains.
 
-Two second-order-in-time model equations are supported:
+A model is one :class:`Dispersion` declaration: the coefficients of omega^2
+as a polynomial in k^2 and the nonlinearity power, from which the direct-solve
+symbol, omega, omega' = (omega^2)'/(2 omega), the conserved energy and the
+dealias cut n // (p+1) are derived, plus the hand-derived envelope
+coefficients (beta, gamma) and the highest reconstruction order.  Two
+second-order-in-time models are declared:
 
 klein_gordon
     u_tt - u_xx + u = eps u^2,   omega(k) = sqrt(1 + k^2).
@@ -25,7 +30,8 @@ fourth_order
 
 Direct reference solutions come from a Fourier pseudospectral first-order
 system in transform space with error-controlled time stepping and alias-free
-nonlinear products (2/3 rule for quadratic terms, 1/2 rule for cubic ones).
+nonlinear products (modes above n/(p+1) of u^p are dropped: the 2/3 rule for
+quadratic terms, the 1/2 rule for cubic ones).
 Envelope equations are integrated by Strang-split steps whose linear part is
 exact in transform space and whose pointwise nonlinear part is exact
 (single wave) or one classical fourth-order Runge-Kutta stage (coupled pair).
@@ -42,37 +48,53 @@ from scipy.integrate import solve_ivp
 from .msode import RunReport, SolverError
 
 
-# --- dispersion ----------------------------------------------------------------
+# --- models -------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Dispersion:
+    """u_tt + sum_j c_j (-d_x^2)^j u = eps u^p; ``omega2`` = (c_0, c_1, ...)."""
+
     kind: str
-    omega: Callable[[np.ndarray], np.ndarray]
-    omega_prime: Callable[[np.ndarray], np.ndarray]
+    omega2: tuple[float, ...]
+    power: int
+    envelope: Callable[[float, float], tuple[float, float]]  # (omega, eps) -> (beta, gamma)
+    max_order: int
+
+    def symbol(self, k):
+        """omega(k)^2."""
+        return _horner(self.omega2, np.asarray(k) ** 2)
+
+    def omega(self, k):
+        return np.sqrt(self.symbol(k))
+
+    def omega_prime(self, k):
+        k = np.asarray(k)
+        slope = [j * c for j, c in enumerate(self.omega2)][1:]  # d omega^2 / d(k^2)
+        return k * _horner(slope, k**2) / self.omega(k)
 
 
-def _kg_omega(k):
-    return np.sqrt(1.0 + np.asarray(k) ** 2)
-
-
-def _kg_omega_prime(k):
-    k = np.asarray(k)
-    return k / np.sqrt(1.0 + k**2)
-
-
-def _fourth_omega(k):
-    k2 = np.asarray(k) ** 2
-    return np.sqrt(k2 * k2 - k2 + 1.0)
-
-
-def _fourth_omega_prime(k):
-    k = np.asarray(k)
-    return (2.0 * k**3 - k) / _fourth_omega(k)
+def _horner(coeffs, x):
+    """sum_j coeffs[j] x^j, as np.polyval but without its ~10 us a call."""
+    value = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        value = value * x + c
+    return value
 
 
 _DISPERSIONS = {
-    "klein_gordon": Dispersion("klein_gordon", _kg_omega, _kg_omega_prime),
-    "fourth_order": Dispersion("fourth_order", _fourth_omega, _fourth_omega_prime),
+    d.kind: d
+    for d in (
+        Dispersion(  # u_tt - u_xx + u = eps u^2
+            kind="klein_gordon", omega2=(1.0, 1.0), power=2,
+            envelope=lambda omega, eps: (1.0 / (2.0 * omega**3), eps**2 * 5.0 / (3.0 * omega)),
+            max_order=1,
+        ),
+        Dispersion(  # u_tt + u_xx + u_xxxx + u = eps u^3
+            kind="fourth_order", omega2=(1.0, -1.0, 1.0), power=3,
+            envelope=lambda omega, eps: (0.0, eps * 3.0 / (2.0 * omega)),
+            max_order=0,
+        ),
+    )
 }
 
 
@@ -86,7 +108,7 @@ def dispersion(kind: str) -> Dispersion:
 
 
 def dispersion_eval(d: Dispersion, k: float) -> tuple[float, float]:
-    """(omega, omega') at carrier wavenumber k, from the closed formulas."""
+    """(omega, omega') at carrier wavenumber k, derived from omega^2."""
     return float(d.omega(k)), float(d.omega_prime(k))
 
 
@@ -198,33 +220,20 @@ def _wavenumbers_rfft(length: float, n: int) -> np.ndarray:
     return 2.0 * np.pi * np.fft.rfftfreq(n, d=length / n)
 
 
-def _dealias_mask(n: int, rule: str) -> np.ndarray:
-    cut = n // 3 if rule == "quadratic" else n // 4
-    mask = np.zeros(n // 2 + 1)
-    mask[: cut + 1] = 1.0
-    return mask
-
-
 def energy(fld: RealField, eps: float, kind: str) -> float:
     """Conserved energy of the direct flow, by spectral differentiation.
 
-    klein_gordon: int 1/2 u_t^2 + 1/2 u_x^2 + 1/2 u^2 - (eps/3) u^3 dx
-    fourth_order: int 1/2 u_t^2 - 1/2 u_x^2 + 1/2 u_xx^2 + 1/2 u^2 - (eps/4) u^4 dx
+    int 1/2 u_t^2 + 1/2 sum_j c_j (d_x^j u)^2 - eps u^{p+1}/(p+1) dx for the
+    model's c_j and p, e.g. 1/2 (u_t^2 + u^2 + u_x^2) - (eps/3) u^3 for klein_gordon.
     """
-    dx = fld.length / fld.n
+    d = dispersion(kind)
     kappa = _wavenumbers_rfft(fld.length, fld.n)
     u_hat = np.fft.rfft(fld.u)
-    ux = np.fft.irfft(1j * kappa * u_hat, fld.n)
-    if kind == "klein_gordon":
-        density = 0.5 * (fld.ut**2 + ux**2 + fld.u**2) - eps / 3.0 * fld.u**3
-    elif kind == "fourth_order":
-        uxx = np.fft.irfft(-(kappa**2) * u_hat, fld.n)
-        density = (
-            0.5 * (fld.ut**2 - ux**2 + uxx**2 + fld.u**2) - eps / 4.0 * fld.u**4
-        )
-    else:
-        raise KeyError(f"unknown kind {kind!r}")
-    return float(np.sum(density) * dx)
+    density = 0.5 * fld.ut**2 - eps / (d.power + 1) * fld.u ** (d.power + 1)
+    for j, c in enumerate(d.omega2):
+        dju = np.fft.irfft((1j * kappa) ** j * u_hat, fld.n) if j else fld.u
+        density = density + 0.5 * c * dju**2
+    return float(np.sum(density) * fld.length / fld.n)
 
 
 def _solve_direct(
@@ -236,17 +245,12 @@ def _solve_direct(
     t_eval: Sequence[float] | None,
     atol: float,
 ) -> DirectRun:
+    d = dispersion(kind)
     n = u0.n
-    kappa = _wavenumbers_rfft(u0.length, n)
-    if kind == "klein_gordon":
-        symbol = kappa**2 + 1.0
-        mask = _dealias_mask(n, "quadratic")
-        power = 2
-    else:
-        symbol = kappa**4 - kappa**2 + 1.0
-        mask = _dealias_mask(n, "cubic")
-        power = 3
     m = n // 2 + 1
+    symbol = d.symbol(_wavenumbers_rfft(u0.length, n))
+    mask = np.zeros(m)  # alias-free products of p factors
+    mask[: n // (d.power + 1) + 1] = 1.0
 
     def pack(u_hat, v_hat):
         return np.concatenate([u_hat.real, u_hat.imag, v_hat.real, v_hat.imag])
@@ -259,7 +263,7 @@ def _solve_direct(
     def rhs(t, z):
         u_hat, v_hat = unpack(z)
         u = np.fft.irfft(u_hat, n)
-        nonlinear = mask * np.fft.rfft(u**power)
+        nonlinear = mask * np.fft.rfft(u**d.power)
         return pack(v_hat, -symbol * u_hat + eps * nonlinear)
 
     z0 = pack(np.fft.rfft(u0.u), np.fft.rfft(u0.ut))
@@ -316,16 +320,15 @@ def envelope_coefficients(fld: WavePacketField) -> tuple[float, float, float]:
     """(advection speed, dispersion coefficient, cubic coefficient) for the envelope.
 
     The envelope equation is A_t = -c A_x + i beta A_xx + i gamma |A|^2 A with
-    c = omega'(k) for both kinds, beta = 1/(2 omega^3) for klein_gordon (the
-    second time derivative has been traded for a spatial one, keeping the
-    equation first order in time) and beta = 0 for fourth_order, and
-    gamma = eps^2 5/(3 omega) resp. eps 3/(2 omega).
+    c = omega'(k) for every model and (beta, gamma) as the model declares:
+    beta = 1/(2 omega^3) for klein_gordon (the second time derivative has
+    been traded for a spatial one, keeping the equation first order in time)
+    and beta = 0 for fourth_order, and gamma = eps^2 5/(3 omega) resp.
+    eps 3/(2 omega).
     """
     d = dispersion(fld.kind)
     omega, omega_p = dispersion_eval(d, fld.k)
-    if fld.kind == "klein_gordon":
-        return omega_p, 1.0 / (2.0 * omega**3), fld.eps**2 * 5.0 / (3.0 * omega)
-    return omega_p, 0.0, fld.eps * 3.0 / (2.0 * omega)
+    return (omega_p, *d.envelope(omega, fld.eps))
 
 
 def envelope_rhs(fld: WavePacketField) -> np.ndarray:
@@ -447,14 +450,13 @@ def reconstruct_field(fld: WavePacketField, t: float, order: int) -> RealField:
 
     Order 0 is the bare carrier u = A e^{i theta} + c.c.; order 1 adds the
     quadratic correction eps (2|A|^2 - (1/3) A^2 e^{2 i theta} - c.c.-term),
-    which exists for the klein_gordon hierarchy only.  The time derivative
-    threads the product rule through the carrier and the envelope equation.
+    which is derived for the klein_gordon hierarchy only (its model declares
+    ``max_order`` 1).  The time derivative threads the product rule through
+    the carrier and the envelope equation.
     """
-    if order not in (0, 1):
-        raise ValueError("order must be 0 or 1")
-    if order == 1 and fld.kind != "klein_gordon":
-        raise ValueError("the first-order correction is derived for klein_gordon")
     d = dispersion(fld.kind)
+    if order not in range(d.max_order + 1):
+        raise ValueError(f"order must be in 0..{d.max_order} for {fld.kind}")
     omega, _ = dispersion_eval(d, fld.k)
     a = fld.values
     da = envelope_rhs(fld)

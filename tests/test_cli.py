@@ -285,3 +285,38 @@ def test_eps_sweep_with_seed(tmp_path):
     summary = read_summary(tmp_path, "sweep")
     assert [run["eps"] for run in summary["result"]["runs"]] == [0.1, 0.05]
     assert len(list(tmp_path.glob("sweep_eps*.csv"))) == 2
+
+
+@pytest.mark.parametrize(
+    "subcommand,payload",
+    [
+        ("ode", {"case": "cubic", "eps": [0.1, 0.1], "horizon_exponent": 1}),
+        ("blayer", {"kind": "linear", "eps": [0.1, 0.05, 0.1], "n_grid": 512}),
+        ("ode", {"case": "cubic", "eps": "abc", "horizon_exponent": 1}),
+        ("blayer", {"kind": "linear", "eps": [0.1, [0.05]], "n_grid": 512}),
+    ],
+)
+def test_eps_sweep_rejects_repeats_and_non_numbers(tmp_path, capsys, subcommand, payload):
+    # runs and their CSV files are keyed by eps
+    cfg = write_config(tmp_path, "sweep.json", payload)
+    assert main([subcommand, "--config", cfg, "--out-dir", str(tmp_path)]) == EXIT_CONFIG
+    assert "eps" in capsys.readouterr().err
+    assert not list(tmp_path.glob("sweep*.csv"))
+
+
+@pytest.mark.parametrize(
+    "subcommand,payload,key",
+    [
+        ("ode", {"case": "cubic", "eps": 0.1, "horizon_exponent": 1}, "rtol"),
+        ("ode", {"case": "cubic", "eps": 0.1, "horizon_exponent": 1}, "atol"),
+        ("blayer", {"kind": "nonlinear", "eps": 0.1, "n_grid": 512}, "shoot_tol"),
+        ("euler", {"eps_values": [0.1], "m_values": [1]}, "quad_tol"),
+        ("pde", {"task": "packet_compare", "eps": 0.1}, "dt"),
+    ],
+)
+@pytest.mark.parametrize("value", ["x", True, [1e-9], {}])
+def test_non_numeric_tolerance_is_a_config_error(tmp_path, capsys, subcommand, payload, key,
+                                                 value):
+    cfg = write_config(tmp_path, "tol.json", dict(payload, **{key: value}))
+    assert main([subcommand, "--config", cfg, "--out-dir", str(tmp_path)]) == EXIT_CONFIG
+    assert f"{key} must be a positive number" in capsys.readouterr().err

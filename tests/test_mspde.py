@@ -48,6 +48,10 @@ def test_dispersion_symmetry(k, kind):
     assert om_m == pytest.approx(om_p, rel=1e-14)
     assert gp_m == pytest.approx(-gp_p, rel=1e-14)
     assert om_p > 0
+    # the derived omega' against a centered difference of omega
+    h = 1e-5 * k
+    fd = (d.omega(k + h) - d.omega(k - h)) / (2.0 * h)
+    assert gp_p == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
 
 def test_phase_match_residual_values():
