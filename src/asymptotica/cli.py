@@ -2,29 +2,37 @@
 
 One run is described by one JSON config file; the tool writes a JSON summary
 (always) and CSV time/space series (when the subcommand produces them) into
-the output directory.  Outputs are deterministic for a fixed config: floats
-are printed with 17 significant digits so re-running a config reproduces the
-files byte for byte.
+the output directory.  Outputs are deterministic for a fixed config: CSV
+floats are printed with 17 significant digits and JSON floats as their
+shortest round-trip repr, so re-running a config reproduces the files byte
+for byte.
 
 ::
 
     asymptotica <subcommand> --config cfg.json [--config more.json ...]
                  [--jobs N] [--out-dir DIR]
 
-Subcommands: pi, roots, euler, ode, blayer, pde.  A config may declare
-acceptance predicates under ``"accept"``; the exit status is 0 on success,
-1 if any declared predicate fails, 2 on a config error and 3 on a solver
-failure.  ``--jobs`` fans out across independent configs only.
+Subcommands: pi, roots, euler, ode, blayer, pde.  Each subcommand declares
+its config keys (type and default) and the acceptance predicates a config
+may list under ``"accept"``; the declaration is applied before any compute,
+and an unknown key or predicate, a wrong type or an out-of-range value is a
+config error.  A null value means the key's default.  The exit status is 0
+on success, 1 if any declared predicate fails, 2 on a config error
+(including the library's own argument checks), 3 on a solver failure and 4
+on an internal error, reported in one line without a traceback.  ``--jobs``
+fans out across independent configs only, one worker per config at most.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,10 +43,11 @@ EXIT_OK = 0
 EXIT_ACCEPT = 1
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
+EXIT_INTERNAL = 4
 
 
 class ConfigError(ValueError):
-    pass
+    """A config that the declared schema or the library rejects (exit 2)."""
 
 
 def _fmt(x) -> str:
@@ -46,107 +55,251 @@ def _fmt(x) -> str:
 
 
 def _dump_json(obj, path: Path):
-    """JSON with every float printed to 17 significant digits."""
-
-    def walk(o):
-        if isinstance(o, float):
-            return float(_fmt(o))
-        if isinstance(o, dict):
-            return {k: walk(v) for k, v in o.items()}
-        if isinstance(o, (list, tuple)):
-            return [walk(v) for v in o]
-        if isinstance(o, (np.floating, np.integer)):
-            return walk(o.item())
-        if isinstance(o, np.ndarray):
-            return walk(o.tolist())
-        if isinstance(o, Fraction):
-            return str(o)
-        return o
-
-    path.write_text(json.dumps(walk(obj), indent=2) + "\n")
+    """JSON with numpy values as Python numbers; floats print as their
+    shortest round-trip repr, so they reload exactly."""
+    path.write_text(json.dumps(obj, indent=2, default=lambda o: o.tolist()) + "\n")
 
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]):
-    rows = len(columns[0])
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(rows):
-            fh.write(",".join(_fmt(c[i]) for c in columns) + "\n")
+        for row in zip(*columns):
+            fh.write(",".join(map(_fmt, row)) + "\n")
 
 
-def _validate(config: dict, required: dict, optional: dict, where: str) -> dict:
-    if not isinstance(config, dict):
-        raise ConfigError(f"{where}: config must be a JSON object")
-    allowed = set(required) | set(optional) | {"name", "seed", "accept"}
-    unknown = set(config) - allowed
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    for key in required:
-        if key not in config:
-            raise ConfigError(f"{where}: missing required key {key!r}")
-    merged = dict(optional)
-    merged.update(config)
-    for key, value in merged.items():
-        if key in ("name", "accept"):
-            continue
-        if key == "seed" and value is not None and not isinstance(value, int):
-            raise ConfigError(f"{where}: seed must be an integer")
-    accept = merged.get("accept", {})
-    if accept is not None and not isinstance(accept, dict):
-        raise ConfigError(f"{where}: accept must be an object")
-    for key in ("rtol", "atol", "shoot_tol", "quad_tol", "newton_tol", "dt"):
-        value = merged.get(key)
-        if value is not None and (type(value) not in (int, float) or value <= 0):
-            raise ConfigError(f"{where}: {key} must be a positive number")
-    return merged
+# --- config types -----------------------------------------------------------------
+# A type maps a raw JSON value to the value a runner uses, or raises
+# ValueError("must be ...").  Numbers that the summary echoes as given keep
+# their int/float type; the others become floats.
+
+def _type(what: str, test: Callable, cast: Callable | None = None) -> Callable:
+    """The type of the values that pass ``test``, converted by ``cast``."""
+
+    def parse(value):
+        if not test(value):
+            raise ValueError(f"must be {what}")
+        return value if cast is None else cast(value)
+
+    return parse
 
 
-def _eps_list(cfg: dict, where: str) -> list[float]:
-    """The eps sweep of a config (a single eps is a sweep of one), as floats.
+def _is_number(value) -> bool:
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
-    Runs and their CSV files are keyed by eps, so repeated values are rejected.
-    """
-    values = cfg["eps"] if isinstance(cfg["eps"], list) else [cfg["eps"]]
+
+_number = _type("a number", _is_number)
+_real = _type("a number", _is_number, float)
+_positive = _type("a positive number", lambda v: _is_number(v) and v > 0)
+_positive_real = _type("a positive number", lambda v: _is_number(v) and v > 0, float)
+_bool = _type("true or false", lambda v: type(v) is bool)
+_text = _type("a non-empty string", lambda v: isinstance(v, str) and v != "")
+# output file names start with the name, so it has no directory part
+_file_stem = _type("a file name", lambda v: _text(v) == Path(v).name and "\0" not in v)
+
+
+def _int(lo=-math.inf, hi=math.inf) -> Callable:
+    return _type(f"an integer in [{lo}, {hi}]", lambda v: type(v) is int and lo <= v <= hi)
+
+
+def _one_of(*names: str) -> Callable:
+    return _type(f"one of {list(names)}", lambda v: isinstance(v, str) and v in names)
+
+
+def _exact(value) -> Fraction:
+    """An int, a float (as its shortest decimal repr) or a fraction string, exactly."""
     try:
-        values = [float(e) for e in values]
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}: eps must be a number or a list of numbers") from None
+        if type(value) in (int, float, str):
+            return Fraction(str(value))
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ValueError("must be an integer, a float or a fraction string")
+
+
+def _each(item: Callable, container: type = list, min_len=0, max_len=math.inf) -> Callable:
+    """A list (or an object, with ``container=dict``) of ``item`` values."""
+
+    def parse(value):
+        if type(value) is not container or not min_len <= len(value) <= max_len:
+            raise ValueError(f"must be a {container.__name__} of length in [{min_len}, {max_len}]")
+        try:
+            if container is dict:
+                return {k: item(v) for k, v in value.items()}
+            return [item(v) for v in value]
+        except ValueError as exc:
+            raise ValueError(f"entries {exc}") from None
+
+    return parse
+
+
+def _eps_sweep(value) -> list[float]:
+    """One eps or a list of them, as floats; runs and CSV files are keyed by eps."""
+    values = _each(_real, list, 1)(value if isinstance(value, list) else [value])
     if len(set(values)) != len(values):
-        raise ConfigError(f"{where}: eps values must be distinct, got {values}")
+        raise ValueError(f"values must be distinct, got {values}")
     return values
 
 
-def _sweep_order(values: list, seed) -> list:
-    order = list(range(len(values)))
-    if seed is not None and len(values) > 1:
-        np.random.default_rng(seed).shuffle(order)
-    return order
+def _checkpoints(value) -> list[float]:
+    """Snapshot times; CSV files are keyed by time, so they strictly increase."""
+    times = _each(_positive_real, list, 1)(value)
+    if any(b <= a for a, b in zip(times, times[1:])):
+        raise ValueError(f"must strictly increase, got {times}")
+    return times
 
 
-# --- subcommand runners ---------------------------------------------------------
+# --- schema -------------------------------------------------------------------------
+
+_REQUIRED = object()
 
 
-def _run_pi(config: dict, out: Path, name: str) -> tuple[dict, list[str]]:
-    cfg = _validate(
-        config,
-        required={},
-        optional={"fixture": None, "base": None, "quantities": None,
-                  "membership": {}},
-        where="pi",
-    )
-    if cfg["fixture"] is not None:
-        text = Path(cfg["fixture"]).read_text()
-        qs = dimsys.parse_quantity_set(text)
-    elif cfg["base"] is not None and cfg["quantities"] is not None:
+class Key(NamedTuple):
+    """A config key: its type and its default (None: absent unless given)."""
+
+    type: Callable
+    default: object = None
+
+
+_TESTS = {
+    "le": lambda got, want, tol: got <= want,
+    "eq": lambda got, want, tol: got == want,
+    "all": lambda got, want, tol: not want or all(got),
+    "near": lambda got, want, tol: len(got) == len(want)
+    and all(abs(a - b) <= tol for a, b in zip(sorted(want), got)),
+}
+
+
+class Accept(NamedTuple):
+    """An accept predicate: the type of its value, the run field it checks and how.
+
+    Tests: ``le`` field <= value (times the run's ``per`` field when given);
+    ``eq`` field == value; ``all`` every entry of the field is true when the
+    value is true; ``near`` field == sorted value within the ``tol`` entry.
+    A Key among the predicates is a parameter of another one.  A failure
+    is reported by formatting ``message`` with the run's fields, ``label``
+    (the run's eps in a sweep), ``field``, ``got``, ``want`` and ``tol``.
+    """
+
+    type: Callable
+    field: str
+    test: str
+    message: str = "{label}{field} {got} > {want}"
+    per: str | None = None
+    default: object = None  # checked only when the config lists it
+
+
+class Schema(NamedTuple):
+    """The keys and accept predicates of one subcommand's config.
+
+    ``variant`` maps the config typed so far to a further Schema (or None)
+    whose keys and predicates apply on top of these.
+    """
+
+    keys: dict
+    accept: dict = {}
+    variant: Callable = lambda cfg: None
+
+
+def _typed(declared: dict, given: dict, where: str, prefix: str = "") -> dict:
+    """The typed values of the declared entries; a null or absent one takes its default."""
+    typed = {}
+    for key, entry in declared.items():
+        value = entry.default if given.get(key) is None else given[key]
+        if value is _REQUIRED:
+            raise ConfigError(f"{where}: missing required key {prefix + key!r}")
+        try:
+            if value is not None:
+                typed[key] = entry.type(value)
+        except ValueError as exc:
+            default = "" if given.get(key) is not None else f" (default {value!r})"
+            raise ConfigError(f"{where}: {prefix}{key}{default} {exc}") from None
+    return typed
+
+
+def _apply(schema: Schema, config, where: str) -> tuple[dict, dict, dict]:
+    """The typed config, the typed accept values and the declared predicates.
+
+    Raises ConfigError on an unknown key or predicate and on a value its type
+    rejects, before any compute.
+    """
+    if not isinstance(config, dict):
+        raise ConfigError(f"{where}: config must be a JSON object")
+    keys = {"name": Key(_file_stem), "accept": Key(_each(lambda v: v, dict), {})}
+    cfg, predicates = _typed(keys, config, where), {}
+    accept = cfg.pop("accept")
+    while schema is not None:
+        keys.update(schema.keys)
+        predicates.update(schema.accept)
+        cfg.update(_typed(schema.keys, config, where))
+        schema = schema.variant(cfg)
+    for given, declared, what in ((config, keys, "keys"),
+                                  (accept, predicates, "accept predicates")):
+        if set(given) - set(declared):
+            raise ConfigError(f"{where}: unknown {what} {sorted(set(given) - set(declared))}")
+    return cfg, _typed(predicates, accept, where, "accept "), predicates
+
+
+def _failures(predicates: dict, want: dict, runs: list[dict]) -> list[str]:
+    """The messages of the listed predicates that fail, run by run."""
+    failures = []
+    for run in runs:
+        label = f"eps={run['eps']}: " if "eps" in run else ""
+        for key, pred in predicates.items():
+            if not isinstance(pred, Accept) or key not in want:
+                continue
+            got, limit = run[pred.field], want[key] * run[pred.per] if pred.per else want[key]
+            if not _TESTS[pred.test](got, limit, want.get("tol")):
+                failures.append(pred.message.format(
+                    **run, label=label, field=pred.field, got=got, want=limit, tol=want.get("tol")
+                ))
+    return failures
+
+
+def _sweep(cfg: dict, run: Callable) -> list:
+    """``run(eps)`` over the eps sweep, shuffled by the seed; results in config order."""
+    eps_values = cfg["eps"]
+    order = list(range(len(eps_values)))
+    if "seed" in cfg and len(eps_values) > 1:
+        np.random.default_rng(cfg["seed"]).shuffle(order)
+    results = {i: run(eps_values[i]) for i in order}
+    return [results[i] for i in range(len(eps_values))]
+
+
+# --- subcommands: declaration and runner ------------------------------------------
+# A runner takes the typed config, the output directory and the output name
+# and returns the summary plus the runs the accept predicates check.
+
+_PI = Schema(
+    keys={
+        "fixture": Key(_text),
+        "membership": Key(_each(_each(_exact, dict), dict), {}),
+    },
+    accept={
+        "group_count": Accept(_int(0), "group_count", "eq", "group_count {got} != {want}"),
+        "membership_all": Accept(
+            _bool, "in_span", "all", "a membership target is outside the group span"
+        ),
+    },
+    variant=lambda cfg: None if "fixture" in cfg else Schema({
+        "base": Key(_text, _REQUIRED),
+        "quantities": Key(_each(_text, dict), _REQUIRED),
+    }),
+)
+
+
+def _run_pi(cfg: dict, out: Path, name: str) -> tuple[dict, list[dict]]:
+    if "fixture" in cfg:
+        try:
+            text = Path(cfg["fixture"]).read_text()
+        except OSError as exc:
+            raise ConfigError(f"pi: cannot read fixture: {exc}") from None
+    else:
         lines = [f"base: {cfg['base']}"]
         lines += [f"{k}: {v}" for k, v in cfg["quantities"].items()]
-        qs = dimsys.parse_quantity_set("\n".join(lines))
-    else:
-        raise ConfigError("pi: give either 'fixture' or 'base' + 'quantities'")
+        text = "\n".join(lines)
+    qs = dimsys.parse_quantity_set(text)
     groups = dimsys.pi_groups(qs)
     membership = {}
-    for label, target in (cfg["membership"] or {}).items():
-        exponents = {k: Fraction(str(v)) for k, v in target.items()}
+    for label, exponents in cfg["membership"].items():
         coeffs = dimsys.group_membership(qs, exponents)
         membership[label] = {
             "in_span": coeffs is not None,
@@ -160,293 +313,236 @@ def _run_pi(config: dict, out: Path, name: str) -> tuple[dict, list[str]]:
         ],
         "membership": membership,
     }
-    failures = []
-    accept = cfg.get("accept") or {}
-    if "group_count" in accept and accept["group_count"] != len(groups):
-        failures.append(f"group_count {len(groups)} != {accept['group_count']}")
-    if accept.get("membership_all") and not all(
-        m["in_span"] for m in membership.values()
-    ):
-        failures.append("a membership target is outside the group span")
-    return summary, failures
+    return summary, [dict(summary, in_span=[m["in_span"] for m in membership.values()])]
 
 
-def _parse_exact(value):
-    if isinstance(value, str):
-        return Fraction(value)
-    if isinstance(value, int):
-        return Fraction(value)
-    return value
-
-
-def _run_roots(config: dict, out: Path, name: str) -> tuple[dict, list[str]]:
-    cfg = _validate(
-        config,
-        required={"family": None, "root": None, "order": None},
-        optional={"mode": "exact", "rescale_exponent": None},
-        where="roots",
+def _roots_mode(number: Callable, coefficient: Callable | None = None) -> Schema:
+    """Family and root parsed as ``number``; expected coefficients as
+    ``coefficient`` (default ``number``), the form the summary prints."""
+    return Schema(
+        keys={"family": Key(_each(_each(number)), _REQUIRED), "root": Key(number, _REQUIRED)},
+        accept={"coefficients": Accept(
+            _each(coefficient or number), "coefficients", "eq",
+            "coefficients {got} != expected {want}",
+        )},
     )
+
+
+_ROOTS = Schema(
+    keys={
+        # each order re-evaluates the family on the series so far; 100 takes about 2 s
+        "order": Key(_int(0, 64), _REQUIRED),
+        "mode": Key(_one_of("exact", "float"), "exact"),
+        "rescale_exponent": Key(_exact),
+    },
+    variant=lambda cfg: {
+        "exact": _roots_mode(_exact, lambda c: str(_exact(c))),
+        "float": _roots_mode(lambda c: float(_exact(c))),
+    }[cfg["mode"]],
+)
+
+
+def _run_roots(cfg: dict, out: Path, name: str) -> tuple[dict, list[dict]]:
+    family = series.PolyFamily.from_coefficients(cfg["family"])
+    if "rescale_exponent" in cfg:
+        family = series.rescale_singular(family, cfg["rescale_exponent"])
+    expansion = series.expand_root(family, cfg["root"], cfg["order"])
     exact = cfg["mode"] == "exact"
-    parse = _parse_exact if exact else float
-    family = series.PolyFamily.from_coefficients(
-        [[parse(c) for c in coeff] for coeff in cfg["family"]]
-    )
-    if cfg["rescale_exponent"] is not None:
-        family = series.rescale_singular(family, Fraction(str(cfg["rescale_exponent"])))
-    root = parse(cfg["root"])
-    expansion = series.expand_root(family, root, int(cfg["order"]))
-    coeffs = [str(c) if exact else float(c) for c in expansion.coefficients]
     summary = {
         "mode": cfg["mode"],
-        "order": int(cfg["order"]),
+        "order": cfg["order"],
         "eps_denominator": family.eps_denominator,
-        "coefficients": coeffs,
+        "coefficients": [str(c) if exact else float(c) for c in expansion.coefficients],
     }
-    failures = []
-    accept = cfg.get("accept") or {}
-    if "coefficients" in accept:
-        want = [str(_parse_exact(c)) if exact else float(c) for c in accept["coefficients"]]
-        if want != coeffs:
-            failures.append(f"coefficients {coeffs} != expected {want}")
-    return summary, failures
+    return summary, [summary]
 
 
-def _run_euler(config: dict, out: Path, name: str) -> tuple[dict, list[str]]:
-    cfg = _validate(
-        config,
-        required={"eps_values": None, "m_values": None},
-        optional={"quad_tol": 1e-12},
-        where="euler",
-    )
+_EULER = Schema(
+    keys={
+        "eps_values": Key(_each(_real), _REQUIRED),
+        # (m+1)! in the remainder bound overflows a float above m = 169
+        "m_values": Key(_each(_int(0, 169)), _REQUIRED),
+        "quad_tol": Key(_positive, 1e-12),
+    },
+    accept={"bound_holds": Accept(_bool, "within_bound", "all", "remainder bound violated")},
+)
+
+
+def _run_euler(cfg: dict, out: Path, name: str) -> tuple[dict, list[dict]]:
     rows = []
-    all_within = True
     for eps in cfg["eps_values"]:
-        f_val = series.euler_f(float(eps), cfg["quad_tol"])
+        f_val = series.euler_f(eps, cfg["quad_tol"])
         for m in cfg["m_values"]:
-            s_val = float(series.euler_partial_sum(float(eps), int(m)))
-            bound = series.euler_remainder_bound(float(eps), int(m))
-            within = abs(f_val - s_val) <= bound
-            all_within = all_within and within
+            s_val = float(series.euler_partial_sum(eps, m))
+            bound = series.euler_remainder_bound(eps, m)
             rows.append(
                 {
-                    "eps": float(eps),
-                    "m": int(m),
+                    "eps": eps,
+                    "m": m,
                     "f": f_val,
                     "partial_sum": s_val,
                     "abs_error": abs(f_val - s_val),
                     "bound": bound,
-                    "within_bound": within,
+                    "within_bound": abs(f_val - s_val) <= bound,
                 }
             )
-    summary = {"quad_tol": cfg["quad_tol"], "rows": rows, "all_within_bound": all_within}
-    failures = []
-    accept = cfg.get("accept") or {}
-    if accept.get("bound_holds") and not all_within:
-        failures.append("remainder bound violated")
-    return summary, failures
+    within = [r["within_bound"] for r in rows]
+    summary = {"quad_tol": cfg["quad_tol"], "rows": rows, "all_within_bound": all(within)}
+    return summary, [{"within_bound": within}]
 
 
-def _run_ode(config: dict, out: Path, name: str) -> tuple[dict, list[str]]:
-    cfg = _validate(
-        config,
-        required={"case": None, "eps": None},
-        optional={
-            "horizon": None,
-            "horizon_exponent": None,
-            "terms": 2,
-            "rtol": 1e-10,
-            "atol": 1e-12,
-            "ics": None,
-            "n_samples": 2048,
-            "use_closed_form": False,
-            "include_naive": False,
-        },
-        where="ode",
-    )
-    if (cfg["horizon"] is None) == (cfg["horizon_exponent"] is None):
-        raise ConfigError("ode: give exactly one of 'horizon' and 'horizon_exponent'")
-    if cfg["case"] not in msode.case_names():
-        raise ConfigError(f"ode: unknown case {cfg['case']!r}; known: {msode.case_names()}")
-    eps_values = _eps_list(cfg, "ode")
-    if cfg["horizon_exponent"] is not None and any(e == 0 for e in eps_values):
-        raise ConfigError("ode: eps = 0 needs an explicit 'horizon'")
+_ODE = Schema(
+    keys={
+        "case": Key(_one_of(*msode.case_names()), _REQUIRED),
+        "eps": Key(_eps_sweep, _REQUIRED),
+        "seed": Key(_int(0)),
+        "horizon": Key(_positive),
+        "horizon_exponent": Key(_int()),
+        "terms": Key(_int(1, 2), 2),
+        "rtol": Key(_positive, 1e-10),
+        "atol": Key(_positive, 1e-12),
+        "ics": Key(_each(_number)),
+        "n_samples": Key(_int(2, 2**20), 2048),
+        "use_closed_form": Key(_bool, False),
+    },
+    accept={
+        "max_abs_error_le": Accept(_positive, "max_abs_error", "le"),
+        "l2_error_le": Accept(_positive, "l2_error", "le"),
+    },
+    variant=lambda cfg: (
+        Schema({"include_naive": Key(_bool, False)}) if cfg["case"] == "damped_linear" else None
+    ),
+)
+
+
+def _run_ode(cfg: dict, out: Path, name: str) -> tuple[dict, list[dict]]:
     case = msode.catalog(cfg["case"])
-    runs = {}
-    for idx in _sweep_order(eps_values, cfg.get("seed")):
-        eps = eps_values[idx]
-        runs[eps] = msode.compare(
-            case,
-            eps,
-            None if cfg["horizon_exponent"] is None else int(cfg["horizon_exponent"]),
-            horizon=cfg["horizon"],
-            rtol=cfg["rtol"],
-            atol=cfg["atol"],
-            terms=int(cfg["terms"]),
-            ics=cfg["ics"],
-            n_samples=int(cfg["n_samples"]),
-            use_closed_form=cfg["use_closed_form"],
-            keep_trajectories=True,
-        )
-    summary = {"case": case.name, "runs": []}
-    failures = []
-    accept = cfg.get("accept") or {}
-    for eps in eps_values:
-        report = runs[eps]
+    # the other keys are keyword arguments of msode.compare
+    cli_keys = ("name", "case", "eps", "seed", "include_naive")
+    args = {k: v for k, v in cfg.items() if k not in cli_keys}
+
+    def run(eps: float) -> dict:
+        report = msode.compare(case, eps, keep_trajectories=True, **args)
         paths = report.stats.pop("trajectories")
         y_direct, y_ms = paths["y_direct"], paths["y_multiscale"]
-        suffix = f"_eps{_fmt(eps)}" if len(eps_values) > 1 else ""
-        if case.n_components == 1:
-            _write_csv(
-                out / f"{name}{suffix}.csv",
-                ["t", "y_direct", "y_multiscale", "abs_error"],
-                [report.t, y_direct[0], y_ms[0], report.error[0]],
-            )
-        else:
-            comp = np.repeat(np.arange(case.n_components), len(report.t))
-            _write_csv(
-                out / f"{name}{suffix}.csv",
-                ["component", "t", "y_direct", "y_multiscale", "abs_error"],
-                [
-                    comp,
-                    np.tile(report.t, case.n_components),
-                    y_direct.ravel(),
-                    y_ms.ravel(),
-                    report.error.ravel(),
-                ],
-            )
-        if cfg["include_naive"] and case.name == "damped_linear":
+        suffix = f"_eps{_fmt(eps)}" if len(cfg["eps"]) > 1 else ""
+        n = case.n_components
+        header = ["t", "y_direct", "y_multiscale", "abs_error"]
+        columns = [np.tile(report.t, n), y_direct.ravel(), y_ms.ravel(), report.error.ravel()]
+        if n > 1:  # systems get a leading component column
+            header = ["component", *header]
+            columns = [np.repeat(np.arange(n), len(report.t)), *columns]
+        _write_csv(out / f"{name}{suffix}.csv", header, columns)
+        if cfg.get("include_naive"):
             naive = msode.naive_damped_expansion(report.t, eps)
             _write_csv(
                 out / f"{name}{suffix}_naive.csv",
                 ["t", "y_direct", "y_naive", "abs_error"],
                 [report.t, y_direct[0], naive, np.abs(y_direct[0] - naive)],
             )
-        summary["runs"].append(
-            {
-                "eps": eps,
-                "horizon": report.horizon,
-                "max_abs_error": report.max_abs_error,
-                "l2_error": report.l2_error,
-                "stats": report.stats,
-            }
-        )
-        if "max_abs_error_le" in accept and report.max_abs_error > accept["max_abs_error_le"]:
-            failures.append(
-                f"eps={eps}: max_abs_error {report.max_abs_error} > {accept['max_abs_error_le']}"
-            )
-        if "l2_error_le" in accept and report.l2_error > accept["l2_error_le"]:
-            failures.append(
-                f"eps={eps}: l2_error {report.l2_error} > {accept['l2_error_le']}"
-            )
-    return summary, failures
+        return {
+            "eps": eps,
+            "horizon": report.horizon,
+            "max_abs_error": report.max_abs_error,
+            "l2_error": report.l2_error,
+            "stats": report.stats,
+        }
+
+    runs = _sweep(cfg, run)
+    return {"case": case.name, "runs": runs}, runs
 
 
-def _run_blayer(config: dict, out: Path, name: str) -> tuple[dict, list[str]]:
-    cfg = _validate(
-        config,
-        required={"kind": None, "eps": None},
-        optional={"n_grid": 8192, "shoot_tol": 1e-10},
-        where="blayer",
-    )
-    eps_values = _eps_list(cfg, "blayer")
-    results = {}
-    for idx in _sweep_order(eps_values, cfg.get("seed")):
-        eps = eps_values[idx]
-        if cfg["kind"] == "linear":
-            problem = blayer.linear_problem(eps)
-            x, y_ref = blayer.solve_bvp_fd(problem, int(cfg["n_grid"]))
+_BLAYER = Schema(
+    keys={
+        "kind": Key(_one_of("linear", "nonlinear"), _REQUIRED),
+        "eps": Key(_eps_sweep, _REQUIRED),
+        "n_grid": Key(_int(64, 2**20), 8192),
+        "seed": Key(_int(0)),
+    },
+    accept={"max_gap_le": Accept(_positive, "max_gap", "le")},
+    variant=lambda cfg: {
+        "linear": Schema({}, {
+            "half_width_le_eps_multiple": Accept(_positive, "half_width", "le", per="eps"),
+        }),
+        "nonlinear": Schema({"shoot_tol": Key(_positive, 1e-10)}),
+    }[cfg["kind"]],
+)
+
+
+def _run_blayer(cfg: dict, out: Path, name: str) -> tuple[dict, list[dict]]:
+    def run(eps: float) -> dict:
+        linear = cfg["kind"] == "linear"
+        problem = blayer.linear_problem(eps) if linear else blayer.nonlinear_problem(eps)
+        x, y_ref = blayer.solve_bvp_fd(problem, cfg["n_grid"])
+        if linear:
             y_ms = blayer.linear_blayer_multiscale(x, eps)
             extra = {"half_width": blayer.layer_half_width(x, y_ref)}
-        elif cfg["kind"] == "nonlinear":
-            problem = blayer.nonlinear_problem(eps)
-            x, y_ref = blayer.solve_bvp_fd(problem, int(cfg["n_grid"]))
+        else:
             sol = blayer.nonlinear_blayer_multiscale(eps, cfg["shoot_tol"])
             y_ms = sol(x)
             extra = {"b0": sol.b0, "newton_iterations": sol.iterations}
-        else:
-            raise ConfigError(f"blayer: unknown kind {cfg['kind']!r}")
         gap = np.abs(y_ms - y_ref)
         _write_csv(
             out / f"{name}_eps{_fmt(eps)}.csv",
             ["x", "y_multiscale", "y_reference", "abs_error"],
             [x, np.asarray(y_ms, dtype=float), y_ref, gap],
         )
-        results[eps] = {"eps": eps, "max_gap": float(gap.max()), **extra}
-    summary = {"kind": cfg["kind"], "n_grid": int(cfg["n_grid"]),
-               "runs": [results[e] for e in eps_values]}
-    failures = []
-    accept = cfg.get("accept") or {}
-    for run in summary["runs"]:
-        if "max_gap_le" in accept and run["max_gap"] > accept["max_gap_le"]:
-            failures.append(f"eps={run['eps']}: max_gap {run['max_gap']} > {accept['max_gap_le']}")
-        if "half_width_le_eps_multiple" in accept:
-            limit = accept["half_width_le_eps_multiple"] * run["eps"]
-            if run.get("half_width", 0.0) > limit:
-                failures.append(f"eps={run['eps']}: half_width {run['half_width']} > {limit}")
-    return summary, failures
+        return {"eps": eps, "max_gap": float(gap.max()), **extra}
+
+    runs = _sweep(cfg, run)
+    return {"kind": cfg["kind"], "n_grid": cfg["n_grid"], "runs": runs}, runs
 
 
-def _run_pde(config: dict, out: Path, name: str) -> tuple[dict, list[str]]:
-    cfg = _validate(
-        config,
-        required={"task": None},
-        optional={
-            "kind": "klein_gordon",
-            "eps": 0.1,
-            "k": 1.0,
-            "amplitude": 0.5,
-            "sigma_wavelengths": 10.0,
-            "order": 1,
-            "checkpoints": None,
-            "dt": 0.02,
-            "rtol": 1e-9,
-            "points_per_wavelength": 16,
-            "harmonic": 3,
-            "k_range": [0.1, 2.0],
-        },
-        where="pde",
-    )
-    failures = []
-    accept = cfg.get("accept") or {}
-    try:
-        model = mspde.dispersion(cfg["kind"])
-    except (KeyError, TypeError):
-        raise ConfigError(f"pde: unknown kind {cfg['kind']!r}") from None
+_PDE = Schema(
+    keys={
+        "task": Key(_one_of("phase_match", "packet_compare"), _REQUIRED),
+        "kind": Key(_one_of(*mspde.dispersion_kinds()), "klein_gordon"),
+    },
+    variant=lambda cfg: {
+        "phase_match": Schema(
+            keys={
+                "harmonic": Key(_int(), 3),
+                "k_range": Key(_each(_real, list, 2, 2), [0.1, 2.0]),
+            },
+            accept={
+                "roots": Accept(_each(_number), "roots", "near",
+                                "roots {got} != expected {want} (tol {tol})"),
+                "tol": Key(_positive, 1e-10),  # a parameter of "roots"
+            },
+        ),
+        "packet_compare": Schema(  # keyword arguments of mspde.packet_compare
+            keys={
+                "eps": Key(_real, 0.1),
+                "k": Key(_positive_real, 1.0),
+                "amplitude": Key(_number, 0.5),
+                "sigma_wavelengths": Key(_number, 10.0),
+                "checkpoints": Key(_checkpoints),
+                "dt": Key(_positive, 0.02),
+                "rtol": Key(_positive, 1e-9),
+                "points_per_wavelength": Key(_int(1), 16),
+                "order": Key(_int(0, mspde.dispersion(cfg["kind"]).max_order), 1),
+            },
+            accept={
+                "l2_error_le": Accept(_positive, "l2_error", "le"),
+                "monotone_growth": Accept(_bool, "rising", "all",
+                                          "checkpoint errors not monotone: {errors}"),
+            },
+        ),
+    }[cfg["task"]],
+)
+
+
+def _run_pde(cfg: dict, out: Path, name: str) -> tuple[dict, list[dict]]:
     if cfg["task"] == "phase_match":
         roots = mspde.find_phase_matched(
-            model, int(cfg["harmonic"]), tuple(cfg["k_range"])
+            mspde.dispersion(cfg["kind"]), cfg["harmonic"], cfg["k_range"]
         )
         summary = {"task": "phase_match", "kind": cfg["kind"],
-                   "harmonic": int(cfg["harmonic"]), "roots": roots}
-        if "roots" in accept:
-            tol = accept.get("tol", 1e-10)
-            want = accept["roots"]
-            ok = len(want) == len(roots) and all(
-                abs(a - b) <= tol for a, b in zip(sorted(want), roots)
-            )
-            if not ok:
-                failures.append(f"roots {roots} != expected {want} (tol {tol})")
-        return summary, failures
-    if cfg["task"] != "packet_compare":
-        raise ConfigError(f"pde: unknown task {cfg['task']!r}")
+                   "harmonic": cfg["harmonic"], "roots": roots}
+        return summary, [summary]
 
-    eps = float(cfg["eps"])
-    if cfg["checkpoints"] is None and eps <= 0:
-        raise ConfigError("pde: eps = 0 needs explicit 'checkpoints'")
-    checkpoints = cfg["checkpoints"] or [1.0 / eps]
-    report = mspde.packet_compare(
-        eps,
-        float(cfg["k"]),
-        amplitude=float(cfg["amplitude"]),
-        sigma_wavelengths=float(cfg["sigma_wavelengths"]),
-        order=int(cfg["order"]),
-        checkpoints=[float(t) for t in checkpoints],
-        dt=float(cfg["dt"]),
-        rtol=float(cfg["rtol"]),
-        kind=cfg["kind"],
-        points_per_wavelength=int(cfg["points_per_wavelength"]),
-        keep_fields=True,
-    )
+    args = {k: v for k, v in cfg.items() if k not in ("name", "task")}
+    report = mspde.packet_compare(keep_fields=True, **args)
     fields = report.stats.pop("fields")
     for snap in fields["snapshots"]:
         _write_csv(
@@ -458,65 +554,61 @@ def _run_pde(config: dict, out: Path, name: str) -> tuple[dict, list[str]]:
     summary = {
         "task": "packet_compare",
         "kind": cfg["kind"],
-        "eps": eps,
-        "k": float(cfg["k"]),
-        "order": int(cfg["order"]),
-        "checkpoints": [float(t) for t in checkpoints],
-        "relative_l2_per_checkpoint": report.stats["relative_l2_per_checkpoint"],
-        "energy_drift_rel": report.stats["energy_drift_rel"],
-        "envelope_l2_drift_rel": report.stats["envelope_l2_drift_rel"],
-        "grid_n": report.stats["grid_n"],
-        "domain_length": report.stats["domain_length"],
+        "eps": cfg["eps"],
+        "k": cfg["k"],
+        "order": cfg["order"],
+        "checkpoints": report.t.tolist(),
     }
-    if "l2_error_le" in accept and report.l2_error > accept["l2_error_le"]:
-        failures.append(f"l2_error {report.l2_error} > {accept['l2_error_le']}")
-    if accept.get("monotone_growth"):
-        errs = report.stats["relative_l2_per_checkpoint"]
-        if any(b <= a for a, b in zip(errs, errs[1:])):
-            failures.append(f"checkpoint errors not monotone: {errs}")
-    return summary, failures
+    for key in ("relative_l2_per_checkpoint", "energy_drift_rel", "envelope_l2_drift_rel",
+                "grid_n", "domain_length"):
+        summary[key] = report.stats[key]
+    errors = summary["relative_l2_per_checkpoint"]
+    rising = [b > a for a, b in zip(errors, errors[1:])]
+    return summary, [{"l2_error": report.l2_error, "rising": rising, "errors": errors}]
 
 
-_RUNNERS = {
-    "pi": _run_pi,
-    "roots": _run_roots,
-    "euler": _run_euler,
-    "ode": _run_ode,
-    "blayer": _run_blayer,
-    "pde": _run_pde,
+_SUBCOMMANDS = {
+    "pi": (_PI, _run_pi),
+    "roots": (_ROOTS, _run_roots),
+    "euler": (_EULER, _run_euler),
+    "ode": (_ODE, _run_ode),
+    "blayer": (_BLAYER, _run_blayer),
+    "pde": (_PDE, _run_pde),
 }
 
 
 def run_one(subcommand: str, config_path: str, out_dir: str) -> int:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = Path(config_path)
+    path, out = Path(config_path), Path(out_dir)
     try:
-        config = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read config {path}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    name = config.get("name", path.stem) if isinstance(config, dict) else path.stem
-    try:
-        summary, failures = _RUNNERS[subcommand](config, out, name)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (SolverError, ValueError, KeyError) as exc:
+        out.mkdir(parents=True, exist_ok=True)
+        try:
+            config = json.loads(path.read_text())
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from None
+        schema, runner = _SUBCOMMANDS[subcommand]
+        cfg, want, predicates = _apply(schema, config, subcommand)
+        name = cfg.get("name", path.stem)
+        summary, runs = runner(cfg, out, name)
+        failures = _failures(predicates, want, runs)
+        summary_doc = {
+            "subcommand": subcommand,
+            "config": config,
+            "result": summary,
+            "accept_failures": failures,
+        }
+        _dump_json(summary_doc, out / f"{name}_summary.json")
+    except (SolverError, np.linalg.LinAlgError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    summary_doc = {
-        "subcommand": subcommand,
-        "config": config,
-        "result": summary,
-        "accept_failures": failures,
-    }
-    _dump_json(summary_doc, out / f"{name}_summary.json")
-    if failures:
-        for f in failures:
-            print(f"accept: {f}", file=sys.stderr)
-        return EXIT_ACCEPT
-    return EXIT_OK
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except Exception as exc:
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
+    for f in failures:
+        print(f"accept: {f}", file=sys.stderr)
+    return EXIT_ACCEPT if failures else EXIT_OK
 
 
 def main(argv=None) -> int:
@@ -526,17 +618,20 @@ def main(argv=None) -> int:
         "multiple-scales runs, driven by JSON configs",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for cmd in _RUNNERS:
+    for cmd in _SUBCOMMANDS:
         p = sub.add_parser(cmd)
         p.add_argument("--config", action="append", required=True,
                        help="JSON config file (repeatable)")
         p.add_argument("--jobs", type=int, default=1,
-                       help="parallel workers across configs")
+                       help="parallel workers across configs (at most one per config)")
         p.add_argument("--out-dir", default=".")
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error("--jobs must be at least 1")
     configs = args.config
-    if args.jobs > 1 and len(configs) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(configs))  # a process pool forks all its workers up front
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             codes = list(
                 pool.map(run_one, [args.subcommand] * len(configs), configs,
                          [args.out_dir] * len(configs))

@@ -509,6 +509,8 @@ def compare(
         raise ValueError("give exactly one of horizon_exponent and horizon")
     limit = float(eps) ** (-(case.validity_exponent + 1)) if eps > 0 else np.inf
     if horizon is None:
+        if eps == 0 and horizon_exponent:
+            raise ValueError("eps = 0 needs an explicit horizon")
         if horizon_exponent > case.validity_exponent + 1:
             raise ValueError(
                 f"horizon exponent {horizon_exponent} exceeds the validity "
@@ -522,12 +524,13 @@ def compare(
     ics = case.default_ics if ics is None else tuple(ics)
     grid = np.linspace(0.0, horizon, n_samples)
 
+    # the fit checks len(ics), so it runs before the costly direct solve
+    amps0 = fit_initial_amplitudes(case, ics, eps, terms=terms)
     direct = integrate_reference(
         case.original_rhs, ics, (0.0, horizon), rtol, atol, t_eval=grid, args=(eps,)
     )
     y_direct = direct.y[:, : case.n_components].T
 
-    amps0 = fit_initial_amplitudes(case, ics, eps, terms=terms)
     amp_traj = integrate_amplitude(
         case, amps0, (0.0, horizon), eps, rtol, atol, terms, t_eval=grid,
         use_closed_form=use_closed_form,

@@ -107,6 +107,10 @@ def dispersion(kind: str) -> Dispersion:
         ) from None
 
 
+def dispersion_kinds() -> list[str]:
+    return sorted(_DISPERSIONS)
+
+
 def dispersion_eval(d: Dispersion, k: float) -> tuple[float, float]:
     """(omega, omega') at carrier wavenumber k, derived from omega^2."""
     return float(d.omega(k)), float(d.omega_prime(k))
@@ -149,6 +153,9 @@ def find_phase_matched(
 def _check_power_of_two(n: int):
     if n < 2 or n & (n - 1):
         raise ValueError(f"grid size {n} is not a power of two")
+
+
+MAX_GRID = 2**16  # packet grid budget: 1 MiB of complex samples per field
 
 
 def grid_points(length: float, n: int) -> np.ndarray:
@@ -503,6 +510,11 @@ def gaussian_packet(
     m = int(np.ceil(l_min / wavelength))
     length = m * wavelength
     n = 1 << int(np.ceil(np.log2(points_per_wavelength * m)))
+    if n > MAX_GRID:
+        raise ValueError(
+            f"the packet needs {n} grid points, above the budget of {MAX_GRID}: "
+            "shorten the horizon or lower points_per_wavelength"
+        )
     x = grid_points(length, n)
     values = amplitude * np.exp(-((x - x_c) ** 2) / (2.0 * sigma**2))
     return WavePacketField(length, values, k, eps, kind)
@@ -538,7 +550,11 @@ def packet_compare(
     the grid, the direct run's energy drift and the envelope's L2 drift
     (plus, with ``keep_fields``, the compared snapshots themselves).
     """
+    if amplitude == 0:
+        raise ValueError("a zero-amplitude packet has no relative error")
     if t_end is None:
+        if eps <= 0:
+            raise ValueError("eps <= 0 needs an explicit t_end or checkpoints")
         t_end = 1.0 / eps
     if checkpoints is None:
         checkpoints = [t_end]

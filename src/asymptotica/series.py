@@ -261,6 +261,9 @@ def expand_root(p: PolyFamily, a0, n_order: int) -> PerturbationSeries:
     return PerturbationSeries(tuple(coeffs))
 
 
+MAX_RESCALED_TERMS = 4096  # coefficients per rescaled series: q times the exponent span
+
+
 def rescale_singular(p: PolyFamily, scale_exponent) -> PolyFamily:
     """Substitute x = eps**(-p) * y and clear the smallest power of eps.
 
@@ -292,6 +295,11 @@ def rescale_singular(p: PolyFamily, scale_exponent) -> PolyFamily:
         shifted = e - mu
         q = q * shifted.denominator // math.gcd(q, shifted.denominator)
     max_power = max(int((e - mu) * q) for e in exponents)
+    if max_power >= MAX_RESCALED_TERMS:
+        raise ValueError(
+            f"the rescaled family needs {max_power + 1} eps powers, above the budget of "
+            f"{MAX_RESCALED_TERMS}; use an exponent with a smaller denominator"
+        )
     new_coeffs = []
     for tj in terms:
         arr = [0] * (max_power + 1)

@@ -1,0 +1,278 @@
+"""The CLI exit-code contract: 0 ok, 1 a declared predicate failed, 2 a config
+error, 3 a solver failure, 4 an internal error; never a traceback."""
+
+import contextlib
+import copy
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from asymptotica import cli, dimsys, mspde
+from asymptotica.cli import (
+    EXIT_ACCEPT,
+    EXIT_CONFIG,
+    EXIT_INTERNAL,
+    EXIT_OK,
+    EXIT_SOLVER,
+    main,
+)
+from asymptotica.msode import SolverError
+
+PENDULUM = {
+    "base": "L T M",
+    "quantities": {"t": "T", "s": "L", "l": "L", "m": "M", "g": "L T^-2"},
+    "membership": {"pi_one": {"t": "2", "s": "-1", "g": "1"}},
+    "accept": {"group_count": 2, "membership_all": True},
+}
+ROOTS = {"family": [[0, 1], [-1], [1]], "root": 1, "order": 4}
+ODE = {"case": "cubic", "eps": 0.1, "horizon_exponent": 1, "n_samples": 64}
+LAYER = {"kind": "linear", "eps": 0.1, "n_grid": 512}
+PACKET = {"task": "packet_compare", "eps": 0.1, "checkpoints": [1.0], "dt": 0.05}
+
+
+def run(tmp_path, subcommand, payload, capsys=None, stem="cfg"):
+    path = tmp_path / f"{stem}.json"
+    path.write_text(json.dumps(payload))
+    code = main([subcommand, "--config", str(path), "--out-dir", str(tmp_path)])
+    return code, (capsys.readouterr().err if capsys else "")
+
+
+# Each of these exited 0, 1 or 3 before the config schema was declared.
+REJECTED = [
+    ("ode", dict(ODE, accept={"max_abs_eror_le": 1e-30})),
+    ("ode", dict(ODE, accept={"max_abs_error_le": "0.005"})),
+    ("ode", dict(ODE, terms="x")),
+    ("ode", {"case": "cubic", "eps": 0.1, "horizon": -5, "n_samples": 64}),
+    ("ode", dict(ODE, ics=[1.0, 0.0, 0.0])),
+    ("ode", dict(ODE, n_samples=0)),
+    ("ode", dict(ODE, n_samples=1)),
+    ("ode", dict(ODE, use_closed_form="no")),
+    ("roots", dict(ROOTS, root="1/0")),
+    ("roots", dict(ROOTS, mode="exakt")),
+    ("roots", dict(ROOTS, order=-1)),
+    ("pde", dict(PACKET, kind="fourth_order")),
+    ("pde", dict(PACKET, checkpoints=[2.0, 1.0])),
+    ("pde", {"task": "phase_match", "harmonic": 4}),
+    ("pde", {"task": "phase_match", "harmonic": "x"}),
+    ("blayer", dict(LAYER, eps=[0])),
+    ("blayer", dict(LAYER, n_grid=10)),
+    ("blayer", dict(LAYER, accept={"half_width_le_eps_multiple": "5"})),
+    ("pi", {"base": "L T M", "quantities": {"t": "T", "q": "Q"}}),
+    ("pi", dict(PENDULUM, accept={"group_count": "1"})),
+    ("euler", {"eps_values": [0.1], "m_values": ["a"]}),
+    ("euler", {"eps_values": [-0.1], "m_values": [1]}),
+]
+
+
+@pytest.mark.parametrize("subcommand,payload", REJECTED)
+def test_malformed_config_is_a_config_error(tmp_path, capsys, subcommand, payload):
+    code, err = run(tmp_path, subcommand, payload, capsys)
+    assert code == EXIT_CONFIG, err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not list(tmp_path.glob("*.csv"))
+    assert not (tmp_path / "cfg_summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "subcommand,payload",
+    [
+        ("pi", dict(PENDULUM, seed=1)),
+        ("euler", {"eps_values": [0.1], "m_values": [1], "seed": 1}),
+        ("ode", dict(ODE, include_naive=True)),
+        ("blayer", dict(LAYER, shoot_tol=1e-8)),
+        ("blayer", dict(LAYER, kind="nonlinear", accept={"half_width_le_eps_multiple": 5.0})),
+        ("pde", dict(PACKET, harmonic=3)),
+        ("pde", {"task": "phase_match", "checkpoints": [1.0]}),
+        ("pde", {"task": "phase_match", "accept": {"l2_error_le": 0.1}}),
+        ("pi", {"fixture": "drop.txt", "base": "L T M", "quantities": {"t": "T"}}),
+    ],
+)
+def test_keys_that_do_nothing_are_rejected(tmp_path, capsys, subcommand, payload):
+    code, err = run(tmp_path, subcommand, payload, capsys)
+    assert code == EXIT_CONFIG
+    assert "unknown" in err
+
+
+@pytest.mark.parametrize(
+    "subcommand,payload",
+    [
+        ("ode", dict(ODE, n_samples=2**20 + 1)),
+        ("blayer", dict(LAYER, n_grid=2**20 + 1)),
+        ("pde", dict(PACKET, order=2)),
+        ("pde", dict(PACKET, checkpoints=[1.0, 1.0])),
+        ("ode", dict(ODE, eps=0.1, name="../escape")),
+        ("ode", dict(ODE, rtol=float("nan"))),
+        ("roots", dict(ROOTS, rescale_exponent=True)),
+        ("roots", dict(ROOTS, order=65)),
+        ("roots", {"family": [[-1], [1], [0, 1]], "root": -1, "order": 2,
+                   "rescale_exponent": 1e-12}),
+        ("euler", {"eps_values": [0.1], "m_values": [170]}),
+        ("pde", dict(PACKET, amplitude=0)),
+    ],
+)
+def test_out_of_range_values_are_config_errors(tmp_path, capsys, subcommand, payload):
+    code, err = run(tmp_path, subcommand, payload, capsys)
+    assert code == EXIT_CONFIG, err
+
+
+def test_default_order_beyond_the_model_is_named(tmp_path, capsys):
+    code, err = run(tmp_path, "pde", dict(PACKET, kind="fourth_order"), capsys)
+    assert code == EXIT_CONFIG
+    assert "order (default 1)" in err
+
+
+def test_null_means_default(tmp_path):
+    code, _ = run(tmp_path, "ode", dict(ODE, terms=None, rtol=None, accept=None))
+    assert code == EXIT_OK
+    summary = json.loads((tmp_path / "cfg_summary.json").read_text())
+    assert summary["result"]["runs"][0]["stats"]["terms"] == 2
+
+
+def test_pi_needs_a_fixture_or_an_inline_quantity_set(tmp_path, capsys):
+    code, err = run(tmp_path, "pi", {"base": "L T M"}, capsys)
+    assert code == EXIT_CONFIG
+    assert "missing required key 'quantities'" in err
+
+
+def test_unreadable_fixture_is_a_config_error(tmp_path, capsys):
+    code, err = run(tmp_path, "pi", {"fixture": str(tmp_path / "missing.txt")}, capsys)
+    assert code == EXIT_CONFIG
+    assert "fixture" in err
+
+
+@pytest.mark.parametrize(
+    "error,code,prefix",
+    [
+        (RuntimeError("boom"), EXIT_INTERNAL, "internal error: "),
+        (KeyError("boom"), EXIT_INTERNAL, "internal error: "),
+        (ZeroDivisionError("boom"), EXIT_INTERNAL, "internal error: "),
+        (np.linalg.LinAlgError("singular"), EXIT_SOLVER, "solver error: "),
+        (SolverError("diverged"), EXIT_SOLVER, "solver error: "),
+        (ValueError("bad argument"), EXIT_CONFIG, "error: "),
+    ],
+)
+def test_exceptions_map_to_exit_codes(tmp_path, capsys, monkeypatch, error, code, prefix):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(dimsys, "pi_groups", fail)
+    got, err = run(tmp_path, "pi", PENDULUM, capsys)
+    assert got == code
+    assert err.startswith(prefix) and len(err.splitlines()) == 1
+    assert not (tmp_path / "cfg_summary.json").exists()
+
+
+def test_nan_error_fails_a_predicate():
+    accept = {"l2_error_le": cli.Accept(cli._positive, "l2_error", "le")}
+    assert cli._failures(accept, {"l2_error_le": 0.1}, [{"l2_error": float("nan")}])
+    assert not cli._failures(accept, {"l2_error_le": 0.1}, [{"l2_error": 0.05}])
+
+
+def test_packet_grid_budget_checked_before_allocation(tmp_path, capsys, monkeypatch):
+    grid_points = mspde.grid_points
+
+    def guarded(length, n):
+        assert n <= mspde.MAX_GRID, f"allocated a {n}-point grid"
+        return grid_points(length, n)
+
+    monkeypatch.setattr(mspde, "grid_points", guarded)
+    code, err = run(tmp_path, "pde", dict(PACKET, checkpoints=[1e9]), capsys)
+    assert code == EXIT_CONFIG
+    assert "budget" in err
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_jobs_capped_at_the_config_count(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    paths = []
+    for stem in ("a", "b"):
+        paths += ["--config", str(tmp_path / f"{stem}.json")]
+        (tmp_path / f"{stem}.json").write_text(json.dumps(PENDULUM))
+    assert main(["pi", *paths, "--jobs", "5000", "--out-dir", str(tmp_path)]) == EXIT_OK
+    assert main(["pi", *paths[:2], "--jobs", "8", "--out-dir", str(tmp_path)]) == EXIT_OK
+    assert RecordingPool.sizes == [2]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_rejected(tmp_path, jobs):
+    (tmp_path / "p.json").write_text(json.dumps(PENDULUM))
+    with pytest.raises(SystemExit) as exc:
+        main(["pi", "--config", str(tmp_path / "p.json"), "--jobs", jobs])
+    assert exc.value.code == EXIT_CONFIG
+
+
+# --- fuzzer --------------------------------------------------------------------------
+# Cheap valid configs (each well under 0.5 s); one top-level or accept value
+# is replaced by a small value, so no example can allocate much.
+
+FUZZ_BASES = [
+    ("pi", dict(PENDULUM, name="fz")),
+    ("roots", dict(ROOTS, mode="exact", accept={"coefficients": [1, -1, -1, -2, -5]})),
+    ("roots", {"family": [[-1], [1], [0, 1]], "root": -1, "order": 2,
+               "rescale_exponent": "1", "accept": {"coefficients": [-1, -1, 1]}}),
+    ("euler", {"eps_values": [0.05, 0.1], "m_values": [0, 1, 2], "quad_tol": 1e-12,
+               "accept": {"bound_holds": True}}),
+    ("ode", dict(ODE, eps=[0.1, 0.05], terms=2, seed=1,
+                 accept={"max_abs_error_le": 0.2, "l2_error_le": 0.2})),
+    ("ode", {"case": "damped_linear", "eps": 0.1, "horizon": 20.0, "n_samples": 64,
+             "ics": [1.0, 0.0], "use_closed_form": True, "include_naive": True,
+             "accept": {"max_abs_error_le": 0.05}}),
+    ("blayer", dict(LAYER, eps=[0.1, 0.2], n_grid=256, seed=2,
+                    accept={"max_gap_le": 0.05, "half_width_le_eps_multiple": 5.0})),
+    ("blayer", {"kind": "nonlinear", "eps": 0.1, "n_grid": 256, "shoot_tol": 1e-8}),
+    ("pde", {"task": "phase_match", "kind": "fourth_order", "harmonic": 3,
+             "k_range": [0.1, 2.0], "accept": {"roots": [0.5773502691896258], "tol": 1e-10}}),
+    ("pde", dict(PACKET, kind="klein_gordon", k=1.0, order=1, checkpoints=[0.5, 1.0],
+                 rtol=1e-6, amplitude=0.5, sigma_wavelengths=10.0, points_per_wavelength=8,
+                 accept={"l2_error_le": 0.05, "monotone_growth": True})),
+]
+POOL = ["x", None, [], {}, True, -1, 0, "1/0"]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_config_fuzz(data):
+    subcommand, base = data.draw(st.sampled_from(FUZZ_BASES))
+    targets = [(key, None) for key in base] + [("accept", k) for k in base.get("accept", {})]
+    key, inner = data.draw(st.sampled_from(targets))
+    value = data.draw(st.sampled_from(POOL))
+    config = copy.deepcopy(base)
+    if inner is None:
+        config[key] = value
+    else:
+        config["accept"][inner] = value
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()) as err:
+        out = Path(tmp)
+        (out / "fz.json").write_text(json.dumps(config))
+        code = main([subcommand, "--config", str(out / "fz.json"), "--out-dir", tmp])
+        summaries = list(out.glob("*_summary.json"))  # a fuzzed "name" renames it
+        failures = json.loads(summaries[0].read_text())["accept_failures"] if summaries else None
+    stderr = err.getvalue()
+    assert code in (EXIT_OK, EXIT_ACCEPT, EXIT_CONFIG, EXIT_SOLVER), stderr
+    assert "Traceback" not in stderr
+    assert (failures is not None) == (code in (EXIT_OK, EXIT_ACCEPT))
+    assert (code == EXIT_ACCEPT) == bool(failures)

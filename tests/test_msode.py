@@ -293,3 +293,15 @@ def test_trajectory_invariants():
         Trajectory(t=np.array([0.0, 0.0]), y=np.zeros((2, 1)))
     with pytest.raises(ValueError):
         RunReport("x", 0.1, 1.0, -1.0, 0.0, np.array([0.0]), np.zeros((1, 1)))
+
+
+def test_compare_checks_arguments_before_the_direct_solve(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the direct solve ran")
+
+    monkeypatch.setattr(msode, "integrate_reference", no_solve)
+    case = msode.catalog("cubic")
+    with pytest.raises(ValueError, match="initial values"):
+        msode.compare(case, 0.1, 1, ics=[1.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="explicit horizon"):
+        msode.compare(case, 0.0, 1)

@@ -294,3 +294,25 @@ def test_packet_compare_quality_and_trend():
     assert errs[3] > errs[1]
     assert report.stats["energy_drift_rel"] <= 1e-8
     assert report.stats["envelope_l2_drift_rel"] <= 1e-10
+
+
+def test_packet_grid_budget_checked_before_allocation(monkeypatch):
+    real_grid_points = mspde.grid_points
+
+    def guarded(length, n):
+        assert n <= 2**16, f"allocated a {n}-point grid"
+        return real_grid_points(length, n)
+
+    monkeypatch.setattr(mspde, "grid_points", guarded)
+    with pytest.raises(ValueError, match="budget"):
+        gaussian_packet(0.1, 1.0, t_end=1e9)
+    with pytest.raises(ValueError, match="budget"):
+        gaussian_packet(0.1, 1.0, points_per_wavelength=2**20)
+    assert gaussian_packet(0.1, 1.0, t_end=50.0).n <= 2**16
+
+
+def test_packet_compare_rejects_degenerate_inputs():
+    with pytest.raises(ValueError, match="zero-amplitude"):
+        packet_compare(0.1, 1.0, amplitude=0.0, checkpoints=[1.0])
+    with pytest.raises(ValueError, match="eps <= 0"):
+        packet_compare(0.0, 1.0)

@@ -245,3 +245,11 @@ def test_euler_series_diverges():
     assert 5 <= best <= 15
     assert errs[-1] > 10 * errs[best]
     assert abs(euler_partial_sum(0.1, 60)) > abs(euler_partial_sum(0.1, 40)) > 1e3
+
+
+def test_rescale_budget_checked_before_allocation():
+    # q = 10**15 would ask for a 10**15-entry list; the check comes first
+    family = PolyFamily.from_coefficients([[-1], [1], [0, 1]])
+    with pytest.raises(ValueError, match="budget"):
+        rescale_singular(family, Fraction(1, 10**15))
+    assert rescale_singular(family, Fraction(1, 2)).eps_denominator == 2
