@@ -25,9 +25,9 @@ nonlinear
     shooting: Newton (finite-difference derivative) on
     F(B0) = u(1/eps) - 1/2.
 
+Both problems are eps y'' + y' + f(y) = 0 with f(y) = -y resp. y^2.
 :func:`solve_bvp_fd` provides the independent reference: a second-order
-centered finite-difference discretization, solved by tridiagonal
-elimination (linear) or damped Newton (nonlinear).
+centered finite-difference discretization, solved by damped Newton.
 """
 
 from __future__ import annotations
@@ -40,16 +40,23 @@ from scipy.linalg import solve_banded
 from .msode import SolverError, catalog, integrate_reference
 
 
+# f and f' of eps y'' + y' + f(y) = 0, per problem kind
+_REACTION = {
+    "linear": (lambda y: -y, lambda y: -1.0),
+    "nonlinear": (lambda y: y**2, lambda y: 2.0 * y),
+}
+
+
 @dataclass(frozen=True)
 class BvpProblem:
     eps: float
-    kind: str  # "linear" or "nonlinear"
+    kind: str  # a key of _REACTION: "linear" or "nonlinear"
     boundary: tuple[float, float]
 
     def __post_init__(self):
         if not 0.0 < self.eps < 1.0:
             raise ValueError("eps must lie strictly between 0 and 1")
-        if self.kind not in ("linear", "nonlinear"):
+        if self.kind not in _REACTION:
             raise ValueError(f"unknown problem kind {self.kind!r}")
 
 
@@ -87,40 +94,28 @@ def solve_bvp_fd(problem: BvpProblem, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Second-order centered finite differences on a uniform grid of n cells.
 
     Returns (x, y) including the boundary rows, which carry the imposed
-    boundary values exactly.  The linear problem is solved by tridiagonal
-    elimination; the nonlinear one by damped Newton from a layer-profile
+    boundary values exactly.  Solved by damped Newton from a layer-profile
     initial guess (the eps u'' + u' = 0 solution through the same boundary
-    values), iterated until the residual max-norm is at or below 1e-12.
+    values), iterated until the max-norm of the update is at or below 1e-12,
+    a bound in units of y that holds on every grid.  A Newton step within
+    that bound is taken whole; at the roundoff floor of a fine grid, where
+    the full step stays above it, the line search damps the step below it.
     """
     if n < 64:
         raise ValueError("need at least 64 grid cells")
     eps = problem.eps
+    f, f_prime = _REACTION[problem.kind]
     h = 1.0 / n
     x = np.linspace(0.0, 1.0, n + 1)
     ya, yb = problem.boundary
-    lower = eps / h**2 - 1.0 / (2.0 * h)  # y_{i-1}
-    upper = eps / h**2 + 1.0 / (2.0 * h)  # y_{i+1}
 
-    if problem.kind == "linear":
-        diag = -2.0 * eps / h**2 - 1.0
-        ab = np.zeros((3, n - 1))
-        ab[0, 1:] = upper
-        ab[1, :] = diag
-        ab[2, :-1] = lower
-        rhs = np.zeros(n - 1)
-        rhs[0] -= lower * ya
-        rhs[-1] -= upper * yb
-        interior = solve_banded((1, 1), ab, rhs)
-        return x, np.concatenate([[ya], interior, [yb]])
-
-    # Nonlinear: h^2-scaled residual G_i = eps D2 y + D1 y + y^2 on interior
-    # points (the scaling keeps the 1e-12 target above the roundoff floor).
+    # h^2-scaled residual G_i = eps D2 y + D1 y + f(y) on interior points
     def residual(y_int: np.ndarray) -> np.ndarray:
         y = np.concatenate([[ya], y_int, [yb]])
         return (
             eps * (y[2:] - 2.0 * y[1:-1] + y[:-2])
             + 0.5 * h * (y[2:] - y[:-2])
-            + h**2 * y[1:-1] ** 2
+            + h**2 * f(y[1:-1])
         )
 
     # Layer-profile initial guess from eps u'' + u' = 0 with the same BCs.
@@ -128,24 +123,25 @@ def solve_bvp_fd(problem: BvpProblem, n: int) -> tuple[np.ndarray, np.ndarray]:
     a = ya - b
     y_int = a + b * np.exp(-x[1:-1] / eps)
 
-    target = 1e-12
+    ab = np.zeros((3, n - 1))
+    ab[0, 1:] = eps + 0.5 * h  # y_{i+1}
+    ab[2, :-1] = eps - 0.5 * h  # y_{i-1}
     for _ in range(100):
         res = residual(y_int)
         norm = np.max(np.abs(res))
-        if norm <= target:
-            break
-        ab = np.zeros((3, n - 1))
-        ab[0, 1:] = h**2 * upper
-        ab[1, :] = -2.0 * eps + 2.0 * h**2 * y_int
-        ab[2, :-1] = h**2 * lower
+        ab[1, :] = -2.0 * eps + h**2 * f_prime(y_int)
         step = solve_banded((1, 1), ab, -res)
-        lam = 1.0
+        size = np.max(np.abs(step))
+        lam = 1.0  # a step within the tolerance is taken whole
         while (
-            np.max(np.abs(residual(y_int + lam * step))) > (1.0 - 0.5 * lam) * norm
+            lam * size > 1e-12
+            and np.max(np.abs(residual(y_int + lam * step))) > (1.0 - 0.5 * lam) * norm
             and lam > 1e-6
         ):
             lam *= 0.5
         y_int = y_int + lam * step
+        if lam * size <= 1e-12:
+            break
     else:
         raise SolverError(
             f"finite-difference Newton stalled with residual {norm:.3e}"

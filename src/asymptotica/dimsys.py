@@ -66,9 +66,6 @@ class DimensionVector:
             self, "exponents", tuple(Fraction(e) for e in self.exponents)
         )
 
-    def is_zero(self) -> bool:
-        return all(e == 0 for e in self.exponents)
-
 
 @dataclass(frozen=True)
 class QuantitySet:
@@ -193,13 +190,9 @@ def rank(matrix: Sequence[Sequence[Fraction]]) -> int:
 
 def _canonicalize(vec: list[Fraction]) -> tuple[Fraction, ...]:
     """Scale to coprime integer entries with positive leading nonzero entry."""
-    denom_lcm = 1
-    for x in vec:
-        denom_lcm = denom_lcm * x.denominator // math.gcd(denom_lcm, x.denominator)
+    denom_lcm = math.lcm(*(x.denominator for x in vec))
     ints = [int(x * denom_lcm) for x in vec]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
+    g = math.gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
     lead = next((v for v in ints if v != 0), 0)

@@ -484,6 +484,9 @@ def reconstruct_on_grid(
     return np.asarray(case.reconstruct(amp_traj.t, amps, eps))
 
 
+MAX_HORIZON = 1e5  # reference-solve budget: the direct solve's steps grow with the horizon
+
+
 def compare(
     case: CaseSpec,
     eps: float,
@@ -500,14 +503,16 @@ def compare(
     """Run the direct and multiscale paths on a shared grid and record errors.
 
     The horizon is eps**(-horizon_exponent), or ``horizon`` when given
-    explicitly; the output grid always holds ``n_samples`` uniform points so
-    error norms are comparable across eps.  ``l2_error`` is the RMS of the
-    pointwise euclidean error norm.  When the case has an exact solution its
-    errors are recorded in ``stats`` as well.
+    explicitly, and at most ``MAX_HORIZON``; the output grid always holds
+    ``n_samples`` uniform points so error norms are comparable across eps.
+    ``l2_error`` is the RMS of the pointwise euclidean error norm.  When the
+    case has an exact solution its errors are recorded in ``stats`` as well.
     """
     if (horizon is None) == (horizon_exponent is None):
         raise ValueError("give exactly one of horizon_exponent and horizon")
-    limit = float(eps) ** (-(case.validity_exponent + 1)) if eps > 0 else np.inf
+    with np.errstate(over="ignore", divide="ignore"):  # inf fails the budget below
+        limit = float(np.float64(eps) ** -(case.validity_exponent + 1)) if eps > 0 else np.inf
+        power = float(np.float64(eps) ** -(horizon_exponent or 0))
     if horizon is None:
         if eps == 0 and horizon_exponent:
             raise ValueError("eps = 0 needs an explicit horizon")
@@ -516,11 +521,13 @@ def compare(
                 f"horizon exponent {horizon_exponent} exceeds the validity "
                 f"exponent {case.validity_exponent} + 1 for case {case.name}"
             )
-        horizon = float(eps) ** (-horizon_exponent) if horizon_exponent else 1.0
+        horizon = power
     elif horizon > limit:
         raise ValueError(
             f"horizon {horizon} exceeds eps^-(validity_exponent+1) = {limit}"
         )
+    if horizon > MAX_HORIZON:
+        raise ValueError(f"horizon {horizon} is above the budget of {MAX_HORIZON}")
     ics = case.default_ics if ics is None else tuple(ics)
     grid = np.linspace(0.0, horizon, n_samples)
 

@@ -1,11 +1,19 @@
 """Wave-packet multiple scales for 1D dispersive PDEs on periodic domains.
 
-A model is one :class:`Dispersion` declaration: the coefficients of omega^2
-as a polynomial in k^2 and the nonlinearity power, from which the direct-solve
-symbol, omega, omega' = (omega^2)'/(2 omega), the conserved energy and the
-dealias cut n // (p+1) are derived, plus the hand-derived envelope
-coefficients (beta, gamma) and the highest reconstruction order.  Two
-second-order-in-time models are declared:
+A model is one :class:`Dispersion` declaration:
+
+* the coefficients of omega^2 as a polynomial in k^2 and the nonlinearity
+  power, from which the direct-solve symbol, omega, omega' =
+  (omega^2)'/(2 omega), the conserved energy and the dealias cut n // (p+1)
+  are derived;
+* the hand-derived envelope coefficients (beta, gamma);
+* its carrier terms (coefficient, eps power, powers of A and conj(A),
+  harmonic h); the field is u = 2 Re of their sum, the highest eps power is
+  the highest reconstruction order, and u_t follows by the product rule;
+* the resonance, where the cubic harmonic is phase matched: the pointwise
+  coupling of the envelopes A of k and B of 3k.
+
+Two second-order-in-time models are declared:
 
 klein_gordon
     u_tt - u_xx + u = eps u^2,   omega(k) = sqrt(1 + k^2).
@@ -14,13 +22,14 @@ klein_gordon
 
         A_t = -(k/omega) A_x + i/(2 omega^3) A_xx + i eps^2 5/(3 omega) |A|^2 A,
 
-    and the field is rebuilt as u = A e^{i theta} + c.c. with the optional
-    first-order correction eps (2|A|^2 - (1/3) A^2 e^{2 i theta} + c.c.-part).
+    and the field is u = A e^{i theta} + eps (|A|^2 - A^2 e^{2 i theta}/3) + c.c.,
+    the eps terms being the first-order correction.
 
 fourth_order
     u_tt + u_xx + u_xxxx + u = eps u^3,   omega(k) = sqrt(k^4 - k^2 + 1).
     A single envelope obeys the transport equation
-    A_t + omega'(k) A_x = i eps 3/(2 omega) |A|^2 A (eps kept explicit).
+    A_t + omega'(k) A_x = i eps 3/(2 omega) |A|^2 A (eps kept explicit), and
+    the field is u = A e^{i theta} + c.c.
     The cubic harmonic e^{3 i theta} resonates exactly when
     omega(3k) = 3 omega(k), i.e. at k = 1/sqrt(3); at that carrier a second
     envelope B rides e^{3 i theta} and the pair couples through
@@ -46,9 +55,16 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .msode import RunReport, SolverError
+from .series import horner
 
 
 # --- models -------------------------------------------------------------------
+
+# (coefficient, eps power p, power m of A, power n of conj(A), harmonic h):
+# adds coefficient eps^p A^m conj(A)^n e^{i h theta} inside u = 2 Re(...),
+# with theta = k x - omega t.
+Carrier = tuple[float, int, int, int, int]
+
 
 @dataclass(frozen=True)
 class Dispersion:
@@ -58,11 +74,19 @@ class Dispersion:
     omega2: tuple[float, ...]
     power: int
     envelope: Callable[[float, float], tuple[float, float]]  # (omega, eps) -> (beta, gamma)
-    max_order: int
+    carriers: tuple[Carrier, ...]
+    # (A, B, eps) -> (2 i omega(k) (A_t + omega'(k) A_x), the same for B at 3k)
+    # for the envelopes of the phase-matched pair; None when there is none
+    resonance: Callable | None = None
+
+    @property
+    def max_order(self) -> int:
+        """Highest reconstruction order: the largest eps power of a carrier."""
+        return max(c[1] for c in self.carriers)
 
     def symbol(self, k):
         """omega(k)^2."""
-        return _horner(self.omega2, np.asarray(k) ** 2)
+        return horner(self.omega2, np.asarray(k) ** 2)
 
     def omega(self, k):
         return np.sqrt(self.symbol(k))
@@ -70,15 +94,7 @@ class Dispersion:
     def omega_prime(self, k):
         k = np.asarray(k)
         slope = [j * c for j, c in enumerate(self.omega2)][1:]  # d omega^2 / d(k^2)
-        return k * _horner(slope, k**2) / self.omega(k)
-
-
-def _horner(coeffs, x):
-    """sum_j coeffs[j] x^j, as np.polyval but without its ~10 us a call."""
-    value = coeffs[-1]
-    for c in coeffs[-2::-1]:
-        value = value * x + c
-    return value
+        return k * horner(slope, k**2) / self.omega(k)
 
 
 _DISPERSIONS = {
@@ -87,12 +103,18 @@ _DISPERSIONS = {
         Dispersion(  # u_tt - u_xx + u = eps u^2
             kind="klein_gordon", omega2=(1.0, 1.0), power=2,
             envelope=lambda omega, eps: (1.0 / (2.0 * omega**3), eps**2 * 5.0 / (3.0 * omega)),
-            max_order=1,
+            # A e^{i theta} + eps (|A|^2 - A^2 e^{2 i theta}/3)
+            carriers=((1.0, 0, 1, 0, 1), (1.0, 1, 1, 1, 0), (-1.0 / 3.0, 1, 2, 0, 2)),
         ),
         Dispersion(  # u_tt + u_xx + u_xxxx + u = eps u^3
             kind="fourth_order", omega2=(1.0, -1.0, 1.0), power=3,
             envelope=lambda omega, eps: (0.0, eps * 3.0 / (2.0 * omega)),
-            max_order=0,
+            carriers=((1.0, 0, 1, 0, 1),),  # A e^{i theta}
+            resonance=lambda a, b, eps: (
+                eps * (-3.0 * np.abs(a) ** 2 * a - 6.0 * np.abs(b) ** 2 * a
+                       - 3.0 * np.conj(a) ** 2 * b),
+                eps * (-3.0 * np.abs(b) ** 2 * b - 6.0 * np.abs(a) ** 2 * b - a**3),
+            ),
         ),
     )
 }
@@ -109,11 +131,6 @@ def dispersion(kind: str) -> Dispersion:
 
 def dispersion_kinds() -> list[str]:
     return sorted(_DISPERSIONS)
-
-
-def dispersion_eval(d: Dispersion, k: float) -> tuple[float, float]:
-    """(omega, omega') at carrier wavenumber k, derived from omega^2."""
-    return float(d.omega(k)), float(d.omega_prime(k))
 
 
 def phase_match_residual(d: Dispersion, n: int, k: float) -> float:
@@ -156,6 +173,10 @@ def _check_power_of_two(n: int):
 
 
 MAX_GRID = 2**16  # packet grid budget: 1 MiB of complex samples per field
+# Packet time budgets: the grid budget does not see the horizon where the
+# group velocity vanishes (fourth_order at k = 1/sqrt(2)).
+MAX_HORIZON = 1e4
+MAX_SPLIT_STEPS = 10**6
 
 
 def grid_points(length: float, n: int) -> np.ndarray:
@@ -247,11 +268,12 @@ def _solve_direct(
     eps: float,
     u0: RealField,
     t_end: float,
-    rtol: float,
-    kind: str,
-    t_eval: Sequence[float] | None,
-    atol: float,
+    kind: str = "klein_gordon",
+    rtol: float = 1e-10,
+    t_eval: Sequence[float] | None = None,
+    atol: float = 1e-12,
 ) -> DirectRun:
+    """Pseudospectral reference solve of the model ``kind`` from u0 to t_end."""
     d = dispersion(kind)
     n = u0.n
     m = n // 2 + 1
@@ -297,30 +319,6 @@ def _solve_direct(
     )
 
 
-def solve_kg_direct(
-    eps: float,
-    u0: RealField,
-    t_end: float,
-    rtol: float = 1e-10,
-    t_eval: Sequence[float] | None = None,
-    atol: float = 1e-12,
-) -> DirectRun:
-    """Pseudospectral reference solve of u_tt - u_xx + u = eps u^2."""
-    return _solve_direct(eps, u0, t_end, rtol, "klein_gordon", t_eval, atol)
-
-
-def solve_fourth_direct(
-    eps: float,
-    u0: RealField,
-    t_end: float,
-    rtol: float = 1e-10,
-    t_eval: Sequence[float] | None = None,
-    atol: float = 1e-12,
-) -> DirectRun:
-    """Pseudospectral reference solve of u_tt + u_xx + u_xxxx + u = eps u^3."""
-    return _solve_direct(eps, u0, t_end, rtol, "fourth_order", t_eval, atol)
-
-
 # --- envelope solvers -----------------------------------------------------------
 
 def envelope_coefficients(fld: WavePacketField) -> tuple[float, float, float]:
@@ -334,8 +332,7 @@ def envelope_coefficients(fld: WavePacketField) -> tuple[float, float, float]:
     eps 3/(2 omega).
     """
     d = dispersion(fld.kind)
-    omega, omega_p = dispersion_eval(d, fld.k)
-    return (omega_p, *d.envelope(omega, fld.eps))
+    return (d.omega_prime(fld.k), *d.envelope(d.omega(fld.k), fld.eps))
 
 
 def envelope_rhs(fld: WavePacketField) -> np.ndarray:
@@ -409,9 +406,9 @@ def solve_two_wave(
     Linear transport is exact per wave; the coupled cubic terms are advanced
     by one classical fourth-order Runge-Kutta stage per split step.
     """
-    if fld_a.kind != "fourth_order" or fld_b.kind != "fourth_order":
-        raise ValueError("the two-wave system is the fourth_order resonant pair")
     d = dispersion(fld_a.kind)
+    if d.resonance is None or dispersion(fld_b.kind) is not d:
+        raise ValueError(f"{fld_a.kind} declares no resonant pair for both fields")
     if abs(phase_match_residual(d, 3, fld_a.k)) >= 1e-6:
         raise ValueError(
             f"carrier k={fld_a.k} is not phase matched: "
@@ -419,17 +416,13 @@ def solve_two_wave(
         )
     if abs(fld_b.k - 3.0 * fld_a.k) > 1e-9:
         raise ValueError("second field must ride the third harmonic 3k")
-    eps = fld_a.eps
-    om1, om1p = dispersion_eval(d, fld_a.k)
-    om3, om3p = dispersion_eval(d, 3.0 * fld_a.k)
+    om1, om3 = d.omega(fld_a.k), d.omega(3.0 * fld_a.k)
+    om1p, om3p = d.omega_prime(fld_a.k), d.omega_prime(3.0 * fld_a.k)
     kappa = 2.0 * np.pi * np.fft.fftfreq(fld_a.n, d=fld_a.length / fld_a.n)
 
     def nonlinear(a, b):
-        da = eps * (-3.0 * np.abs(a) ** 2 * a - 6.0 * np.abs(b) ** 2 * a
-                    - 3.0 * np.conj(a) ** 2 * b) / (2j * om1)
-        db = eps * (-3.0 * np.abs(b) ** 2 * b - 6.0 * np.abs(a) ** 2 * b
-                    - a**3) / (2j * om3)
-        return da, db
+        ra, rb = d.resonance(a, b, fld_a.eps)
+        return ra / (2j * om1), rb / (2j * om3)
 
     steps = max(1, round(t_end / dt))
     h = t_end / steps
@@ -455,31 +448,28 @@ def solve_two_wave(
 def reconstruct_field(fld: WavePacketField, t: float, order: int) -> RealField:
     """Real field and its exact time derivative from the envelope at time t.
 
-    Order 0 is the bare carrier u = A e^{i theta} + c.c.; order 1 adds the
-    quadratic correction eps (2|A|^2 - (1/3) A^2 e^{2 i theta} - c.c.-term),
-    which is derived for the klein_gordon hierarchy only (its model declares
-    ``max_order`` 1).  The time derivative threads the product rule through
-    the carrier and the envelope equation.
+    u = 2 Re of the sum of the model's carriers whose eps power is at most
+    ``order``; u_t by the product rule, with A_t from the envelope equation
+    and d/dt e^{i h theta} = -i h omega e^{i h theta}.
     """
     d = dispersion(fld.kind)
     if order not in range(d.max_order + 1):
         raise ValueError(f"order must be in 0..{d.max_order} for {fld.kind}")
-    omega, _ = dispersion_eval(d, fld.k)
-    a = fld.values
-    da = envelope_rhs(fld)
-    carrier = np.exp(1j * (fld.k * fld.x - omega * t))
-    u = 2.0 * np.real(a * carrier)
-    ut = 2.0 * np.real((da - 1j * omega * a) * carrier)
-    if order == 1:
-        eps = fld.eps
-        u = u + eps * (
-            2.0 * np.abs(a) ** 2 - (2.0 / 3.0) * np.real(a**2 * carrier**2)
-        )
-        ut = ut + eps * (
-            4.0 * np.real(da * np.conj(a))
-            - (2.0 / 3.0) * np.real((2.0 * a * da - 2j * omega * a**2) * carrier**2)
-        )
-    return RealField(fld.length, u, ut)
+    omega = d.omega(fld.k)
+    a, a_t = fld.values, envelope_rhs(fld)
+    a_bar, a_bar_t = np.conj(a), np.conj(a_t)
+    phase = np.exp(1j * (fld.k * fld.x - omega * t))
+    u = u_t = 0.0
+    for coef, p, m, n, h in d.carriers:
+        if p > order:
+            continue
+        c = coef * fld.eps**p * phase**h
+        mono = a**m * a_bar**n
+        mono_t = (m * a ** max(m - 1, 0) * a_bar**n * a_t
+                  + n * a**m * a_bar ** max(n - 1, 0) * a_bar_t)
+        u = u + c * mono
+        u_t = u_t + c * (mono_t - 1j * h * omega * mono)
+    return RealField(fld.length, 2.0 * np.real(u), 2.0 * np.real(u_t))
 
 
 def gaussian_packet(
@@ -504,9 +494,7 @@ def gaussian_packet(
     wavelength = 2.0 * np.pi / k
     sigma = sigma_wavelengths * wavelength
     x_c = 6.0 * sigma
-    d = dispersion(kind)
-    _, group = dispersion_eval(d, k)
-    l_min = x_c + abs(group) * t_end + 6.0 * sigma
+    l_min = x_c + abs(dispersion(kind).omega_prime(k)) * t_end + 6.0 * sigma
     m = int(np.ceil(l_min / wavelength))
     length = m * wavelength
     n = 1 << int(np.ceil(np.log2(points_per_wavelength * m)))
@@ -548,7 +536,9 @@ def packet_compare(
     times.  ``l2_error`` is the relative L2 error at the final checkpoint;
     ``error`` holds the per-checkpoint relative L2 errors; ``stats`` records
     the grid, the direct run's energy drift and the envelope's L2 drift
-    (plus, with ``keep_fields``, the compared snapshots themselves).
+    (plus, with ``keep_fields``, the compared snapshots themselves).  The
+    horizon and the split-step count are held to ``MAX_HORIZON`` and
+    ``MAX_SPLIT_STEPS`` before any solve.
     """
     if amplitude == 0:
         raise ValueError("a zero-amplitude packet has no relative error")
@@ -559,13 +549,24 @@ def packet_compare(
     if checkpoints is None:
         checkpoints = [t_end]
     checkpoints = list(checkpoints)
+    horizon = max(t_end, max(checkpoints))
+    if horizon > MAX_HORIZON:
+        raise ValueError(f"horizon {horizon} is above the budget of {MAX_HORIZON}")
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    # split steps as solve_nls counts them; np.rint, unlike round, takes span/dt = inf
+    segments = zip([0.0, *checkpoints], checkpoints)
+    steps = sum(max(1.0, np.rint((b - a) / dt)) for a, b in segments if b > a)
+    if steps > MAX_SPLIT_STEPS:
+        raise ValueError(
+            f"dt {dt} needs {steps:.3g} split steps, above the budget of {MAX_SPLIT_STEPS}"
+        )
     packet = gaussian_packet(
-        eps, k, amplitude, sigma_wavelengths, max(t_end, max(checkpoints)),
-        points_per_wavelength, kind,
+        eps, k, amplitude, sigma_wavelengths, horizon, points_per_wavelength, kind
     )
     u0 = reconstruct_field(packet, 0.0, order)
     direct = _solve_direct(
-        eps, u0, max(checkpoints), rtol, kind, checkpoints, atol
+        eps, u0, max(checkpoints), kind, rtol, t_eval=checkpoints, atol=atol
     )
     envelopes = solve_nls(packet, max(checkpoints), dt, checkpoints=checkpoints)
 

@@ -43,6 +43,19 @@ class DegenerateRootError(ValueError):
     """
 
 
+def horner(coeffs: Sequence, x):
+    """coeffs[0] + coeffs[1] x + ... by Horner's rule from the highest power; 0 if empty.
+
+    Exact coefficients and x give an exact value; numpy arrays broadcast.
+    """
+    if not coeffs:
+        return 0
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = acc * x + c
+    return acc
+
+
 def _is_exact(x) -> bool:
     if isinstance(x, (int, Fraction)):
         return True
@@ -122,15 +135,9 @@ class PerturbationSeries:
             n >>= 1
         return result
 
-    def scale(self, c) -> "PerturbationSeries":
-        return PerturbationSeries(tuple(c * a for a in self.coefficients))
-
     def __call__(self, eps):
         """Evaluate by Horner's rule at a numeric eps."""
-        acc = self.coefficients[-1]
-        for c in reversed(self.coefficients[:-1]):
-            acc = acc * eps + c
-        return acc
+        return horner(self.coefficients, eps)
 
     def truncated(self, order: int) -> "PerturbationSeries":
         if order >= self.order:
@@ -189,39 +196,13 @@ class PolyFamily:
         )
         return PolyFamily(series)
 
-    def unperturbed_coefficients(self) -> list:
-        """Coefficients of the eps=0 polynomial."""
-        return [c[0] for c in self.coefficients]
-
     def evaluate_series(self, x: PerturbationSeries) -> PerturbationSeries:
         """P(x(eps), eps) truncated at the order of x, by Horner's rule."""
-        acc = self.coefficients[-1].truncated(x.order)
-        for c in reversed(self.coefficients[:-1]):
-            acc = acc * x + c.truncated(x.order)
-        return acc
+        return horner([c.truncated(x.order) for c in self.coefficients], x)
 
     def evaluate(self, x, eps):
         """Numeric P(x, eps)."""
-        acc = self.coefficients[-1](eps)
-        for c in reversed(self.coefficients[:-1]):
-            acc = acc * x + c(eps)
-        return acc
-
-
-def _unperturbed_derivative(p: PolyFamily, a0):
-    c0 = p.unperturbed_coefficients()
-    acc = 0
-    for j in range(len(c0) - 1, 0, -1):
-        acc = acc * a0 + j * c0[j]
-    return acc
-
-
-def _unperturbed_value(p: PolyFamily, a0):
-    c0 = p.unperturbed_coefficients()
-    acc = c0[-1]
-    for c in reversed(c0[:-1]):
-        acc = acc * a0 + c
-    return acc
+        return horner([c(eps) for c in self.coefficients], x)
 
 
 def expand_root(p: PolyFamily, a0, n_order: int) -> PerturbationSeries:
@@ -231,11 +212,10 @@ def expand_root(p: PolyFamily, a0, n_order: int) -> PerturbationSeries:
     ``L a_p = -r_p`` where L = P'(a0) at eps=0 and r_p is the eps**p
     coefficient of P evaluated on the series built so far.
     """
-    exact = p.coefficients[0].is_exact and all(
-        c.is_exact for c in p.coefficients
-    ) and _is_exact(a0)
-    value = _unperturbed_value(p, a0)
-    deriv = _unperturbed_derivative(p, a0)
+    exact = all(c.is_exact for c in p.coefficients) and _is_exact(a0)
+    c0 = [c[0] for c in p.coefficients]  # the eps = 0 polynomial
+    value = horner(c0, a0)
+    deriv = horner([j * c for j, c in enumerate(c0)][1:], a0)
     if exact:
         if value != 0:
             raise ValueError(f"a0={a0} is not a root of the unperturbed polynomial")
@@ -290,10 +270,7 @@ def rescale_singular(p: PolyFamily, scale_exponent) -> PolyFamily:
     if not exponents:
         raise ValueError("polynomial family is identically zero")
     mu = min(exponents)
-    q = 1
-    for e in exponents:
-        shifted = e - mu
-        q = q * shifted.denominator // math.gcd(q, shifted.denominator)
+    q = math.lcm(*((e - mu).denominator for e in exponents))
     max_power = max(int((e - mu) * q) for e in exponents)
     if max_power >= MAX_RESCALED_TERMS:
         raise ValueError(

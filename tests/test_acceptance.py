@@ -271,7 +271,9 @@ def test_criterion_9_pde_pipeline(capfd):
             + 0.3 * np.sin(2.0 * np.pi * 3 / length * x),
             0.1 * np.cos(2.0 * np.pi * 1 / length * x),
         )
-        run = mspde.solve_kg_direct(0.1, u0, 100.0, rtol=1e-10, t_eval=[0.0, 100.0])
+        run = mspde._solve_direct(
+            0.1, u0, 100.0, "klein_gordon", rtol=1e-10, t_eval=[0.0, 100.0]
+        )
         e0 = mspde.energy(run.fields[0], 0.1, "klein_gordon")
         e1 = mspde.energy(run.fields[-1], 0.1, "klein_gordon")
         energy_drift = abs(e1 - e0) / abs(e0)

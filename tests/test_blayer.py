@@ -56,6 +56,17 @@ def test_fd_self_convergence_second_order():
     assert order == pytest.approx(2.0, abs=0.2)
 
 
+@pytest.mark.parametrize("problem", [linear_problem(0.1), nonlinear_problem(0.1)],
+                         ids=["linear", "nonlinear"])
+def test_fd_newton_converges_on_fine_grids(problem):
+    # the stopping rule must hold on every grid: a residual target scaled by
+    # h^2 is met early on fine grids, from n = 2^19 up by the initial guess
+    _, ref = solve_bvp_fd(problem, 8192)
+    for n in (2**16, 2**20):
+        _, y = solve_bvp_fd(problem, n)
+        assert np.max(np.abs(y[:: n // 8192] - ref)) <= 1e-6
+
+
 def test_fd_grid_refinement_agreement():
     _, a = solve_bvp_fd(linear_problem(0.5), 2048)
     _, b = solve_bvp_fd(linear_problem(0.5), 4096)

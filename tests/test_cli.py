@@ -1,8 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from asymptotica.cli import EXIT_ACCEPT, EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_config(tmp_path, name, payload):
@@ -320,3 +323,27 @@ def test_non_numeric_tolerance_is_a_config_error(tmp_path, capsys, subcommand, p
     cfg = write_config(tmp_path, "tol.json", dict(payload, **{key: value}))
     assert main([subcommand, "--config", cfg, "--out-dir", str(tmp_path)]) == EXIT_CONFIG
     assert f"{key} must be a positive number" in capsys.readouterr().err
+
+
+def readme_commands():
+    """(subcommand, config) for every shipped config the README's commands run."""
+    pairs, subcommand = [], None
+    for line in (ROOT / "README.md").read_text().splitlines():
+        words = line.split()
+        if words[:1] == ["asymptotica"]:
+            subcommand = words[1]
+        elif not line.startswith(" "):  # a continuation line keeps the command
+            subcommand = None
+        pairs += [(subcommand, w) for w in words if w.startswith("scripts/configs/")]
+    return pairs
+
+
+def test_readme_runs_every_shipped_config():
+    shipped = {f"scripts/configs/{p.name}" for p in (ROOT / "scripts/configs").glob("*.json")}
+    assert sorted(config for _, config in readme_commands()) == sorted(shipped)
+
+
+@pytest.mark.parametrize("subcommand,config", readme_commands())
+def test_shipped_config_runs_clean(tmp_path, subcommand, config):
+    assert main([subcommand, "--config", str(ROOT / config), "--out-dir", str(tmp_path)]) == EXIT_OK
+    assert read_summary(tmp_path, Path(config).stem)["accept_failures"] == []

@@ -43,7 +43,8 @@ def run(tmp_path, subcommand, payload, capsys=None, stem="cfg"):
     return code, (capsys.readouterr().err if capsys else "")
 
 
-# Each of these exited 0, 1 or 3 before the config schema was declared.
+# Each of these exited 0, 1 or 3 before the config schema was declared, or,
+# the last three, ran past a 5 s timeout before the step budgets.
 REJECTED = [
     ("ode", dict(ODE, accept={"max_abs_eror_le": 1e-30})),
     ("ode", dict(ODE, accept={"max_abs_error_le": "0.005"})),
@@ -67,6 +68,11 @@ REJECTED = [
     ("pi", dict(PENDULUM, accept={"group_count": "1"})),
     ("euler", {"eps_values": [0.1], "m_values": ["a"]}),
     ("euler", {"eps_values": [-0.1], "m_values": [1]}),
+    ("ode", {"case": "damped_linear", "eps": 1e-12, "horizon_exponent": 1}),
+    ("pde", dict(PACKET, dt=1e-9)),
+    # zero group velocity: the grid stays small however long the horizon
+    ("pde", dict(PACKET, kind="fourth_order", order=0, eps=1e-3, k=2**-0.5,
+                 checkpoints=[2e4])),
 ]
 
 
@@ -114,6 +120,8 @@ def test_keys_that_do_nothing_are_rejected(tmp_path, capsys, subcommand, payload
                    "rescale_exponent": 1e-12}),
         ("euler", {"eps_values": [0.1], "m_values": [170]}),
         ("pde", dict(PACKET, amplitude=0)),
+        ("roots", {"family": [[1]], "root": 0, "order": 2}),
+        ("ode", {"case": "cubic", "eps": 1e-100, "horizon_exponent": 1}),
     ],
 )
 def test_out_of_range_values_are_config_errors(tmp_path, capsys, subcommand, payload):

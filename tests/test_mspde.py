@@ -10,7 +10,6 @@ from asymptotica.mspde import (
     RealField,
     WavePacketField,
     dispersion,
-    dispersion_eval,
     energy,
     envelope_centroid,
     envelope_coefficients,
@@ -20,8 +19,6 @@ from asymptotica.mspde import (
     packet_compare,
     phase_match_residual,
     reconstruct_field,
-    solve_fourth_direct,
-    solve_kg_direct,
     solve_nls,
     solve_two_wave,
 )
@@ -31,20 +28,20 @@ FOURTH = dispersion("fourth_order")
 
 
 def test_dispersion_values():
-    assert dispersion_eval(KG, 0.0) == (1.0, 0.0)
-    omega, group = dispersion_eval(KG, 1.0)
-    assert omega == pytest.approx(np.sqrt(2.0))
-    assert group == pytest.approx(1.0 / np.sqrt(2.0))
+    assert (KG.omega(0.0), KG.omega_prime(0.0)) == (1.0, 0.0)
+    assert KG.omega(1.0) == pytest.approx(np.sqrt(2.0))
+    assert KG.omega_prime(1.0) == pytest.approx(1.0 / np.sqrt(2.0))
     # fourth order at k=1: omega = 1, omega' = (2k^3 - k)/omega = 1
-    assert dispersion_eval(FOURTH, 1.0) == (pytest.approx(1.0), pytest.approx(1.0))
+    assert FOURTH.omega(1.0) == pytest.approx(1.0)
+    assert FOURTH.omega_prime(1.0) == pytest.approx(1.0)
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.floats(min_value=0.01, max_value=10.0), st.sampled_from(["klein_gordon", "fourth_order"]))
 def test_dispersion_symmetry(k, kind):
     d = dispersion(kind)
-    om_p, gp_p = dispersion_eval(d, k)
-    om_m, gp_m = dispersion_eval(d, -k)
+    om_p, gp_p = d.omega(k), d.omega_prime(k)
+    om_m, gp_m = d.omega(-k), d.omega_prime(-k)
     assert om_m == pytest.approx(om_p, rel=1e-14)
     assert gp_m == pytest.approx(-gp_p, rel=1e-14)
     assert om_p > 0
@@ -90,29 +87,25 @@ def single_mode_field(length, n, mode, amplitude=1.0):
     return k, RealField(length, amplitude * np.cos(k * x), np.zeros(n))
 
 
-@pytest.mark.parametrize(
-    "solver,kind", [(solve_kg_direct, "klein_gordon"), (solve_fourth_direct, "fourth_order")]
-)
-def test_direct_linear_mode_exact(solver, kind):
+@pytest.mark.parametrize("kind", ["klein_gordon", "fourth_order"])
+def test_direct_linear_mode_exact(kind):
     length, n = 16.0 * np.pi, 128
     k, u0 = single_mode_field(length, n, mode=4, amplitude=0.7)
     omega = float(dispersion(kind).omega(k))
-    run = solver(0.0, u0, 10.0, rtol=1e-10)
+    run = mspde._solve_direct(0.0, u0, 10.0, kind, rtol=1e-10)
     exact = 0.7 * np.cos(k * u0.x) * np.cos(omega * 10.0)
     assert np.max(np.abs(run.fields[-1].u - exact)) <= 1e-8
 
 
-@pytest.mark.parametrize(
-    "solver,kind", [(solve_kg_direct, "klein_gordon"), (solve_fourth_direct, "fourth_order")]
-)
-def test_direct_energy_conservation(solver, kind):
+@pytest.mark.parametrize("kind", ["klein_gordon", "fourth_order"])
+def test_direct_energy_conservation(kind):
     length, n = 32.0 * np.pi, 256
     x = grid_points(length, n)
     u = 0.5 * np.cos(2.0 * np.pi * 2 / length * x) + 0.3 * np.sin(2.0 * np.pi * 3 / length * x)
     ut = 0.1 * np.cos(2.0 * np.pi * 1 / length * x)
     u0 = RealField(length, u, ut)
     rtol = 1e-10
-    run = solver(0.1, u0, 100.0, rtol=rtol, t_eval=[0.0, 100.0])
+    run = mspde._solve_direct(0.1, u0, 100.0, kind, rtol=rtol, t_eval=[0.0, 100.0])
     e0 = energy(run.fields[0], 0.1, kind)
     e1 = energy(run.fields[-1], 0.1, kind)
     assert abs(e1 - e0) / abs(e0) <= 100 * rtol
@@ -123,8 +116,8 @@ def test_direct_resolution_independence():
     eps, k = 0.1, 1.0
     pkt_lo = gaussian_packet(eps, k, amplitude=0.4, t_end=10.0, points_per_wavelength=16)
     pkt_hi = gaussian_packet(eps, k, amplitude=0.4, t_end=10.0, points_per_wavelength=32)
-    run_lo = solve_kg_direct(eps, reconstruct_field(pkt_lo, 0.0, 1), 10.0, rtol=1e-10)
-    run_hi = solve_kg_direct(eps, reconstruct_field(pkt_hi, 0.0, 1), 10.0, rtol=1e-10)
+    run_lo = mspde._solve_direct(eps, reconstruct_field(pkt_lo, 0.0, 1), 10.0, rtol=1e-10)
+    run_hi = mspde._solve_direct(eps, reconstruct_field(pkt_hi, 0.0, 1), 10.0, rtol=1e-10)
     assert np.max(np.abs(run_hi.fields[-1].u[::2] - run_lo.fields[-1].u)) <= 1e-8
 
 
@@ -166,7 +159,7 @@ def test_envelope_group_velocity():
     pkt = gaussian_packet(eps, k, amplitude=0.5, t_end=1.0 / eps)
     out = solve_nls(pkt, 1.0 / eps, dt=0.02)
     speed = (envelope_centroid(out) - envelope_centroid(pkt)) * eps
-    _, group = dispersion_eval(KG, k)
+    group = KG.omega_prime(k)
     assert abs(speed - group) / group <= 0.02
 
 
@@ -183,6 +176,15 @@ def test_two_wave_requires_phase_matching():
     off = replace(a, k=2.0 * np.pi * 16 / a.length)
     with pytest.raises(ValueError, match="phase matched"):
         solve_two_wave(off, replace(b, k=3 * off.k), 1.0, 0.01)
+
+
+def test_two_wave_requires_a_declared_resonance():
+    k, a, b = _phase_matched_pair()
+    kg_a, kg_b = replace(a, kind="klein_gordon"), replace(b, kind="klein_gordon")
+    with pytest.raises(ValueError, match="no resonant pair"):
+        solve_two_wave(kg_a, kg_b, 1.0, 0.01)
+    with pytest.raises(ValueError, match="no resonant pair"):
+        solve_two_wave(a, kg_b, 1.0, 0.01)
 
 
 def test_two_wave_zero_stays_zero():
