@@ -177,17 +177,15 @@ def _inner_profile(eps: float, b0: float, xi: np.ndarray) -> np.ndarray:
     """u at the requested layer coordinates (any order, repeats ok)."""
     a0 = -b0 + 0.5 * eps * b0**2
     points, inverse = np.unique(xi, return_inverse=True)
-    eval_pts = points if points[0] == 0.0 else np.concatenate([[0.0], points])
     traj = integrate_reference(
         lambda t, ab: _LAYER.amplitude_rhs(t, ab, eps, 2),
         (a0, b0),
-        (0.0, float(eval_pts[-1]) if eval_pts[-1] > 0 else 1.0),
+        (0.0, float(points[-1]) if points[-1] > 0 else 1.0),
         rtol=1e-10,
         atol=1e-12,
-        t_eval=eval_pts,
+        t_eval=points,
     )
-    vals = traj.y if points[0] == 0.0 else traj.y[1:]
-    return _LAYER.reconstruct(xi, vals[inverse].T, eps)[0]
+    return _LAYER.reconstruct(xi, traj.y[inverse].T, eps)[0]
 
 
 def nonlinear_blayer_multiscale(

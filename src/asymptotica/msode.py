@@ -40,9 +40,10 @@ The shipped cases:
     conserved, so the amplitude system integrates in closed form and the
     oscillation frequencies shift with the initial data.
 
-All flows are integrated with :func:`integrate_reference`, an error-controlled
-embedded Runge-Kutta pair with dense output; complex amplitudes are evolved as
-pairs of reals so one real-valued integrator serves every case.
+The direct solve and the amplitude flows are integrated with
+:func:`integrate_reference`, the library's one adaptive integrator (the
+error-controlled Dormand-Prince 8(5,3) pair); complex amplitudes are evolved
+as pairs of reals so one real-valued integrator serves every case.
 """
 
 from __future__ import annotations
@@ -103,9 +104,13 @@ def integrate_reference(
 ) -> Trajectory:
     """High-accuracy reference integration with an embedded RK pair.
 
-    Wraps the Dormand-Prince 5(4) stepper with error control and dense
-    output (quartic interpolation on accepted steps).  Deterministic for
-    fixed inputs.  Raises :class:`SolverError` on step-size underflow.
+    The library's one adaptive integrator: every direct solve, amplitude
+    flow, shooting integration and pseudospectral PDE solve runs through it.
+    Wraps the Dormand-Prince 8(5,3) stepper (scipy's DOP853) with error
+    control and samples the solution at ``t_eval``, or at the accepted steps
+    when it is None.  Deterministic for fixed inputs.  Raises
+    :class:`SolverError` when the integrator fails or, without ``t_eval``,
+    on step-size underflow.
     """
     if rtol <= 0 or atol <= 0:
         raise ValueError("rtol and atol must be positive")
@@ -113,11 +118,10 @@ def integrate_reference(
         rhs,
         t_span,
         np.asarray(y0, dtype=float),
-        method="RK45",
+        method="DOP853",
         rtol=rtol,
         atol=atol,
         t_eval=t_eval,
-        dense_output=t_eval is None,
         args=args or None,
     )
     if not sol.success:

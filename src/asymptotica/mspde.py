@@ -38,7 +38,8 @@ fourth_order
         2 i omega(3k) (B_t + omega'(3k) B_x) = eps (-3|B|^2 B - 6|A|^2 B - A^3).
 
 Direct reference solutions come from a Fourier pseudospectral first-order
-system in transform space with error-controlled time stepping and alias-free
+system in transform space, stepped by :func:`msode.integrate_reference` (the
+library's one adaptive integrator, Dormand-Prince 8(5,3)), with alias-free
 nonlinear products (modes above n/(p+1) of u^p are dropped: the 2/3 rule for
 quadratic terms, the 1/2 rule for cubic ones).
 Envelope equations are integrated by Strang-split steps whose linear part is
@@ -52,9 +53,8 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .msode import RunReport, SolverError
+from .msode import RunReport, integrate_reference
 from .series import horner
 
 
@@ -248,6 +248,16 @@ def _wavenumbers_rfft(length: float, n: int) -> np.ndarray:
     return 2.0 * np.pi * np.fft.rfftfreq(n, d=length / n)
 
 
+def _wavenumbers(fld: WavePacketField) -> np.ndarray:
+    """Angular wavenumbers of the full FFT of an envelope."""
+    return 2.0 * np.pi * np.fft.fftfreq(fld.n, d=fld.length / fld.n)
+
+
+def _split_steps(span: float, dt: float) -> float:
+    """Strang steps over ``span``: max(1, rint(span/dt)), inf if span/dt overflows."""
+    return max(1.0, np.rint(span / dt))
+
+
 def energy(fld: RealField, eps: float, kind: str) -> float:
     """Conserved energy of the direct flow, by spectral differentiation.
 
@@ -297,26 +307,14 @@ def _solve_direct(
 
     z0 = pack(np.fft.rfft(u0.u), np.fft.rfft(u0.ut))
     times = [t_end] if t_eval is None else list(t_eval)
-    sol = solve_ivp(
-        rhs,
-        (0.0, t_end),
-        z0,
-        method="DOP853",
-        rtol=rtol,
-        atol=atol,
-        t_eval=times,
-    )
-    if not sol.success:
-        raise SolverError(f"direct {kind} solve failed: {sol.message}")
+    traj = integrate_reference(rhs, z0, (0.0, t_end), rtol, atol, t_eval=times)
     fields = []
-    for j in range(len(sol.t)):
-        u_hat, v_hat = unpack(sol.y[:, j])
+    for z in traj.y:
+        u_hat, v_hat = unpack(z)
         fields.append(
             RealField(u0.length, np.fft.irfft(u_hat, n), np.fft.irfft(v_hat, n))
         )
-    return DirectRun(
-        t=sol.t, fields=fields, meta={"nfev": sol.nfev, "rtol": rtol, "atol": atol}
-    )
+    return DirectRun(t=traj.t, fields=fields, meta=traj.meta)
 
 
 # --- envelope solvers -----------------------------------------------------------
@@ -338,7 +336,7 @@ def envelope_coefficients(fld: WavePacketField) -> tuple[float, float, float]:
 def envelope_rhs(fld: WavePacketField) -> np.ndarray:
     """Instantaneous A_t of the envelope equation, by spectral derivatives."""
     c, beta, gamma = envelope_coefficients(fld)
-    kappa = 2.0 * np.pi * np.fft.fftfreq(fld.n, d=fld.length / fld.n)
+    kappa = _wavenumbers(fld)
     a_hat = np.fft.fft(fld.values)
     a_x = np.fft.ifft(1j * kappa * a_hat)
     a_xx = np.fft.ifft(-(kappa**2) * a_hat)
@@ -366,11 +364,11 @@ def solve_nls(
     if dt <= 0:
         raise ValueError("dt must be positive")
     c, beta, gamma = envelope_coefficients(fld)
-    kappa = 2.0 * np.pi * np.fft.fftfreq(fld.n, d=fld.length / fld.n)
+    kappa = _wavenumbers(fld)
     symbol = -1j * c * kappa - 1j * beta * kappa**2
 
     def advance(values: np.ndarray, span: float) -> np.ndarray:
-        steps = max(1, round(span / dt))
+        steps = int(_split_steps(span, dt))
         h = span / steps
         linear = np.exp(symbol * h)
         a = values
@@ -418,13 +416,13 @@ def solve_two_wave(
         raise ValueError("second field must ride the third harmonic 3k")
     om1, om3 = d.omega(fld_a.k), d.omega(3.0 * fld_a.k)
     om1p, om3p = d.omega_prime(fld_a.k), d.omega_prime(3.0 * fld_a.k)
-    kappa = 2.0 * np.pi * np.fft.fftfreq(fld_a.n, d=fld_a.length / fld_a.n)
+    kappa = _wavenumbers(fld_a)
 
     def nonlinear(a, b):
         ra, rb = d.resonance(a, b, fld_a.eps)
         return ra / (2j * om1), rb / (2j * om3)
 
-    steps = max(1, round(t_end / dt))
+    steps = int(_split_steps(t_end, dt))
     h = t_end / steps
     lin_a = np.exp(-1j * om1p * kappa * 0.5 * h)
     lin_b = np.exp(-1j * om3p * kappa * 0.5 * h)
@@ -542,21 +540,18 @@ def packet_compare(
     """
     if amplitude == 0:
         raise ValueError("a zero-amplitude packet has no relative error")
+    if t_end is None and checkpoints is None and eps <= 0:
+        raise ValueError("eps <= 0 needs an explicit t_end or checkpoints")
     if t_end is None:
-        if eps <= 0:
-            raise ValueError("eps <= 0 needs an explicit t_end or checkpoints")
-        t_end = 1.0 / eps
-    if checkpoints is None:
-        checkpoints = [t_end]
-    checkpoints = list(checkpoints)
+        t_end = 1.0 / eps if eps > 0 else max(checkpoints)
+    checkpoints = [t_end] if checkpoints is None else list(checkpoints)
     horizon = max(t_end, max(checkpoints))
     if horizon > MAX_HORIZON:
         raise ValueError(f"horizon {horizon} is above the budget of {MAX_HORIZON}")
     if dt <= 0:
         raise ValueError("dt must be positive")
-    # split steps as solve_nls counts them; np.rint, unlike round, takes span/dt = inf
     segments = zip([0.0, *checkpoints], checkpoints)
-    steps = sum(max(1.0, np.rint((b - a) / dt)) for a, b in segments if b > a)
+    steps = sum(_split_steps(b - a, dt) for a, b in segments if b > a)
     if steps > MAX_SPLIT_STEPS:
         raise ValueError(
             f"dt {dt} needs {steps:.3g} split steps, above the budget of {MAX_SPLIT_STEPS}"

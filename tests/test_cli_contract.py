@@ -135,6 +135,17 @@ def test_default_order_beyond_the_model_is_named(tmp_path, capsys):
     assert "order (default 1)" in err
 
 
+@pytest.mark.parametrize("eps", [0.0, -0.1])
+def test_packet_without_positive_eps_runs_to_its_checkpoints(tmp_path, capsys, eps):
+    payload = {"task": "packet_compare", "eps": eps, "k": 1.0, "order": 0,
+               "checkpoints": [1.0], "dt": 0.01}
+    code, err = run(tmp_path, "pde", payload, capsys)
+    assert code == EXIT_OK, err
+    summary = json.loads((tmp_path / "cfg_summary.json").read_text())
+    assert summary["result"]["checkpoints"] == [1.0]
+    assert (tmp_path / "cfg_t1.csv").exists()
+
+
 def test_null_means_default(tmp_path):
     code, _ = run(tmp_path, "ode", dict(ODE, terms=None, rtol=None, accept=None))
     assert code == EXIT_OK

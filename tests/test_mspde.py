@@ -282,6 +282,11 @@ def test_packet_compare_zero_eps():
     report = packet_compare(0.0, 1.0, amplitude=0.5, t_end=1.0, order=0,
                             checkpoints=[1.0], dt=0.01, rtol=1e-10)
     assert report.l2_error <= 1e-5
+    # with eps <= 0 and no t_end the last checkpoint sets the horizon
+    same = packet_compare(0.0, 1.0, amplitude=0.5, order=0,
+                          checkpoints=[1.0], dt=0.01, rtol=1e-10)
+    assert same.l2_error == report.l2_error
+    assert same.stats["domain_length"] == report.stats["domain_length"]
 
 
 def test_packet_compare_quality_and_trend():
