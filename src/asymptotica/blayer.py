@@ -35,9 +35,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .msode import SolverError, catalog, integrate_reference
+
+
+def solve_banded(l_and_u, ab, b):
+    """scipy.linalg.solve_banded, imported on the first finite-difference solve.
+
+    A module-level name, so runs that never take the FD path never load
+    scipy.linalg.
+    """
+    from scipy.linalg import solve_banded as banded
+
+    return banded(l_and_u, ab, b)
 
 
 # f and f' of eps y'' + y' + f(y) = 0, per problem kind

@@ -110,28 +110,28 @@ def test_criterion_4_euler_bound_and_divergence(capfd):
     """Remainder bound on the (eps, m) grid plus the optimal-truncation dip."""
     with Stopwatch() as sw:
         mpmath = pytest.importorskip("mpmath")
-        mpmath.mp.dps = 30
         quad_tol = 1e-12
         checked = 0
-        for eps_frac in (Fraction(1, 100), Fraction(1, 20), Fraction(1, 10)):
-            eps = float(eps_frac)
-            eps_mp = mpmath.mpf(eps_frac.numerator) / eps_frac.denominator
-            f_float = series.euler_f(eps, quad_tol)
-            f_mp = mpmath.quad(
-                lambda t: mpmath.e ** (-t) / (1 + eps_mp * t), [0, mpmath.inf]
-            )
-            assert abs(f_float - float(f_mp)) < quad_tol
-            for m in range(13):
-                bound = series.euler_remainder_bound(eps, m)
-                # float path wherever the bound is resolvable at quad_tol,
-                # 30-digit oracle with exact partial sums on the full grid
-                if bound > 10.0 * quad_tol:
-                    err = abs(f_float - series.euler_partial_sum(eps, m))
-                    assert err <= bound
-                partial = series.euler_partial_sum(eps_frac, m)
-                err_mp = abs(f_mp - mpmath.mpf(partial.numerator) / partial.denominator)
-                assert err_mp <= mpmath.factorial(m + 1) * eps_mp ** (m + 1)
-                checked += 1
+        with mpmath.workdps(30):
+            for eps_frac in (Fraction(1, 100), Fraction(1, 20), Fraction(1, 10)):
+                eps = float(eps_frac)
+                eps_mp = mpmath.mpf(eps_frac.numerator) / eps_frac.denominator
+                f_float = series.euler_f(eps, quad_tol)
+                f_mp = mpmath.quad(
+                    lambda t: mpmath.e ** (-t) / (1 + eps_mp * t), [0, mpmath.inf]
+                )
+                assert abs(f_float - float(f_mp)) < quad_tol
+                for m in range(13):
+                    bound = series.euler_remainder_bound(eps, m)
+                    # float path wherever the bound is resolvable at quad_tol,
+                    # 30-digit oracle with exact partial sums on the full grid
+                    if bound > 10.0 * quad_tol:
+                        err = abs(f_float - series.euler_partial_sum(eps, m))
+                        assert err <= bound
+                    partial = series.euler_partial_sum(eps_frac, m)
+                    err_mp = abs(f_mp - mpmath.mpf(partial.numerator) / partial.denominator)
+                    assert err_mp <= mpmath.factorial(m + 1) * eps_mp ** (m + 1)
+                    checked += 1
         # divergence at eps = 0.1: the error passes a minimum then grows
         f_val = series.euler_f(0.1, quad_tol)
         errs = [abs(f_val - series.euler_partial_sum(0.1, m)) for m in range(30)]

@@ -35,6 +35,21 @@ def test_reference_failure_reports_diagnostics():
         integrate_reference(lambda t, y: y**2, [2.0], (0.0, 1.0), 1e-10, 1e-12)
 
 
+def test_reference_failure_raises_with_t_eval():
+    # every library caller samples at t_eval; the blow-up at t = 1/2 must
+    # still raise, not return the samples reached before it
+    with pytest.raises(SolverError, match="step size"):
+        integrate_reference(lambda t, y: y**2, [2.0], (0.0, 1.0), 1e-10, 1e-12,
+                            t_eval=np.linspace(0.0, 1.0, 5))
+
+
+def test_reference_meta_records_settings_and_work():
+    traj = integrate_reference(lambda t, y: -y, [1.0], (0.0, 1.0), 1e-9, 1e-12,
+                               t_eval=[0.5, 1.0])
+    assert set(traj.meta) == {"nfev", "rtol", "atol"}
+    assert traj.meta["nfev"] > 0 and traj.meta["rtol"] == 1e-9
+
+
 def test_damped_linear_reference_matches_table():
     # frozen reference values of the weakly damped oscillator at eps = 0.01
     case = catalog("damped_linear")

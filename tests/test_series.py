@@ -225,16 +225,36 @@ def test_euler_remainder_bound_high_precision(eps_frac):
     # independent oracle: tanh-sinh quadrature at 30 significant digits with
     # exact-rational partial sums; the remainder bound holds on the whole grid
     mpmath = pytest.importorskip("mpmath")
-    mpmath.mp.dps = 30
-    eps = mpmath.mpf(eps_frac.numerator) / eps_frac.denominator
-    f_val = mpmath.quad(lambda t: mpmath.e ** (-t) / (1 + eps * t), [0, mpmath.inf])
-    for m in range(13):
-        partial = euler_partial_sum(eps_frac, m)  # exact Fraction
-        err = abs(f_val - mpmath.mpf(partial.numerator) / partial.denominator)
-        bound = mpmath.factorial(m + 1) * eps ** (m + 1)
-        assert err <= bound
+    with mpmath.workdps(30):
+        eps = mpmath.mpf(eps_frac.numerator) / eps_frac.denominator
+        f_val = mpmath.quad(lambda t: mpmath.e ** (-t) / (1 + eps * t), [0, mpmath.inf])
+        for m in range(13):
+            partial = euler_partial_sum(eps_frac, m)  # exact Fraction
+            err = abs(f_val - mpmath.mpf(partial.numerator) / partial.denominator)
+            bound = mpmath.factorial(m + 1) * eps ** (m + 1)
+            assert err <= bound
     # and the production float evaluation agrees with the oracle
     assert abs(euler_f(float(eps_frac), 1e-12) - float(f_val)) < 1e-12
+
+
+@pytest.mark.parametrize("eps", [1e-3, 0.01, 0.05, 0.1, 0.5, 5.0])
+def test_euler_f_ignores_global_mpmath_precision(eps):
+    mpmath = pytest.importorskip("mpmath")
+    values = []
+    for dps in (15, 50):
+        with mpmath.workdps(dps):  # sets the global mp.dps a caller would have set
+            values.append(euler_f(eps))
+            assert mpmath.mp.dps == dps  # and euler_f leaves it as it found it
+    assert values[0] == values[1]
+
+
+def test_euler_f_is_correctly_rounded():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for eps in (0.01, 0.05, 0.1, 1.0):
+            e = mpmath.mpf(eps)
+            exact = mpmath.quad(lambda t: mpmath.exp(-t) / (1 + e * t), [0, mpmath.inf])
+            assert euler_f(eps) == float(exact)
 
 
 def test_euler_series_diverges():
