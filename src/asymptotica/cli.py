@@ -29,7 +29,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -609,6 +608,16 @@ def run_one(subcommand: str, config_path: str, out_dir: str) -> int:
     for f in failures:
         print(f"accept: {f}", file=sys.stderr)
     return EXIT_ACCEPT if failures else EXIT_OK
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """concurrent.futures.ProcessPoolExecutor, imported when a run first fans out.
+
+    A module-level name, so ``--jobs 1`` runs never load concurrent.futures.
+    """
+    from concurrent.futures import ProcessPoolExecutor as pool
+
+    return pool(max_workers=max_workers)
 
 
 def main(argv=None) -> int:

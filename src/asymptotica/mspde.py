@@ -39,7 +39,8 @@ fourth_order
 
 Direct reference solutions come from a Fourier pseudospectral first-order
 system in transform space, stepped by :func:`msode.integrate_reference` (the
-library's one adaptive integrator, Dormand-Prince 8(5,3)), with alias-free
+library's one adaptive integrator, its own Dormand-Prince 8(5,3) stepper, so
+packet runs load no scipy), with alias-free
 nonlinear products (modes above n/(p+1) of u^p are dropped: the 2/3 rule for
 quadratic terms, the 1/2 rule for cubic ones).
 Envelope equations are integrated by Strang-split steps whose linear part is

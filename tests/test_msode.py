@@ -46,8 +46,21 @@ def test_reference_failure_raises_with_t_eval():
 def test_reference_meta_records_settings_and_work():
     traj = integrate_reference(lambda t, y: -y, [1.0], (0.0, 1.0), 1e-9, 1e-12,
                                t_eval=[0.5, 1.0])
-    assert set(traj.meta) == {"nfev", "rtol", "atol"}
+    assert set(traj.meta) == {"nfev", "rtol", "atol", "n_steps", "n_rejected"}
     assert traj.meta["nfev"] > 0 and traj.meta["rtol"] == 1e-9
+    assert traj.meta["n_steps"] > 0 and traj.meta["n_rejected"] >= 0
+
+
+def test_reference_step_counters_account_for_every_evaluation():
+    # without t_eval: 2 evaluations pick the first step, each attempted step
+    # costs 12, and every accepted step is one sample
+    case = catalog("cubic")
+    traj = integrate_reference(case.original_rhs, (1.0, 0.0), (0.0, 20.0), 1e-10, 1e-12,
+                               args=(0.1,))
+    meta = traj.meta
+    assert meta["n_rejected"] > 0
+    assert meta["nfev"] == 2 + 12 * (meta["n_steps"] + meta["n_rejected"])
+    assert len(traj.t) == meta["n_steps"] + 1
 
 
 def test_damped_linear_reference_matches_table():
