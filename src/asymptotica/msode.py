@@ -43,9 +43,9 @@ The shipped cases:
 The direct solve and the amplitude flows are integrated with
 :func:`integrate_reference`, the library's one adaptive integrator: its own
 error-controlled Dormand-Prince 8(5,3) stepper with dense output, which
-matches scipy's ``solve_ivp(method="DOP853")`` bit for bit without importing
-scipy.  Complex amplitudes are evolved as pairs of reals so one real-valued
-integrator serves every case.
+reproduces scipy's DOP853 bit for bit without importing scipy.  Complex
+amplitudes are evolved as pairs of reals so one real-valued integrator serves
+every case.
 """
 
 from __future__ import annotations
@@ -101,9 +101,9 @@ class RunReport:
 # sections II.5 and II.10): 12 stages of order 8, a 5th- and a 3rd-order error
 # estimate, and a 7th-order dense output that costs 3 more stages.  The
 # tableau, the step-size control and the output sampling follow scipy 1.17.1's
-# scipy/integrate/_ivp (rk.py, common.py, ivp.py) operation for operation, so
-# trajectories and evaluation counts agree with solve_ivp(method="DOP853") to
-# the last bit.  Coefficients transcribed from its dop853_coefficients.py:
+# DOP853 (its _ivp package: rk.py, common.py, ivp.py) operation for operation,
+# so trajectories and evaluation counts agree with scipy's to the last bit.
+# Coefficients transcribed from its dop853_coefficients.py:
 # Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers; BSD 3-clause.
 
 _N_STAGES = 12
