@@ -60,7 +60,8 @@ def test_rtol_under_the_floor_matches_scipy():
                              1e-16, 1e-16, None, args=(0.1,))
 
 
-def test_fourth_order_direct_solve_matches_scipy(monkeypatch):
+@pytest.mark.parametrize("kind", ["klein_gordon", "fourth_order"])  # u^2 and u^3
+def test_direct_solve_matches_scipy(monkeypatch, kind):
     calls = []
 
     def recording(rhs, y0, t_span, rtol, atol, t_eval=None, args=()):
@@ -72,7 +73,7 @@ def test_fourth_order_direct_solve_matches_scipy(monkeypatch):
     x = grid_points(length, n)
     u0 = RealField(length, 0.5 * np.cos(4 * 2.0 * np.pi / length * x),
                    0.1 * np.sin(2.0 * np.pi / length * x))
-    mspde._solve_direct(0.1, u0, 5.0, "fourth_order", rtol=1e-10, t_eval=[0.0, 2.5, 5.0])
+    mspde._solve_direct(0.1, u0, 5.0, kind, rtol=1e-10, t_eval=[0.0, 2.5, 5.0])
     (call,) = calls
     assert_matches_scipy(*call)
 

@@ -163,6 +163,46 @@ def test_envelope_group_velocity():
     assert abs(speed - group) / group <= 0.02
 
 
+def _textbook_strang(fld, checkpoints, dt):
+    """Half kick, exact linear step, half kick, every step of every segment."""
+    c, beta, gamma = envelope_coefficients(fld)
+    kappa = 2.0 * np.pi * np.fft.fftfreq(fld.n, d=fld.length / fld.n)
+    a, t_prev, out = fld.values, 0.0, []
+    for t_next in checkpoints:
+        if t_next > t_prev:
+            steps = max(1, round((t_next - t_prev) / dt))
+            h = (t_next - t_prev) / steps
+            linear = np.exp((-1j * c * kappa - 1j * beta * kappa**2) * h)
+            for _ in range(steps):
+                a = a * np.exp(0.5j * gamma * h * np.abs(a) ** 2)
+                a = np.fft.ifft(linear * np.fft.fft(a))
+                a = a * np.exp(0.5j * gamma * h * np.abs(a) ** 2)
+        out.append(a)
+        t_prev = t_next
+    return out
+
+
+@pytest.mark.parametrize(
+    "kind, eps, checkpoints",
+    [
+        # a repeated checkpoint and a one-step segment from 0.5 to 0.55
+        ("klein_gordon", 0.5, [0.5, 0.5, 0.55, 3.0]),
+        ("fourth_order", 0.3, [2.0, 5.0]),
+    ],
+)
+def test_nls_matches_textbook_strang_loop(kind, eps, checkpoints):
+    pkt = gaussian_packet(eps, 1.0, amplitude=0.5, t_end=max(checkpoints), kind=kind)
+    dt = 0.05
+    out = solve_nls(pkt, max(checkpoints), dt, checkpoints=checkpoints)
+    ref = _textbook_strang(pkt, checkpoints, dt)
+    assert len(out) == len(ref)
+    for got, want in zip(out, ref):
+        assert np.max(np.abs(got.values - want)) <= 1e-12
+    # the kicks matter: without them the last field is farther off than that
+    linear_only = _textbook_strang(replace(pkt, eps=0.0), checkpoints, dt)[-1]
+    assert np.max(np.abs(out[-1].values - linear_only)) > 1e-6
+
+
 def _phase_matched_pair(eps=0.1, n=64, amplitudes=(0.4 + 0.1j, 0.0j)):
     k = 1.0 / np.sqrt(3.0)
     length = 8 * 2.0 * np.pi / k
