@@ -32,7 +32,7 @@ def main():
     for i, t in enumerate(times):
         print(f"{t:6.0f} {direct[i]:10.4f} {naive[i]:10.4f} {multiscale[i]:12.4f}")
 
-    report = msode.compare(case, eps, horizon=400.0, keep_trajectories=True)
+    report = msode.compare(case, eps, horizon=400.0)
     paths = report.stats["trajectories"]
     naive_full = msode.naive_damped_expansion(report.t, eps)
     with open("damped_oscillator.csv", "w") as fh:

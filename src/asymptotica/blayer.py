@@ -198,17 +198,15 @@ def _inner_profile(eps: float, b0: float, xi: np.ndarray) -> np.ndarray:
     return _LAYER.reconstruct(xi, traj.y[inverse].T, eps)[0]
 
 
-def nonlinear_blayer_multiscale(
-    eps: float, shoot_tol: float = 1e-10, b0_seed: float = -1.0, max_iter: int = 50
-) -> ShootingSolution:
+def nonlinear_blayer_multiscale(eps: float, shoot_tol: float = 1e-10) -> ShootingSolution:
     """Shooting solution of eps y'' + y' + y^2 = 0, y(0)=0, y(1)=1/2.
 
     Newton iteration on F(B0) = u(1/eps) - 1/2 with a finite-difference
     derivative; the seed B0 = -1 comes from the leading-order picture
     u ~ A + B e^{-xi} with u(0) = 0 and u -> A ~ 1/2, and converges across
-    the supported range 0 < eps <= 0.17.  Above eps ~ 0.1716 the two-term
-    ansatz has no root: max over B0 of F(B0) is +3.5e-3 at eps = 0.17 and
-    -8.5e-4 at eps = 0.172.
+    the supported range 0 < eps <= 0.17; raises :class:`SolverError` after
+    50 iterations.  Above eps ~ 0.1716 the two-term ansatz has no root: max
+    over B0 of F(B0) is +3.5e-3 at eps = 0.17 and -8.5e-4 at eps = 0.172.
     """
     if not 0.0 < eps <= 0.17:
         raise ValueError("supported range is 0 < eps <= 0.17")
@@ -217,8 +215,8 @@ def nonlinear_blayer_multiscale(
     def boundary_mismatch(b0: float) -> float:
         return _inner_profile(eps, b0, np.array([xi_end]))[0] - 0.5
 
-    b0 = b0_seed
-    for iteration in range(1, max_iter + 1):
+    b0 = -1.0
+    for iteration in range(1, 51):
         f = boundary_mismatch(b0)
         if abs(f) < shoot_tol:
             return ShootingSolution(eps=eps, b0=b0, iterations=iteration, residual=abs(f))
@@ -226,7 +224,7 @@ def nonlinear_blayer_multiscale(
         slope = (boundary_mismatch(b0 + h) - boundary_mismatch(b0 - h)) / (2.0 * h)
         b0 = b0 - f / slope
     raise SolverError(
-        f"shooting did not converge in {max_iter} iterations (|F|={abs(f):.3e})"
+        f"shooting did not converge in 50 iterations (|F|={abs(f):.3e})"
     )
 
 

@@ -421,7 +421,7 @@ def _run_ode(cfg: dict, out: Path, name: str) -> tuple[dict, list[dict]]:
     args = {k: v for k, v in cfg.items() if k not in cli_keys}
 
     def run(eps: float) -> dict:
-        report = msode.compare(case, eps, keep_trajectories=True, **args)
+        report = msode.compare(case, eps, **args)
         paths = report.stats.pop("trajectories")
         y_direct, y_ms = paths["y_direct"], paths["y_multiscale"]
         suffix = f"_eps{_fmt(eps)}" if len(cfg["eps"]) > 1 else ""
@@ -541,7 +541,7 @@ def _run_pde(cfg: dict, out: Path, name: str) -> tuple[dict, list[dict]]:
         return summary, [summary]
 
     args = {k: v for k, v in cfg.items() if k not in ("name", "task")}
-    report = mspde.packet_compare(keep_fields=True, **args)
+    report = mspde.packet_compare(**args)
     fields = report.stats.pop("fields")
     for snap in fields["snapshots"]:
         _write_csv(

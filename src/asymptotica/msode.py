@@ -8,8 +8,11 @@ Each catalog entry is one :class:`CaseSpec` declaration.  A case declares
   carrier exponent lam); the reconstruction is y = 2 Re of their sum, and
 * an exact solution where one exists.
 
-Derived once from the declaration, for every case: the amplitude-equation
-right hand side, the reconstruction map, its time derivative (product rule
+Derived once from the declaration, for every case: the sizes (the state
+dimension is ``len(default_ics)``, positions then velocities, so half of it
+is the number of oscillator components; the number of amplitudes is the
+length of a carrier term's amplitude powers), the amplitude-equation right
+hand side, the reconstruction map, its time derivative (product rule
 along the amplitude flow), the initial-amplitude fit (Newton on the
 reconstruction and its time derivative at t=0) and, where the rate is
 constant along the flow, the closed form A0 e^{rate(A0) t}.
@@ -464,17 +467,26 @@ class CaseSpec:
     """One catalog entry; see the module docstring for what it declares and derives."""
 
     name: str
-    n_components: int
-    state_dim: int
-    n_amplitudes: int
-    real_amplitudes: bool
     validity_exponent: int
-    default_ics: tuple[float, ...]
+    default_ics: tuple[float, ...]  # positions, then velocities
     original_rhs: Callable  # (t, state, eps) -> dstate
     rate: Callable  # (amps, eps, terms) -> rates, dA_j/dt = rate_j A_j
     carrier_terms: tuple[CarrierTerm, ...]
+    real_amplitudes: bool = False
     rate_conserved: bool = False  # constant along the flow: closed form exists
     exact: Optional[Callable] = None  # (t, eps) -> components
+
+    @property
+    def state_dim(self) -> int:
+        return len(self.default_ics)
+
+    @property
+    def n_components(self) -> int:
+        return self.state_dim // 2
+
+    @property
+    def n_amplitudes(self) -> int:
+        return len(self.carrier_terms[0][3])
 
     def amplitude_rhs(self, t, amps, eps, terms=2):
         """dA/dt = rate(A) A."""
@@ -579,10 +591,6 @@ _CATALOG: dict[str, CaseSpec] = {
     for case in (
         CaseSpec(
             name="damped_linear",
-            n_components=1,
-            state_dim=2,
-            n_amplitudes=1,
-            real_amplitudes=False,
             validity_exponent=3,
             default_ics=(1.0, 0.0),
             original_rhs=_damped_linear_rhs,
@@ -593,10 +601,6 @@ _CATALOG: dict[str, CaseSpec] = {
         ),
         CaseSpec(
             name="cubic",
-            n_components=1,
-            state_dim=2,
-            n_amplitudes=1,
-            real_amplitudes=False,
             validity_exponent=3,
             default_ics=(1.0, 0.0),
             original_rhs=_cubic_rhs,
@@ -607,9 +611,6 @@ _CATALOG: dict[str, CaseSpec] = {
         ),
         CaseSpec(
             name="quadratic_damped",
-            n_components=1,
-            state_dim=2,
-            n_amplitudes=2,
             real_amplitudes=True,
             validity_exponent=3,
             default_ics=(1.0, 1.0),
@@ -624,10 +625,6 @@ _CATALOG: dict[str, CaseSpec] = {
         ),
         CaseSpec(
             name="coupled_cubic",
-            n_components=2,
-            state_dim=4,
-            n_amplitudes=2,
-            real_amplitudes=False,
             validity_exponent=2,
             # the eps = 0 state of A = B = 0.3
             default_ics=(1.2, -0.6, 0.0, 0.0),
@@ -712,18 +709,13 @@ def integrate_amplitude(
     return Trajectory(t=traj.t, y=samples.astype(complex), meta=meta)
 
 
-def fit_initial_amplitudes(
-    case: CaseSpec,
-    ics,
-    eps: float,
-    newton_tol: float = 1e-12,
-    terms: int = 2,
-    max_iter: int = 50,
-) -> np.ndarray:
+def fit_initial_amplitudes(case: CaseSpec, ics, eps: float, terms: int = 2) -> np.ndarray:
     """Amplitudes whose reconstruction matches the state and its derivative at t=0.
 
     Newton iteration with a finite-difference Jacobian, started from the
-    eps=0 fit (where the reconstruction is linear in the amplitudes).
+    eps=0 fit (where the reconstruction is linear in the amplitudes), until
+    the residual is below 1e-12; raises :class:`SolverError` after 50
+    iterations.
     """
     ics = np.asarray(ics, dtype=float)
     if len(ics) != case.state_dim:
@@ -764,13 +756,12 @@ def fit_initial_amplitudes(
         while True:
             res = residual(vec, e)
             norm = np.max(np.abs(res))
-            if norm < newton_tol:
+            if norm < 1e-12:
                 break
-            if iterations >= max_iter:
+            if iterations >= 50:
                 raise SolverError(
                     f"initial-amplitude fit for {case.name} did not reach "
-                    f"{newton_tol} in {max_iter} Newton iterations "
-                    f"(residual {norm:.3e})"
+                    f"1e-12 in 50 Newton iterations (residual {norm:.3e})"
                 )
             step = np.linalg.solve(fd_jacobian(vec, e), -res)
             lam = 1.0
@@ -816,7 +807,6 @@ def compare(
     ics=None,
     n_samples: int = 2048,
     use_closed_form: bool = False,
-    keep_trajectories: bool = False,
     horizon: float | None = None,
 ) -> RunReport:
     """Run the direct and multiscale paths on a shared grid and record errors.
@@ -824,7 +814,9 @@ def compare(
     The horizon is eps**(-horizon_exponent), or ``horizon`` when given
     explicitly, and at most ``MAX_HORIZON``; the output grid always holds
     ``n_samples`` uniform points so error norms are comparable across eps.
-    ``l2_error`` is the RMS of the pointwise euclidean error norm.  When the
+    ``l2_error`` is the RMS of the pointwise euclidean error norm.
+    ``stats["trajectories"]`` always holds the compared series, ``y_direct``
+    and ``y_multiscale``, each of shape (n_components, n_samples).  When the
     case has an exact solution its errors are recorded in ``stats`` as well.
     """
     if (horizon is None) == (horizon_exponent is None):
@@ -871,6 +863,7 @@ def compare(
         "rtol": rtol,
         "atol": atol,
         "ics": list(ics),
+        "trajectories": {"y_direct": y_direct, "y_multiscale": y_ms},
     }
     if case.exact is not None:
         y_exact = np.asarray(case.exact(grid, eps))
@@ -878,8 +871,6 @@ def compare(
         stats["max_abs_error_direct_vs_exact"] = float(
             np.max(np.abs(y_exact - y_direct))
         )
-    if keep_trajectories:
-        stats["trajectories"] = {"y_direct": y_direct, "y_multiscale": np.real(y_ms)}
     return RunReport(
         case=case.name,
         eps=eps,

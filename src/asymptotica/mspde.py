@@ -46,9 +46,10 @@ quadratic terms, the 1/2 rule for cubic ones).
 Envelope equations are integrated by Strang-split steps whose linear part is
 exact in transform space and whose pointwise nonlinear part is exact
 (single wave) or one classical fourth-order Runge-Kutta stage (coupled pair).
-The single-wave kick leaves |A| unchanged, so the closing half kick of one
-step and the opening half kick of the next are merged into one full kick;
-the scheme is still second-order Strang.
+The half substeps that close one step and open the next are merged into one
+full substep: the kicks of the single wave (which leave |A| unchanged) and
+the linear transports of the coupled pair; the scheme is still second-order
+Strang.
 """
 
 from __future__ import annotations
@@ -144,14 +145,15 @@ def phase_match_residual(d: Dispersion, n: int, k: float) -> float:
     return float(d.omega(n * k) - n * d.omega(k))
 
 
-def find_phase_matched(
-    d: Dispersion, n: int, k_range: tuple[float, float], n_grid: int = 2000
-) -> list[float]:
-    """Phase-matched carriers in k_range, bisected to 1e-12 from grid sign changes."""
+def find_phase_matched(d: Dispersion, n: int, k_range: tuple[float, float]) -> list[float]:
+    """Phase-matched carriers in k_range.
+
+    The sign changes of the residual on a 2000-point grid, bisected to 1e-12.
+    """
     lo, hi = k_range
     if hi <= lo:
         return []
-    ks = np.linspace(lo, hi, n_grid)
+    ks = np.linspace(lo, hi, 2000)
     vals = np.array([phase_match_residual(d, n, k) for k in ks])
     roots = []
     for i in np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]:
@@ -426,7 +428,10 @@ def solve_two_wave(
     """Coupled envelopes at a phase-matched carrier (k and 3k).
 
     Linear transport is exact per wave; the coupled cubic terms are advanced
-    by one classical fourth-order Runge-Kutta stage per split step.
+    by one classical fourth-order Runge-Kutta stage per split step.  The
+    closing half transport of one step and the opening half transport of the
+    next are merged into one full transport, so only the first and the last
+    step keep a half; the scheme is still second-order Strang.
     """
     d = dispersion(fld_a.kind)
     if d.resonance is None or dispersion(fld_b.kind) is not d:
@@ -446,22 +451,22 @@ def solve_two_wave(
         ra, rb = d.resonance(a, b, fld_a.eps)
         return ra / (2j * om1), rb / (2j * om3)
 
+    def transport(a, b, lin):
+        return np.fft.ifft(lin[0] * np.fft.fft(a)), np.fft.ifft(lin[1] * np.fft.fft(b))
+
     steps = int(_split_steps(t_end, dt))
     h = t_end / steps
-    lin_a = np.exp(-1j * om1p * kappa * 0.5 * h)
-    lin_b = np.exp(-1j * om3p * kappa * 0.5 * h)
-    a, b = fld_a.values.copy(), fld_b.values.copy()
-    for _ in range(steps):
-        a = np.fft.ifft(lin_a * np.fft.fft(a))
-        b = np.fft.ifft(lin_b * np.fft.fft(b))
+    half, full = ((np.exp(-1j * om1p * kappa * span), np.exp(-1j * om3p * kappa * span))
+                  for span in (0.5 * h, h))
+    a, b = transport(fld_a.values, fld_b.values, half)
+    for step in range(steps):
         ka1, kb1 = nonlinear(a, b)
         ka2, kb2 = nonlinear(a + 0.5 * h * ka1, b + 0.5 * h * kb1)
         ka3, kb3 = nonlinear(a + 0.5 * h * ka2, b + 0.5 * h * kb2)
         ka4, kb4 = nonlinear(a + h * ka3, b + h * kb3)
         a = a + h / 6.0 * (ka1 + 2.0 * ka2 + 2.0 * ka3 + ka4)
         b = b + h / 6.0 * (kb1 + 2.0 * kb2 + 2.0 * kb3 + kb4)
-        a = np.fft.ifft(lin_a * np.fft.fft(a))
-        b = np.fft.ifft(lin_b * np.fft.fft(b))
+        a, b = transport(a, b, full if step < steps - 1 else half)
     return replace(fld_a, values=a), replace(fld_b, values=b)
 
 
@@ -546,10 +551,8 @@ def packet_compare(
     checkpoints: Sequence[float] | None = None,
     dt: float = 0.05,
     rtol: float = 1e-9,
-    atol: float = 1e-11,
     kind: str = "klein_gordon",
     points_per_wavelength: int = 16,
-    keep_fields: bool = False,
 ) -> RunReport:
     """Direct solve versus envelope evolution for one Gaussian wave packet.
 
@@ -557,10 +560,12 @@ def packet_compare(
     both paths then evolve independently and are compared at the checkpoint
     times.  ``l2_error`` is the relative L2 error at the final checkpoint;
     ``error`` holds the per-checkpoint relative L2 errors; ``stats`` records
-    the grid, the direct run's energy drift and the envelope's L2 drift
-    (plus, with ``keep_fields``, the compared snapshots themselves).  The
-    horizon and the split-step count are held to ``MAX_HORIZON`` and
-    ``MAX_SPLIT_STEPS`` before any solve.
+    the grid, the direct run's energy drift and the envelope's L2 drift, and
+    ``stats["fields"]`` always holds the compared snapshots themselves: the
+    grid ``x`` and, per checkpoint, ``t``, ``direct`` and ``reconstructed``.
+    The direct solve runs at atol 1e-11.  The horizon and the split-step
+    count are held to ``MAX_HORIZON`` and ``MAX_SPLIT_STEPS`` before any
+    solve.
     """
     if amplitude == 0:
         raise ValueError("a zero-amplitude packet has no relative error")
@@ -585,7 +590,7 @@ def packet_compare(
     )
     u0 = reconstruct_field(packet, 0.0, order)
     direct = _solve_direct(
-        eps, u0, max(checkpoints), kind, rtol, t_eval=checkpoints, atol=atol
+        eps, u0, max(checkpoints), kind, rtol, t_eval=checkpoints, atol=1e-11
     )
     envelopes = solve_nls(packet, max(checkpoints), dt, checkpoints=checkpoints)
 
@@ -597,14 +602,12 @@ def packet_compare(
         diff = snap.u - rec.u
         rel_errors.append(float(np.linalg.norm(diff) / np.linalg.norm(snap.u)))
         abs_errors.append(float(np.max(np.abs(diff))))
-        if keep_fields:
-            snapshots.append({"t": t, "direct": snap.u, "reconstructed": rec.u})
+        snapshots.append({"t": t, "direct": snap.u, "reconstructed": rec.u})
 
     e_start = energy(u0, eps, kind)
     e_end = energy(direct.fields[-1], eps, kind)
     l2_start = float(np.linalg.norm(packet.values))
     l2_end = float(np.linalg.norm(envelopes[-1].values))
-    extra = {"fields": {"x": packet.x, "snapshots": snapshots}} if keep_fields else {}
     return RunReport(
         case=f"packet_{kind}",
         eps=eps,
@@ -626,6 +629,6 @@ def packet_compare(
             "energy_drift_rel": abs(e_end - e_start) / max(abs(e_start), 1e-300),
             "envelope_l2_drift_rel": abs(l2_end - l2_start) / l2_start,
             "nfev_direct": direct.meta["nfev"],
-            **extra,
+            "fields": {"x": packet.x, "snapshots": snapshots},
         },
     )

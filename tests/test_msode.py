@@ -210,6 +210,21 @@ def test_reconstruct_dt_matches_finite_difference(name):
     assert errors[1] <= 1e-4
 
 
+@pytest.mark.parametrize("name", msode.case_names())
+def test_derived_sizes_agree_with_the_declaration(name):
+    case = catalog(name)
+    state = case.original_rhs(0.0, np.asarray(case.default_ics), 0.1)
+    assert len(state) == case.state_dim == 2 * case.n_components
+    amps = np.full(case.n_amplitudes, 0.3 + 0.1j)
+    if case.real_amplitudes:
+        amps = amps.real
+    assert np.shape(case.reconstruct(0.0, amps, 0.1))[0] == case.n_components
+    assert len(case.rate(amps, 0.1, 2)) == case.n_amplitudes
+    for comp, _, _, powers, _ in case.carrier_terms:
+        assert len(powers) == case.n_amplitudes
+        assert 0 <= comp < case.n_components
+
+
 def test_fit_coupled_roundtrip():
     case = catalog("coupled_cubic")
     ics = case.default_ics

@@ -268,6 +268,22 @@ def test_two_wave_uniform_reduces_to_ode():
     assert abs(out_b.values[0] - b_ref) <= 1e-8
 
 
+def test_two_wave_merges_adjacent_half_transports(monkeypatch):
+    # one half transport per wave before the loop, a full one between the
+    # Runge-Kutta stages and a half one at the end: 2 + 2 * 10 transforms
+    # of each kind for 10 steps, where unmerged halves would take 40
+    calls = {"fft": 0, "ifft": 0}
+    for name, transform in [("fft", np.fft.fft), ("ifft", np.fft.ifft)]:
+        def counted(*args, _name=name, _transform=transform, **kwargs):
+            calls[_name] += 1
+            return _transform(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    k, a, b = _phase_matched_pair()
+    solve_two_wave(a, b, 1.0, 0.1)
+    assert calls["fft"] <= 22 and calls["ifft"] <= 22
+
+
 def test_reconstruct_constant_envelope():
     n, mode = 128, 4
     length = 16.0 * np.pi
