@@ -288,14 +288,11 @@ _PI = Schema(
 def _run_pi(cfg: dict, out: Path, name: str) -> tuple[dict, list[dict]]:
     if "fixture" in cfg:
         try:
-            text = Path(cfg["fixture"]).read_text()
+            qs = dimsys.parse_quantity_set(Path(cfg["fixture"]).read_text())
         except OSError as exc:
             raise ConfigError(f"pi: cannot read fixture: {exc}") from None
     else:
-        lines = [f"base: {cfg['base']}"]
-        lines += [f"{k}: {v}" for k, v in cfg["quantities"].items()]
-        text = "\n".join(lines)
-    qs = dimsys.parse_quantity_set(text)
+        qs = dimsys.quantity_set(cfg["base"].split(), cfg["quantities"].items())
     groups = dimsys.pi_groups(qs)
     membership = {}
     for label, exponents in cfg["membership"].items():
@@ -308,7 +305,7 @@ def _run_pi(cfg: dict, out: Path, name: str) -> tuple[dict, list[dict]]:
         "quantities": list(qs.names),
         "group_count": len(groups),
         "groups": [
-            {k: str(v) for k, v in g.as_mapping().items() if v != 0} for g in groups
+            {k: str(v) for k, v in zip(qs.names, g) if v != 0} for g in groups
         ],
         "membership": membership,
     }

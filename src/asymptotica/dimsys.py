@@ -1,15 +1,18 @@
 """Exact-arithmetic dimensional analysis.
 
-Physical quantities are dimension-exponent vectors over an ordered list of
-base quantities (e.g. L, T, M).  A monomial ``Q_1^{x_1} ... Q_n^{x_n}`` is
-dimensionless iff the exponent vector ``x`` lies in the nullspace of the
-k-by-n dimension matrix, so a basis of dimensionless groups is a basis of
-that nullspace.  Everything here is done in exact rational arithmetic
+A :class:`QuantitySet` is an ordered list of base quantities (e.g. L, T, M),
+an ordered list of named physical quantities and the k-by-n dimension matrix
+whose entry (s, j) is the exponent of base quantity s in quantity j.  A
+monomial ``Q_1^{x_1} ... Q_n^{x_n}`` is dimensionless iff the exponent vector
+``x`` lies in the nullspace of that matrix, so a basis of dimensionless
+groups is a basis of the nullspace, returned as exponent tuples in the order
+of the quantity names.  Everything here is done in exact rational arithmetic
 (``fractions.Fraction``); floating point is deliberately not used because
 group identity must be exact (exponents like 1/2 are common).
 
-Quantity declarations use a small text format that transcribes dimension
-tables directly::
+:func:`quantity_set` builds a set from the base symbols and ``(name,
+dimensions)`` pairs, each dimension written as ``"L T^-2"``.  Fixtures use a
+small text format that transcribes dimension tables directly::
 
     base: L T M
     t: T
@@ -24,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 
 class DimensionError(ValueError):
@@ -32,75 +35,17 @@ class DimensionError(ValueError):
 
 
 @dataclass(frozen=True)
-class BaseSystem:
-    """Ordered list of base-quantity symbols, e.g. ("L", "T", "M")."""
-
-    names: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.names) < 1:
-            raise DimensionError("a base system needs at least one base quantity")
-        if len(set(self.names)) != len(self.names):
-            raise DimensionError(f"duplicate base-quantity symbols in {self.names}")
-        if any(not n for n in self.names):
-            raise DimensionError("base-quantity symbols must be nonempty")
-
-    @property
-    def k(self) -> int:
-        return len(self.names)
-
-
-@dataclass(frozen=True)
-class DimensionVector:
-    """Exponent of each base quantity in one physical quantity."""
-
-    base: BaseSystem
-    exponents: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.exponents) != self.base.k:
-            raise DimensionError(
-                f"expected {self.base.k} exponents, got {len(self.exponents)}"
-            )
-        object.__setattr__(
-            self, "exponents", tuple(Fraction(e) for e in self.exponents)
-        )
-
-
-@dataclass(frozen=True)
 class QuantitySet:
-    """Ordered, named quantities sharing one base system."""
+    """Named quantities over one ordered base: ``matrix[s][j]`` is the exponent
+    of base symbol ``base[s]`` in quantity ``names[j]``."""
 
-    base: BaseSystem
+    base: tuple[str, ...]
     names: tuple[str, ...]
-    vectors: tuple[DimensionVector, ...]
-
-    def __post_init__(self):
-        if len(self.names) != len(self.vectors):
-            raise DimensionError("names and dimension vectors must pair up")
-        if len(set(self.names)) != len(self.names):
-            raise DimensionError(f"duplicate quantity names in {self.names}")
-        for v in self.vectors:
-            if v.base != self.base:
-                raise DimensionError(
-                    f"quantity declared in base system {v.base.names}, "
-                    f"expected {self.base.names}"
-                )
+    matrix: tuple[tuple[Fraction, ...], ...]
 
     @property
     def n(self) -> int:
         return len(self.names)
-
-
-@dataclass(frozen=True)
-class PiGroup:
-    """Exponent per quantity of one dimensionless monomial."""
-
-    quantities: QuantitySet
-    exponents: tuple[Fraction, ...]
-
-    def as_mapping(self) -> dict[str, Fraction]:
-        return dict(zip(self.quantities.names, self.exponents))
 
 
 def parse_exponent(text: str) -> Fraction:
@@ -110,25 +55,43 @@ def parse_exponent(text: str) -> Fraction:
         raise DimensionError(f"bad exponent {text!r}") from exc
 
 
-def parse_dimension(base: BaseSystem, text: str) -> DimensionVector:
-    """Parse e.g. ``"L T^-2"`` or ``"M^1/2 L^2 T^3"``; ``""`` or ``"1"`` is a pure number."""
-    exps = {name: Fraction(0) for name in base.names}
+def parse_dimension(base: Sequence[str], text: str) -> tuple[Fraction, ...]:
+    """Exponent per base symbol of e.g. ``"L T^-2"`` or ``"M^1/2 L^2 T^3"``;
+    ``""`` or ``"1"`` is a pure number."""
+    exps = {name: Fraction(0) for name in base}
     text = text.strip()
     if text in ("", "1"):
-        return DimensionVector(base, tuple(exps[n] for n in base.names))
+        return tuple(exps.values())
     for token in text.split():
         sym, _, raw = token.partition("^")
         if sym not in exps:
-            raise DimensionError(f"unknown base symbol {sym!r} (base is {base.names})")
+            raise DimensionError(f"unknown base symbol {sym!r} (base is {tuple(base)})")
         exps[sym] += parse_exponent(raw) if raw else Fraction(1)
-    return DimensionVector(base, tuple(exps[n] for n in base.names))
+    return tuple(exps.values())
+
+
+def quantity_set(base: Iterable[str], pairs: Iterable[tuple[str, str]]) -> QuantitySet:
+    """The quantities ``(name, dimensions)`` of ``pairs``, in order, over the
+    base symbols ``base``."""
+    base = tuple(base)
+    if not base:
+        raise DimensionError("a base system needs at least one base quantity")
+    if len(set(base)) != len(base):
+        raise DimensionError(f"duplicate base-quantity symbols in {base}")
+    pairs = list(pairs)
+    columns = [parse_dimension(base, dims) for _, dims in pairs]
+    names = tuple(name for name, _ in pairs)
+    if not names:
+        raise DimensionError("no quantities declared")
+    if len(set(names)) != len(names):
+        raise DimensionError(f"duplicate quantity names in {names}")
+    return QuantitySet(base, names, tuple(zip(*columns)))
 
 
 def parse_quantity_set(text: str) -> QuantitySet:
     """Parse a fixture: a ``base:`` line followed by one ``name: dims`` line per quantity."""
-    base: BaseSystem | None = None
-    names: list[str] = []
-    vectors: list[DimensionVector] = []
+    base = None
+    pairs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -137,25 +100,20 @@ def parse_quantity_set(text: str) -> QuantitySet:
             raise DimensionError(f"line {lineno}: expected 'name: dimensions'")
         name, _, rhs = line.partition(":")
         name = name.strip()
-        if name == "base":
-            base = BaseSystem(tuple(rhs.split()))
-            continue
-        if base is None:
+        if name == "base" and not pairs:
+            base = rhs.split()
+        elif base is None or name == "base":
             raise DimensionError("fixture must declare 'base: ...' before quantities")
-        names.append(name)
-        vectors.append(parse_dimension(base, rhs))
-    if base is None or not names:
+        else:
+            pairs.append((name, rhs))
+    if base is None:
         raise DimensionError("fixture declares no quantities")
-    return QuantitySet(base, tuple(names), tuple(vectors))
+    return quantity_set(base, pairs)
 
 
 def dimension_matrix(qs: QuantitySet) -> list[list[Fraction]]:
     """k-by-n matrix: entry (s, j) is the exponent of base quantity s in quantity j."""
-    if qs.n == 0:
-        raise DimensionError("empty quantity set")
-    return [
-        [qs.vectors[j].exponents[s] for j in range(qs.n)] for s in range(qs.base.k)
-    ]
+    return [list(row) for row in qs.matrix]
 
 
 def _rref(matrix: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -225,9 +183,10 @@ def rational_nullspace(matrix: Sequence[Sequence[Fraction]]) -> list[tuple[Fract
     return basis
 
 
-def pi_groups(qs: QuantitySet) -> list[PiGroup]:
-    """Basis of the lattice of dimensionless monomials; count = n - rank."""
-    return [PiGroup(qs, vec) for vec in rational_nullspace(dimension_matrix(qs))]
+def pi_groups(qs: QuantitySet) -> list[tuple[Fraction, ...]]:
+    """Basis of the lattice of dimensionless monomials, as exponent tuples in
+    ``qs.names`` order; count = n - rank."""
+    return rational_nullspace(dimension_matrix(qs))
 
 
 def is_dimensionless(qs: QuantitySet, x: Sequence[Fraction]) -> bool:
@@ -269,5 +228,4 @@ def group_membership(qs: QuantitySet, target: dict[str, Fraction]) -> list[Fract
     if unknown:
         raise DimensionError(f"unknown quantity names {sorted(unknown)}")
     vec = [Fraction(target.get(name, 0)) for name in qs.names]
-    basis = [g.exponents for g in pi_groups(qs)]
-    return span_coefficients(basis, vec)
+    return span_coefficients(pi_groups(qs), vec)

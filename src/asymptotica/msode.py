@@ -365,7 +365,7 @@ def integrate_reference(
     ``n_rejected``) and the tolerances.  Raises :class:`SolverError` when the
     step size falls under ten times the spacing of doubles at t ("Required
     step size is less than spacing between numbers"), as it does at a
-    finite-time blow-up.
+    finite-time blow-up; the message names that t.
     """
     if rtol <= 0 or atol <= 0:
         raise ValueError("rtol and atol must be positive")
@@ -411,9 +411,8 @@ def integrate_reference(
         rejected = False
         while True:
             if h_abs < min_step:
-                last = ts[-1] if t_eval is None else (t_eval[n_eval - 1] if n_eval else t_span[0])
                 raise SolverError(
-                    f"reference integration failed at t={last}: {_STEP_TOO_SMALL} (nfev={nfev})"
+                    f"reference integration failed at t={t}: {_STEP_TOO_SMALL} (nfev={nfev})"
                 )
             t_new = min(t + h_abs, t_bound)
             h = t_new - t

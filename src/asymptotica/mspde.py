@@ -153,8 +153,10 @@ def find_phase_matched(d: Dispersion, n: int, k_range: tuple[float, float]) -> l
     lo, hi = k_range
     if hi <= lo:
         return []
+    if n not in (2, 3):
+        raise ValueError("harmonic order must be 2 or 3")
     ks = np.linspace(lo, hi, 2000)
-    vals = np.array([phase_match_residual(d, n, k) for k in ks])
+    vals = d.omega(n * ks) - n * d.omega(ks)  # phase_match_residual over the grid
     roots = []
     for i in np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]:
         a, b = ks[i], ks[i + 1]
@@ -546,7 +548,6 @@ def packet_compare(
     k: float,
     amplitude: float = 0.5,
     sigma_wavelengths: float = 10.0,
-    t_end: float | None = None,
     order: int = 1,
     checkpoints: Sequence[float] | None = None,
     dt: float = 0.05,
@@ -558,7 +559,9 @@ def packet_compare(
 
     The direct solver starts from the order-``order`` reconstruction at t=0;
     both paths then evolve independently and are compared at the checkpoint
-    times.  ``l2_error`` is the relative L2 error at the final checkpoint;
+    times, which default to ``[1/eps]``; the domain is sized for the horizon
+    ``max(1/eps, max(checkpoints))``, the last checkpoint alone when eps <= 0.
+    ``l2_error`` is the relative L2 error at the final checkpoint;
     ``error`` holds the per-checkpoint relative L2 errors; ``stats`` records
     the grid, the direct run's energy drift and the envelope's L2 drift, and
     ``stats["fields"]`` always holds the compared snapshots themselves: the
@@ -569,12 +572,10 @@ def packet_compare(
     """
     if amplitude == 0:
         raise ValueError("a zero-amplitude packet has no relative error")
-    if t_end is None and checkpoints is None and eps <= 0:
-        raise ValueError("eps <= 0 needs an explicit t_end or checkpoints")
-    if t_end is None:
-        t_end = 1.0 / eps if eps > 0 else max(checkpoints)
-    checkpoints = [t_end] if checkpoints is None else list(checkpoints)
-    horizon = max(t_end, max(checkpoints))
+    if checkpoints is None and eps <= 0:
+        raise ValueError("eps <= 0 needs explicit checkpoints")
+    checkpoints = [1.0 / eps] if checkpoints is None else list(checkpoints)
+    horizon = max(1.0 / eps if eps > 0 else 0, max(checkpoints))
     if horizon > MAX_HORIZON:
         raise ValueError(f"horizon {horizon} is above the budget of {MAX_HORIZON}")
     if dt <= 0:

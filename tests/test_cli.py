@@ -47,6 +47,31 @@ def test_pi_fixture_file(tmp_path):
     assert main(["pi", "--config", cfg, "--out-dir", str(tmp_path)]) == EXIT_OK
 
 
+@pytest.mark.parametrize(
+    "quantities,group",
+    [
+        # in the fixture text format these would read as a second base line
+        # and as a name "a" with dimensions "b: L"
+        ({"x": "L", "t": "T", "base": "L T"}, {"x": "1", "t": "1", "base": "-1"}),
+        ({"a:b": "L", "c": "L"}, {"a:b": "1", "c": "-1"}),
+    ],
+)
+def test_pi_inline_names_are_taken_verbatim(tmp_path, quantities, group):
+    cfg = write_config(tmp_path, "inline.json", {"base": "L T", "quantities": quantities})
+    assert main(["pi", "--config", cfg, "--out-dir", str(tmp_path)]) == EXIT_OK
+    result = read_summary(tmp_path, "inline")["result"]
+    assert result["quantities"] == list(quantities)
+    assert result["groups"] == [group]
+
+
+def test_pi_inline_hash_in_dimensions_is_not_a_comment(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path, "hash.json", {"base": "L T", "quantities": {"v": "L # T^-1", "x": "L"}}
+    )
+    assert main(["pi", "--config", cfg, "--out-dir", str(tmp_path)]) == EXIT_CONFIG
+    assert "unknown base symbol '#'" in capsys.readouterr().err
+
+
 def test_ode_component_column_for_coupled_case(tmp_path):
     cfg = write_config(
         tmp_path, "coupled.json",

@@ -10,7 +10,7 @@ import re
 import numpy as np
 import pytest
 import scipy
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 
 from asymptotica import mspde
 from asymptotica.msode import SolverError, catalog, integrate_reference
@@ -86,8 +86,13 @@ def test_blow_up_fails_where_scipy_fails(t_eval):
 
     ref = solve_with_scipy(blow_up, [2.0], (0.0, 1.0), 1e-10, 1e-12, t_eval)
     assert ref.status == -1
+    # the t where scipy's own stepper stops, whatever t_eval samples
+    stepper = DOP853(blow_up, 0.0, np.array([2.0]), 1.0, rtol=1e-10, atol=1e-12)
+    while stepper.status == "running":
+        stepper.step()
+    assert stepper.status == "failed"
     with pytest.raises(SolverError) as failure:
         integrate_reference(blow_up, [2.0], (0.0, 1.0), 1e-10, 1e-12, t_eval=t_eval)
     assert str(failure.value) == (
-        f"reference integration failed at t={ref.t[-1]}: {ref.message} (nfev={ref.nfev})"
+        f"reference integration failed at t={stepper.t}: {ref.message} (nfev={ref.nfev})"
     )
