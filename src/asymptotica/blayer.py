@@ -27,7 +27,10 @@ nonlinear
 
 Both problems are eps y'' + y' + f(y) = 0 with f(y) = -y resp. y^2.
 :func:`solve_bvp_fd` provides the independent reference: a second-order
-centered finite-difference discretization, solved by damped Newton.
+centered finite-difference discretization, solved by damped Newton.  Each
+Newton step is one tridiagonal solve, :func:`solve_banded`, a pure-Python
+transcription of LAPACK's ``dgtsv`` that gives scipy's bits without loading
+scipy.
 """
 
 from __future__ import annotations
@@ -36,18 +39,52 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .msode import SolverError, catalog, integrate_reference
+from . import SolverError
+from .integrator import integrate_reference
+from .msode import catalog
 
 
-def solve_banded(l_and_u, ab, b):
-    """scipy.linalg.solve_banded, imported on the first finite-difference solve.
+def solve_banded(ab, b) -> np.ndarray:
+    """Solve a tridiagonal system by Gaussian elimination with partial pivoting.
 
-    A module-level name, so runs that never take the FD path never load
-    scipy.linalg.
+    ``ab`` holds the matrix in banded storage: superdiagonal ``ab[0, 1:]``,
+    diagonal ``ab[1]``, subdiagonal ``ab[2, :-1]``.  A transcription of
+    reference LAPACK ``dgtsv`` for one right-hand side, row interchanges
+    included, so it returns the bits ``scipy.linalg.solve_banded((1, 1),
+    ab, b)`` returns.  Raises :class:`SolverError` on a zero pivot.
     """
-    from scipy.linalg import solve_banded as banded
-
-    return banded(l_and_u, ab, b)
+    d = ab[1].tolist()
+    n = len(d)
+    du = ab[0, 1:].tolist() + [0.0]  # du[n - 1] pads the last row's interchange
+    dl = ab[2, :-1].tolist()
+    x = np.asarray(b, dtype=float).tolist()
+    for i in range(n - 1):
+        di, li = d[i], dl[i]
+        # dgtsv's test, negated so that a NaN skips the interchange and no
+        # division by zero can raise
+        if abs(di) < abs(li):  # interchange rows i and i + 1
+            fact = di / li
+            d[i], temp = li, d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            dl[i] = du[i + 1]
+            du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            x[i], x[i + 1] = x[i + 1], x[i] - fact * x[i + 1]
+        else:
+            if di == 0.0:
+                raise SolverError(f"tridiagonal solve hit a zero pivot in row {i}")
+            fact = li / di
+            d[i + 1] -= fact * du[i]
+            x[i + 1] -= fact * x[i]
+            dl[i] = 0.0  # dl becomes the second superdiagonal of U
+    if d[n - 1] == 0.0:
+        raise SolverError(f"tridiagonal solve hit a zero pivot in row {n - 1}")
+    x[n - 1] = x[n - 1] / d[n - 1]
+    if n > 1:
+        x[n - 2] = (x[n - 2] - du[n - 2] * x[n - 1]) / d[n - 2]
+    for i in range(n - 3, -1, -1):
+        x[i] = (x[i] - du[i] * x[i + 1] - dl[i] * x[i + 2]) / d[i]
+    return np.array(x)
 
 
 # f and f' of eps y'' + y' + f(y) = 0, per problem kind
@@ -78,7 +115,8 @@ def nonlinear_problem(eps: float) -> BvpProblem:
     return BvpProblem(eps=eps, kind="nonlinear", boundary=(0.0, 0.5))
 
 
-_EPS_FLOOR = 1e-6
+LINEAR_EPS_FLOOR = 1e-6  # the linear closed form's smallest eps
+NONLINEAR_EPS_MAX = 0.17  # the nonlinear shooting's largest eps
 
 
 def linear_blayer_multiscale(x, eps: float):
@@ -88,8 +126,8 @@ def linear_blayer_multiscale(x, eps: float):
     / (1 - e^{-s}) with s = 2 - 2 eps + 1/eps > 0, so every exponent is
     nonpositive on [0, 1]; both boundary values then come out exact.
     """
-    if eps < _EPS_FLOOR:
-        raise ValueError(f"eps below the overflow-safe floor {_EPS_FLOOR}")
+    if eps < LINEAR_EPS_FLOOR:
+        raise ValueError(f"eps below the overflow-safe floor {LINEAR_EPS_FLOOR}")
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0) or np.any(x > 1.0):
         raise ValueError("x must lie in [0, 1]")
@@ -140,7 +178,7 @@ def solve_bvp_fd(problem: BvpProblem, n: int) -> tuple[np.ndarray, np.ndarray]:
         res = residual(y_int)
         norm = np.max(np.abs(res))
         ab[1, :] = -2.0 * eps + h**2 * f_prime(y_int)
-        step = solve_banded((1, 1), ab, -res)
+        step = solve_banded(ab, -res)
         size = np.max(np.abs(step))
         lam = 1.0  # a step within the tolerance is taken whole
         while (
@@ -208,8 +246,8 @@ def nonlinear_blayer_multiscale(eps: float, shoot_tol: float = 1e-10) -> Shootin
     50 iterations.  Above eps ~ 0.1716 the two-term ansatz has no root: max
     over B0 of F(B0) is +3.5e-3 at eps = 0.17 and -8.5e-4 at eps = 0.172.
     """
-    if not 0.0 < eps <= 0.17:
-        raise ValueError("supported range is 0 < eps <= 0.17")
+    if not 0.0 < eps <= NONLINEAR_EPS_MAX:
+        raise ValueError(f"supported range is 0 < eps <= {NONLINEAR_EPS_MAX}")
     xi_end = 1.0 / eps
 
     def boundary_mismatch(b0: float) -> float:

@@ -21,6 +21,10 @@ on success, 1 if any declared predicate fails, 2 on a config error
 (including the library's own argument checks), 3 on a solver failure and 4
 on an internal error, reported in one line without a traceback.  ``--jobs``
 fans out across independent configs only, one worker per config at most.
+
+The solver modules and numpy load inside the ``ode``, ``blayer`` and ``pde``
+declarations and runners, so ``pi``, ``roots`` and ``euler`` runs never
+import them.
 """
 
 from __future__ import annotations
@@ -33,10 +37,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-import numpy as np
-
-from . import blayer, dimsys, mspde, msode, series
-from .msode import SolverError
+from . import SolverError, dimsys, series
 
 EXIT_OK = 0
 EXIT_ACCEPT = 1
@@ -59,7 +60,7 @@ def _dump_json(obj, path: Path):
     path.write_text(json.dumps(obj, indent=2, default=lambda o: o.tolist()) + "\n")
 
 
-def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]):
+def _write_csv(path: Path, header: list[str], columns: list):
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in zip(*columns):
@@ -130,12 +131,16 @@ def _each(item: Callable, container: type = list, min_len=0, max_len=math.inf) -
     return parse
 
 
-def _eps_sweep(value) -> list[float]:
-    """One eps or a list of them, as floats; runs and CSV files are keyed by eps."""
-    values = _each(_real, list, 1)(value if isinstance(value, list) else [value])
-    if len(set(values)) != len(values):
-        raise ValueError(f"values must be distinct, got {values}")
-    return values
+def _eps_sweep(member: Callable = _real) -> Callable:
+    """One eps or a list of ``member`` values; runs and CSV files are keyed by eps."""
+
+    def parse(value) -> list[float]:
+        values = _each(member, list, 1)(value if isinstance(value, list) else [value])
+        if len(set(values)) != len(values):
+            raise ValueError(f"values must be distinct, got {values}")
+        return values
+
+    return parse
 
 
 def _checkpoints(value) -> list[float]:
@@ -190,7 +195,8 @@ class Schema(NamedTuple):
     """The keys and accept predicates of one subcommand's config.
 
     ``variant`` maps the config typed so far to a further Schema (or None)
-    whose keys and predicates apply on top of these.
+    whose keys and predicates apply on top of these; it may raise ValueError
+    for a typed config the library rejects, so that no run starts.
     """
 
     keys: dict
@@ -258,6 +264,8 @@ def _sweep(cfg: dict, run: Callable) -> list:
     eps_values = cfg["eps"]
     order = list(range(len(eps_values)))
     if "seed" in cfg and len(eps_values) > 1:
+        import numpy as np
+
         np.random.default_rng(cfg["seed"]).shuffle(order)
     results = {i: run(eps_values[i]) for i in order}
     return [results[i] for i in range(len(eps_values))]
@@ -387,31 +395,49 @@ def _run_euler(cfg: dict, out: Path, name: str) -> tuple[dict, list[dict]]:
     return summary, [{"within_bound": within}]
 
 
-_ODE = Schema(
-    keys={
-        "case": Key(_one_of(*msode.case_names()), _REQUIRED),
-        "eps": Key(_eps_sweep, _REQUIRED),
-        "seed": Key(_int(0)),
-        "horizon": Key(_positive),
-        "horizon_exponent": Key(_int()),
-        "terms": Key(_int(1, 2), 2),
-        "rtol": Key(_positive, 1e-10),
-        "atol": Key(_positive, 1e-12),
-        "ics": Key(_each(_number)),
-        "n_samples": Key(_int(2, 2**20), 2048),
-        "use_closed_form": Key(_bool, False),
-    },
-    accept={
-        "max_abs_error_le": Accept(_positive, "max_abs_error", "le"),
-        "l2_error_le": Accept(_positive, "l2_error", "le"),
-    },
-    variant=lambda cfg: (
-        Schema({"include_naive": Key(_bool, False)}) if cfg["case"] == "damped_linear" else None
-    ),
-)
+def _ode_keys() -> Schema:
+    from . import msode
+
+    return Schema(
+        keys={
+            "case": Key(_one_of(*msode.case_names()), _REQUIRED),
+            "eps": Key(_eps_sweep(), _REQUIRED),
+            "seed": Key(_int(0)),
+            "horizon": Key(_positive),
+            "horizon_exponent": Key(_int()),
+            "terms": Key(_int(1, 2), 2),
+            "rtol": Key(_positive, 1e-10),
+            "atol": Key(_positive, 1e-12),
+            "ics": Key(_each(_number)),
+            "n_samples": Key(_int(2, 2**20), 2048),
+            "use_closed_form": Key(_bool, False),
+        },
+        accept={
+            "max_abs_error_le": Accept(_positive, "max_abs_error", "le"),
+            "l2_error_le": Accept(_positive, "l2_error", "le"),
+        },
+        variant=_ode_case,
+    )
+
+
+def _ode_case(cfg: dict) -> Schema | None:
+    from . import msode
+
+    case = msode.catalog(cfg["case"])
+    for eps in cfg["eps"]:  # every member's horizon, before the first one runs
+        msode.resolve_horizon(case, eps, cfg.get("horizon_exponent"), cfg.get("horizon"))
+    return Schema({"include_naive": Key(_bool, False)}) if case.name == "damped_linear" else None
+
+
+# the case list is msode's, read when an ode config is typed
+_ODE = Schema(keys={}, variant=lambda cfg: _ode_keys())
 
 
 def _run_ode(cfg: dict, out: Path, name: str) -> tuple[dict, list[dict]]:
+    import numpy as np
+
+    from . import msode
+
     case = msode.catalog(cfg["case"])
     # the other keys are keyword arguments of msode.compare
     cli_keys = ("name", "case", "eps", "seed", "include_naive")
@@ -448,24 +474,38 @@ def _run_ode(cfg: dict, out: Path, name: str) -> tuple[dict, list[dict]]:
     return {"case": case.name, "runs": runs}, runs
 
 
+def _blayer_kind(cfg: dict) -> Schema:
+    """The eps range of each layer kind, read from blayer, so that no member
+    of a sweep fails after the others have run."""
+    from . import blayer
+
+    if cfg["kind"] == "linear":
+        floor = blayer.LINEAR_EPS_FLOOR
+        eps = _type(f"a number in [{floor}, 1)", lambda v: _is_number(v) and floor <= v < 1, float)
+        return Schema({"eps": Key(_eps_sweep(eps), _REQUIRED)}, {
+            "half_width_le_eps_multiple": Accept(_positive, "half_width", "le", per="eps"),
+        })
+    top = blayer.NONLINEAR_EPS_MAX
+    eps = _type(f"a number in (0, {top}]", lambda v: _is_number(v) and 0 < v <= top, float)
+    return Schema({"eps": Key(_eps_sweep(eps), _REQUIRED), "shoot_tol": Key(_positive, 1e-10)})
+
+
 _BLAYER = Schema(
     keys={
         "kind": Key(_one_of("linear", "nonlinear"), _REQUIRED),
-        "eps": Key(_eps_sweep, _REQUIRED),
         "n_grid": Key(_int(64, 2**20), 8192),
         "seed": Key(_int(0)),
     },
     accept={"max_gap_le": Accept(_positive, "max_gap", "le")},
-    variant=lambda cfg: {
-        "linear": Schema({}, {
-            "half_width_le_eps_multiple": Accept(_positive, "half_width", "le", per="eps"),
-        }),
-        "nonlinear": Schema({"shoot_tol": Key(_positive, 1e-10)}),
-    }[cfg["kind"]],
+    variant=_blayer_kind,
 )
 
 
 def _run_blayer(cfg: dict, out: Path, name: str) -> tuple[dict, list[dict]]:
+    import numpy as np
+
+    from . import blayer
+
     def run(eps: float) -> dict:
         linear = cfg["kind"] == "linear"
         problem = blayer.linear_problem(eps) if linear else blayer.nonlinear_problem(eps)
@@ -489,12 +529,24 @@ def _run_blayer(cfg: dict, out: Path, name: str) -> tuple[dict, list[dict]]:
     return {"kind": cfg["kind"], "n_grid": cfg["n_grid"], "runs": runs}, runs
 
 
+# the model list is mspde's, read when a pde config is typed
 _PDE = Schema(
-    keys={
-        "task": Key(_one_of("phase_match", "packet_compare"), _REQUIRED),
-        "kind": Key(_one_of(*mspde.dispersion_kinds()), "klein_gordon"),
-    },
-    variant=lambda cfg: {
+    keys={"task": Key(_one_of("phase_match", "packet_compare"), _REQUIRED)},
+    variant=lambda cfg: _pde_keys(),
+)
+
+
+def _pde_keys() -> Schema:
+    from . import mspde
+
+    return Schema(
+        keys={"kind": Key(_one_of(*mspde.dispersion_kinds()), "klein_gordon")},
+        variant=lambda cfg: _pde_task(cfg["task"], mspde.dispersion(cfg["kind"]).max_order),
+    )
+
+
+def _pde_task(task: str, max_order: int) -> Schema:
+    return {
         "phase_match": Schema(
             keys={
                 "harmonic": Key(_int(), 3),
@@ -516,7 +568,7 @@ _PDE = Schema(
                 "dt": Key(_positive, 0.02),
                 "rtol": Key(_positive, 1e-9),
                 "points_per_wavelength": Key(_int(1), 16),
-                "order": Key(_int(0, mspde.dispersion(cfg["kind"]).max_order), 1),
+                "order": Key(_int(0, max_order), 1),
             },
             accept={
                 "l2_error_le": Accept(_positive, "l2_error", "le"),
@@ -524,11 +576,14 @@ _PDE = Schema(
                                           "checkpoint errors not monotone: {errors}"),
             },
         ),
-    }[cfg["task"]],
-)
+    }[task]
 
 
 def _run_pde(cfg: dict, out: Path, name: str) -> tuple[dict, list[dict]]:
+    import numpy as np
+
+    from . import mspde
+
     if cfg["task"] == "phase_match":
         roots = mspde.find_phase_matched(
             mspde.dispersion(cfg["kind"]), cfg["harmonic"], cfg["k_range"]
@@ -573,6 +628,13 @@ _SUBCOMMANDS = {
 }
 
 
+def _solver_errors() -> tuple:
+    """SolverError, and numpy's LinAlgError once numpy is loaded: a run that
+    never loaded numpy cannot have raised it."""
+    numpy = sys.modules.get("numpy")
+    return (SolverError,) if numpy is None else (SolverError, numpy.linalg.LinAlgError)
+
+
 def run_one(subcommand: str, config_path: str, out_dir: str) -> int:
     path, out = Path(config_path), Path(out_dir)
     try:
@@ -593,7 +655,7 @@ def run_one(subcommand: str, config_path: str, out_dir: str) -> int:
             "accept_failures": failures,
         }
         _dump_json(summary_doc, out / f"{name}_summary.json")
-    except (SolverError, np.linalg.LinAlgError) as exc:
+    except _solver_errors() as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except ValueError as exc:

@@ -189,16 +189,6 @@ def pi_groups(qs: QuantitySet) -> list[tuple[Fraction, ...]]:
     return rational_nullspace(dimension_matrix(qs))
 
 
-def is_dimensionless(qs: QuantitySet, x: Sequence[Fraction]) -> bool:
-    """True iff dimension_matrix(qs) @ x == 0 exactly."""
-    if len(x) != qs.n:
-        raise DimensionError(f"expected {qs.n} exponents, got {len(x)}")
-    xs = [Fraction(v) for v in x]
-    return all(
-        sum(row[j] * xs[j] for j in range(qs.n)) == 0 for row in dimension_matrix(qs)
-    )
-
-
 def span_coefficients(
     basis: Sequence[Sequence[Fraction]], target: Sequence[Fraction]
 ) -> list[Fraction] | None:

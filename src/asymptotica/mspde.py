@@ -38,7 +38,7 @@ fourth_order
         2 i omega(3k) (B_t + omega'(3k) B_x) = eps (-3|B|^2 B - 6|A|^2 B - A^3).
 
 Direct reference solutions come from a Fourier pseudospectral first-order
-system in transform space, stepped by :func:`msode.integrate_reference` (the
+system in transform space, stepped by :func:`integrator.integrate_reference` (the
 library's one adaptive integrator, its own Dormand-Prince 8(5,3) stepper, so
 packet runs load no scipy), with alias-free
 nonlinear products (modes above n/(p+1) of u^p are dropped: the 2/3 rule for
@@ -59,7 +59,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .msode import RunReport, integrate_reference
+from .integrator import integrate_reference
+from .msode import RunReport
 from .series import horner
 
 
@@ -535,12 +536,6 @@ def gaussian_packet(
     x = grid_points(length, n)
     values = amplitude * np.exp(-((x - x_c) ** 2) / (2.0 * sigma**2))
     return WavePacketField(length, values, k, eps, kind)
-
-
-def envelope_centroid(fld: WavePacketField) -> float:
-    """First moment of |A|^2, the packet position."""
-    weight = np.abs(fld.values) ** 2
-    return float(np.sum(fld.x * weight) / np.sum(weight))
 
 
 def packet_compare(

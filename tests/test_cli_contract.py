@@ -36,10 +36,10 @@ LAYER = {"kind": "linear", "eps": 0.1, "n_grid": 512}
 PACKET = {"task": "packet_compare", "eps": 0.1, "checkpoints": [1.0], "dt": 0.05}
 
 
-def run(tmp_path, subcommand, payload, capsys=None, stem="cfg"):
+def run(tmp_path, subcommand, payload, capsys=None, stem="cfg", out_dir=None):
     path = tmp_path / f"{stem}.json"
     path.write_text(json.dumps(payload))
-    code = main([subcommand, "--config", str(path), "--out-dir", str(tmp_path)])
+    code = main([subcommand, "--config", str(path), "--out-dir", str(out_dir or tmp_path)])
     return code, (capsys.readouterr().err if capsys else "")
 
 
@@ -83,6 +83,23 @@ def test_malformed_config_is_a_config_error(tmp_path, capsys, subcommand, payloa
     assert err.startswith("error: ") and "Traceback" not in err
     assert not list(tmp_path.glob("*.csv"))
     assert not (tmp_path / "cfg_summary.json").exists()
+
+
+# Each of these ran its earlier members and wrote their CSVs before the bad
+# member exited 2; typing now checks every member against the library's range.
+@pytest.mark.parametrize(
+    "subcommand,payload",
+    [
+        ("blayer", {"kind": "nonlinear", "eps": [0.1, 0.05, 0.18]}),
+        ("blayer", {"kind": "linear", "eps": [0.1, 1e-7]}),
+        ("ode", {"case": "damped_linear", "eps": [0.1, 0.0], "horizon_exponent": 1}),
+    ],
+)
+def test_bad_sweep_member_fails_before_any_run(tmp_path, capsys, subcommand, payload):
+    out = tmp_path / "out"
+    code, err = run(tmp_path, subcommand, payload, capsys, out_dir=out)
+    assert code == EXIT_CONFIG, err
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize(

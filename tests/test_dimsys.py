@@ -9,7 +9,6 @@ from asymptotica.dimsys import (
     DimensionError,
     dimension_matrix,
     group_membership,
-    is_dimensionless,
     parse_dimension,
     parse_quantity_set,
     pi_groups,
@@ -18,6 +17,15 @@ from asymptotica.dimsys import (
     rational_nullspace,
     span_coefficients,
 )
+
+
+def is_dimensionless(qs, x) -> bool:
+    """True iff dimension_matrix(qs) @ x == 0 exactly."""
+    return all(
+        sum(a * Fraction(v) for a, v in zip(row, x, strict=True)) == 0
+        for row in dimension_matrix(qs)
+    )
+
 
 PENDULUM = """
 base: L T M

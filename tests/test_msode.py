@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import asymptotica
 from asymptotica import msode
 from asymptotica.msode import (
     RunReport,
@@ -33,6 +34,11 @@ def test_reference_failure_reports_diagnostics():
     # finite-time blow-up of y' = y^2 forces the step size under the floor
     with pytest.raises(SolverError):
         integrate_reference(lambda t, y: y**2, [2.0], (0.0, 1.0), 1e-10, 1e-12)
+
+
+def test_solver_error_is_the_package_class():
+    # the CLI catches it without importing msode
+    assert SolverError is asymptotica.SolverError
 
 
 def test_reference_failure_raises_with_t_eval():
