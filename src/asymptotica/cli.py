@@ -61,10 +61,15 @@ def _dump_json(obj, path: Path):
 
 
 def _write_csv(path: Path, header: list[str], columns: list):
+    """One row per index of the equal-length ``columns``; "%.17g" prints each
+    value as ``_fmt`` does, integers of the columns included."""
+    import numpy as np
+
+    rows = np.column_stack(columns)
+    line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(map(_fmt, row)) + "\n")
+        fh.write(line * len(rows) % tuple(rows.ravel().tolist()))
 
 
 # --- config types -----------------------------------------------------------------

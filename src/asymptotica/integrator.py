@@ -5,11 +5,19 @@ PDE solve steps with it.  It is its own error-controlled Dormand-Prince
 8(5,3) stepper with dense output, which reproduces scipy's DOP853 bit for bit
 without importing scipy.  ``msode`` re-exports it; ``blayer`` and ``mspde``
 import it from here.
+
+Sampling is deferred.  A step that covers requested times evaluates its 3
+dense-output stages at once (the next step overwrites the stages) and keeps
+the 7 interpolant coefficients; after the last step one alternating Horner
+pass evaluates every sample.  The interpolant is elementwise in the samples,
+so the batch gives the bits that one evaluation per step gives.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -45,22 +53,22 @@ class Trajectory:
 # Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers; BSD 3-clause.
 
 _N_STAGES = 12
-_C = np.array([0.0,
-               0.526001519587677318785587544488e-01,
-               0.789002279381515978178381316732e-01,
-               0.118350341907227396726757197510,
-               0.281649658092772603273242802490,
-               0.333333333333333333333333333333,
-               0.25,
-               0.307692307692307692307692307692,
-               0.651282051282051282051282051282,
-               0.6,
-               0.857142857142857142857142857142,
-               1.0,
-               1.0,
-               0.1,
-               0.2,
-               0.777777777777777777777777777778])
+_C = [0.0,  # Python floats: stage times cost no numpy scalar arithmetic
+      0.526001519587677318785587544488e-01,
+      0.789002279381515978178381316732e-01,
+      0.118350341907227396726757197510,
+      0.281649658092772603273242802490,
+      0.333333333333333333333333333333,
+      0.25,
+      0.307692307692307692307692307692,
+      0.651282051282051282051282051282,
+      0.6,
+      0.857142857142857142857142857142,
+      1.0,
+      1.0,
+      0.1,
+      0.2,
+      0.777777777777777777777777777778]
 _A = np.zeros((16, 16))  # rows 13-15: the extra stages of the dense output
 _A[1, 0] = 5.26001519587677318785587544488e-2
 _A[2, 0] = 1.97250569845378994544595329183e-2
@@ -144,7 +152,8 @@ _A[15, 8] = 3.56727187455281109270669543021e-1
 _A[15, 12] = -1.39902416515901462129418009734e-3
 _A[15, 13] = 2.9475147891527723389556272149
 _A[15, 14] = -9.15095847217987001081870187138
-_B = _A[_N_STAGES, :_N_STAGES]
+_A_ROWS = [_A[s, :s] for s in range(16)]  # stage s combines the s stages before it
+_B = _A_ROWS[_N_STAGES]
 _E3 = np.zeros(_N_STAGES + 1)
 _E3[:-1] = _B
 _E3[0] -= 0.244094488188976377952755905512
@@ -241,44 +250,6 @@ def _initial_step(fun, t0, y0, t_bound, f0, rtol, atol):
     return min(100 * h0, h1, interval_length)
 
 
-def _error_norm(K, h, scale):
-    """RMS of the 5th-order error estimate, damped by the 3rd-order one."""
-    err5 = np.dot(K.T, _E5) / scale
-    err3 = np.dot(K.T, _E3) / scale
-    err5_norm_2 = np.linalg.norm(err5) ** 2
-    err3_norm_2 = np.linalg.norm(err3) ** 2
-    if err5_norm_2 == 0 and err3_norm_2 == 0:
-        return 0.0
-    denom = err5_norm_2 + 0.01 * err3_norm_2
-    return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
-
-
-def _dense_output(fun, K, t_old, y_old, h, t, y, f, times, out):
-    """Write the 7th-order interpolant over the step [t_old, t] at ``times`` into ``out``.
-
-    ``K`` holds the step's 13 stages; the 3 extra stages are added below them.
-    """
-    for s in range(_N_STAGES + 1, 16):
-        dy = np.dot(K[:s].T, _A[s, :s]) * h
-        K[s] = fun(t_old + _C[s] * h, y_old + dy)
-    F = np.empty((7, len(y_old)))
-    f_old = K[0]
-    delta_y = y - y_old
-    F[0] = delta_y
-    F[1] = h * f_old - delta_y
-    F[2] = 2 * delta_y - h * (f + f_old)
-    F[3:] = h * np.dot(_D, K)
-    x = ((times - t_old) / (t - t_old))[:, None]
-    out[:] = 0.0
-    for i, fi in enumerate(reversed(F)):  # Horner in x and 1 - x, alternately
-        out += fi
-        if i % 2 == 0:
-            out *= x
-        else:
-            out *= 1 - x
-    out += y_old
-
-
 def integrate_reference(
     rhs: Callable,
     y0,
@@ -295,12 +266,17 @@ def integrate_reference(
     Steps forward from ``t_span[0]`` to ``t_span[1]`` under error control
     (DOP853, see the comment above) and samples the solution at ``t_eval``
     through the dense output, or at the accepted steps when it is None.
-    Deterministic for fixed inputs.  ``meta`` records the right-hand side
-    evaluations (``nfev``), the accepted and rejected steps (``n_steps``,
-    ``n_rejected``) and the tolerances.  Raises :class:`SolverError` when the
-    step size falls under ten times the spacing of doubles at t ("Required
-    step size is less than spacing between numbers"), as it does at a
-    finite-time blow-up; the message names that t.
+    The samples are interpolated in one pass after the last step (see the
+    module docstring).  Deterministic for fixed inputs.  ``meta`` records the
+    right-hand side evaluations (``nfev``), the accepted and rejected steps
+    (``n_steps``, ``n_rejected``), the steps that built dense output
+    (``n_dense``, 0 without ``t_eval``; each costs 3 evaluations, so
+    ``nfev == 2 + 12 * (n_steps + n_rejected) + 3 * n_dense``) and the
+    tolerances.  A non-finite ``t_span`` or ``t_eval`` raises ValueError
+    before the first evaluation.  Raises :class:`SolverError` when the step
+    size falls under ten times the spacing of doubles at t ("Required step
+    size is less than spacing between numbers"), as it does at a finite-time
+    blow-up; the message names that t.
     """
     if rtol <= 0 or atol <= 0:
         raise ValueError("rtol and atol must be positive")
@@ -309,6 +285,8 @@ def integrate_reference(
         warnings.warn(f"rtol {rtol} is too small; using {_RTOL_FLOOR}", stacklevel=2)
         rtol_used = _RTOL_FLOOR
     t0, t_bound = map(float, t_span)
+    if not (math.isfinite(t0) and math.isfinite(t_bound)):
+        raise ValueError("t_span must be finite")
     if not t_bound > t0:
         raise ValueError("t_span must be increasing")
     y = np.asarray(y0, dtype=float)
@@ -320,12 +298,15 @@ def integrate_reference(
         t_eval = np.asarray(t_eval)
         if t_eval.ndim != 1:
             raise ValueError("t_eval must be 1-dimensional")
+        if not np.isfinite(t_eval).all():
+            raise ValueError("values in t_eval must be finite")
         if np.any(t_eval < t0) or np.any(t_eval > t_bound):
             raise ValueError("values in t_eval are not within t_span")
         if np.any(np.diff(t_eval) <= 0):
             raise ValueError("values in t_eval must strictly increase")
-        samples = np.empty((len(t_eval), len(y)))
-    n_eval = 0  # t_eval points written so far
+        t_list = t_eval.tolist()
+    n_eval = 0  # t_eval points covered so far
+    dense = []  # per step that covers samples: (their number, t_old, t, y_old, F)
     nfev = n_steps = n_rejected = 0
 
     def fun(t, x):
@@ -336,11 +317,12 @@ def integrate_reference(
     t = t0
     f = fun(t, y)
     h_abs = _initial_step(fun, t, y, t_bound, f, rtol_used, atol)
-    K = np.empty((16, len(y)))  # 13 stages of a step, then the 3 dense-output stages
-    stages = K[: _N_STAGES + 1]
+    n = len(y)
+    K = np.empty((16, n))  # 13 stages of a step, then the 3 dense-output stages
+    KT = [K[:s].T for s in range(16)]
     ts, ys = [t], [y]
     while t < t_bound:
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         if h_abs < min_step:
             h_abs = min_step
         rejected = False
@@ -351,16 +333,22 @@ def integrate_reference(
                 )
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
-            h_abs = np.abs(h)
+            h_abs = abs(h)
             K[0] = f
             for s in range(1, _N_STAGES):
-                dy = np.dot(K[:s].T, _A[s, :s]) * h
-                K[s] = fun(t + _C[s] * h, y + dy)
-            y_new = y + h * np.dot(K[:_N_STAGES].T, _B)
+                K[s] = fun(t + _C[s] * h, y + np.dot(KT[s], _A_ROWS[s]) * h)
+            y_new = y + h * np.dot(KT[_N_STAGES], _B)
             f_new = fun(t + h, y_new)
             K[_N_STAGES] = f_new
+            # RMS of the 5th-order error estimate, damped by the 3rd-order one;
+            # sqrt(x.dot(x)) ** 2 is np.linalg.norm(x) ** 2, rounding included
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol_used
-            error_norm = _error_norm(stages, h, scale)
+            err5 = np.dot(KT[_N_STAGES + 1], _E5) / scale
+            err3 = np.dot(KT[_N_STAGES + 1], _E3) / scale
+            err5_norm_2 = math.sqrt(err5.dot(err5)) ** 2
+            err3_norm_2 = math.sqrt(err3.dot(err3)) ** 2
+            denom = err5_norm_2 + 0.01 * err3_norm_2
+            error_norm = h_abs * err5_norm_2 / math.sqrt(denom * n) if denom else 0.0
             if error_norm < 1:
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm**_ERROR_EXPONENT)
@@ -379,13 +367,29 @@ def integrate_reference(
             ts.append(t)
             ys.append(y)
             continue
-        n_new = np.searchsorted(t_eval, t, side="right")
-        if n_new > n_eval:
-            _dense_output(
-                fun, K, t_old, y_old, h, t, y, f, t_eval[n_eval:n_new], samples[n_eval:n_new]
-            )
+        n_new = bisect_right(t_list, t, n_eval)
+        if n_new > n_eval:  # the 3 extra stages now, the interpolation after the loop
+            for s in range(_N_STAGES + 1, 16):
+                K[s] = fun(t_old + _C[s] * h, y_old + np.dot(KT[s], _A_ROWS[s]) * h)
+            F = np.empty((7, n))
+            delta_y = y - y_old
+            F[0] = delta_y
+            F[1] = h * K[0] - delta_y
+            F[2] = 2 * delta_y - h * (f + K[0])
+            F[3:] = h * np.dot(_D, K)
+            dense.append((n_new - n_eval, t_old, t, y_old, F))
             n_eval = n_new
-    meta = {"nfev": nfev, "rtol": rtol, "atol": atol, "n_steps": n_steps, "n_rejected": n_rejected}
+    meta = {"nfev": nfev, "rtol": rtol, "atol": atol, "n_steps": n_steps,
+            "n_rejected": n_rejected, "n_dense": len(dense)}
     if t_eval is None:
         return Trajectory(t=np.array(ts), y=np.array(ys), meta=meta)
+    samples = np.zeros((len(t_eval), n))
+    if dense:
+        counts, t_olds, t_news, y_olds, Fs = map(np.array, zip(*dense))
+        step = np.repeat(np.arange(len(dense)), counts)  # the step that covers each sample
+        x = ((t_eval - t_olds[step]) / (t_news - t_olds)[step])[:, None]
+        for i in range(7):  # Horner in x and 1 - x, alternately
+            samples += Fs[step, 6 - i]
+            samples *= x if i % 2 == 0 else 1 - x
+        samples += y_olds[step]
     return Trajectory(t=t_eval.copy(), y=samples, meta=meta)

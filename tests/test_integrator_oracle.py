@@ -12,7 +12,7 @@ import pytest
 import scipy
 from scipy.integrate import DOP853, solve_ivp
 
-from asymptotica import mspde
+from asymptotica import blayer, mspde
 from asymptotica.msode import SolverError, catalog, integrate_reference
 from asymptotica.mspde import RealField, grid_points
 
@@ -38,12 +38,27 @@ def assert_matches_scipy(rhs, y0, t_span, rtol, atol, t_eval, args=()):
     return traj
 
 
+def recorded_call(monkeypatch, module, run):
+    """The one integrate_reference call that ``run()`` makes through ``module``."""
+    calls = []
+
+    def recording(rhs, y0, t_span, rtol, atol, t_eval=None, args=()):
+        calls.append((rhs, y0, t_span, rtol, atol, t_eval, args))
+        return integrate_reference(rhs, y0, t_span, rtol, atol, t_eval, args)
+
+    monkeypatch.setattr(module, "integrate_reference", recording)
+    run()
+    (call,) = calls
+    return call
+
+
 @pytest.mark.parametrize(
     "t_eval",
     [
         None,
         np.linspace(0.0, 400.0, 8193),  # t0 included, about six samples per step
         np.array([3.0, 40.0, 400.0]),  # many steps between samples
+        np.array([400.0]),  # only the end point: one step builds dense output
     ],
 )
 def test_damped_linear_reference_matches_scipy(t_eval):
@@ -51,6 +66,30 @@ def test_damped_linear_reference_matches_scipy(t_eval):
     traj = assert_matches_scipy(case.original_rhs, case.default_ics, (0.0, 400.0),
                                 1e-10, 1e-12, t_eval, args=(0.01,))
     assert traj.meta["n_steps"] > 1000
+
+
+def test_coupled_reference_on_a_compare_grid_matches_scipy():
+    # 4 state components sampled on the 2048-point grid compare() uses
+    case = catalog("coupled_cubic")
+    assert_matches_scipy(case.original_rhs, case.default_ics, (0.0, 100.0), 1e-10, 1e-12,
+                         np.linspace(0.0, 100.0, 2048), args=(0.1,))
+
+
+def test_many_samples_per_step_match_scipy():
+    # t0 included and about fifty samples in every step
+    case = catalog("cubic")
+    traj = assert_matches_scipy(case.original_rhs, case.default_ics, (0.0, 20.0), 1e-10,
+                                1e-12, np.linspace(0.0, 20.0, 4097), args=(0.1,))
+    assert traj.meta["n_steps"] < 4097 / 40
+
+
+def test_shooting_profile_matches_scipy(monkeypatch):
+    # the nonlinear layer sampled on an n_grid 8192 mesh
+    eps = 0.05
+    sol = blayer.nonlinear_blayer_multiscale(eps)
+    call = recorded_call(monkeypatch, blayer, lambda: sol(np.linspace(0.0, 1.0, 8193)))
+    assert len(call[5]) == 8193
+    assert_matches_scipy(*call)
 
 
 def test_rtol_under_the_floor_matches_scipy():
@@ -62,19 +101,12 @@ def test_rtol_under_the_floor_matches_scipy():
 
 @pytest.mark.parametrize("kind", ["klein_gordon", "fourth_order"])  # u^2 and u^3
 def test_direct_solve_matches_scipy(monkeypatch, kind):
-    calls = []
-
-    def recording(rhs, y0, t_span, rtol, atol, t_eval=None, args=()):
-        calls.append((rhs, y0, t_span, rtol, atol, t_eval))
-        return integrate_reference(rhs, y0, t_span, rtol, atol, t_eval, args)
-
-    monkeypatch.setattr(mspde, "integrate_reference", recording)
     length, n = 16.0 * np.pi, 32
     x = grid_points(length, n)
     u0 = RealField(length, 0.5 * np.cos(4 * 2.0 * np.pi / length * x),
                    0.1 * np.sin(2.0 * np.pi / length * x))
-    mspde._solve_direct(0.1, u0, 5.0, kind, rtol=1e-10, t_eval=[0.0, 2.5, 5.0])
-    (call,) = calls
+    call = recorded_call(monkeypatch, mspde, lambda: mspde._solve_direct(
+        0.1, u0, 5.0, kind, rtol=1e-10, t_eval=[0.0, 2.5, 5.0]))
     assert_matches_scipy(*call)
 
 

@@ -52,21 +52,43 @@ def test_reference_failure_raises_with_t_eval():
 def test_reference_meta_records_settings_and_work():
     traj = integrate_reference(lambda t, y: -y, [1.0], (0.0, 1.0), 1e-9, 1e-12,
                                t_eval=[0.5, 1.0])
-    assert set(traj.meta) == {"nfev", "rtol", "atol", "n_steps", "n_rejected"}
+    assert set(traj.meta) == {"nfev", "rtol", "atol", "n_steps", "n_rejected", "n_dense"}
     assert traj.meta["nfev"] > 0 and traj.meta["rtol"] == 1e-9
     assert traj.meta["n_steps"] > 0 and traj.meta["n_rejected"] >= 0
 
 
 def test_reference_step_counters_account_for_every_evaluation():
-    # without t_eval: 2 evaluations pick the first step, each attempted step
-    # costs 12, and every accepted step is one sample
+    # 2 evaluations pick the first step, each attempted step costs 12 and
+    # each step that covers t_eval points 3 more for its dense output;
+    # without t_eval every accepted step is one sample
     case = catalog("cubic")
     traj = integrate_reference(case.original_rhs, (1.0, 0.0), (0.0, 20.0), 1e-10, 1e-12,
                                args=(0.1,))
     meta = traj.meta
-    assert meta["n_rejected"] > 0
+    assert meta["n_rejected"] > 0 and meta["n_dense"] == 0
     assert meta["nfev"] == 2 + 12 * (meta["n_steps"] + meta["n_rejected"])
     assert len(traj.t) == meta["n_steps"] + 1
+    sampled = integrate_reference(case.original_rhs, (1.0, 0.0), (0.0, 20.0), 1e-10, 1e-12,
+                                  t_eval=[5.0, 5.0 + 1e-9, 20.0], args=(0.1,)).meta
+    assert sampled["n_steps"] == meta["n_steps"] and sampled["n_dense"] == 2
+    assert sampled["nfev"] == (2 + 12 * (sampled["n_steps"] + sampled["n_rejected"])
+                               + 3 * sampled["n_dense"])
+
+
+@pytest.mark.parametrize("t_span, t_eval", [
+    ((0.0, np.inf), None),
+    ((np.nan, 1.0), None),
+    ((0.0, 1.0), [0.5, np.nan]),
+    ((0.0, 1.0), [np.nan]),
+])
+def test_reference_rejects_non_finite_times_before_any_evaluation(t_span, t_eval):
+    # an infinite span would step forever; a NaN sample used to fail only
+    # after the whole span was integrated
+    def rhs(t, y):
+        raise AssertionError("the right-hand side must not be evaluated")
+
+    with pytest.raises(ValueError, match="finite"):
+        integrate_reference(rhs, [1.0], t_span, t_eval=t_eval)
 
 
 def test_damped_linear_reference_matches_table():
