@@ -16,11 +16,14 @@ Subcommands: pi, roots, euler, ode, blayer, pde.  Each subcommand declares
 its config keys (type and default) and the acceptance predicates a config
 may list under ``"accept"``; the declaration is applied before any compute,
 and an unknown key or predicate, a wrong type or an out-of-range value is a
-config error.  A null value means the key's default.  The exit status is 0
-on success, 1 if any declared predicate fails, 2 on a config error
-(including the library's own argument checks), 3 on a solver failure and 4
-on an internal error, reported in one line without a traceback.  ``--jobs``
-fans out across independent configs only, one worker per config at most.
+config error.  A null value means the key's default.  The ``ode`` and
+``packet_compare`` keys that the runner passes on to the library declare no
+default of their own: an absent one is not passed, so the library's default
+applies.  The exit status is 0 on success, 1 if any declared predicate
+fails, 2 on a config error (including the library's own argument checks), 3
+on a solver failure and 4 on an internal error, reported in one line
+without a traceback.  ``--jobs`` fans out across independent configs only,
+one worker per config at most.
 
 The solver modules and numpy load inside the ``ode``, ``blayer`` and ``pde``
 declarations and runners, so ``pi``, ``roots`` and ``euler`` runs never
@@ -148,12 +151,20 @@ def _eps_sweep(member: Callable = _real) -> Callable:
     return parse
 
 
-def _checkpoints(value) -> list[float]:
-    """Snapshot times; CSV files are keyed by time, so they strictly increase."""
-    times = _each(_positive_real, list, 1)(value)
-    if any(b <= a for a, b in zip(times, times[1:])):
-        raise ValueError(f"must strictly increase, got {times}")
-    return times
+def _increasing(item: Callable, min_len=1, max_len=math.inf) -> Callable:
+    """A strictly increasing list of ``item`` values."""
+
+    def parse(value) -> list[float]:
+        values = _each(item, list, min_len, max_len)(value)
+        if any(b <= a for a, b in zip(values, values[1:])):
+            raise ValueError(f"must strictly increase, got {values}")
+        return values
+
+    return parse
+
+
+# snapshot times; CSV files are keyed by time, so they strictly increase
+_checkpoints = _increasing(_positive_real)
 
 
 # --- schema -------------------------------------------------------------------------
@@ -410,12 +421,12 @@ def _ode_keys() -> Schema:
             "seed": Key(_int(0)),
             "horizon": Key(_positive),
             "horizon_exponent": Key(_int()),
-            "terms": Key(_int(1, 2), 2),
-            "rtol": Key(_positive, 1e-10),
-            "atol": Key(_positive, 1e-12),
+            "terms": Key(_int(1, 2)),
+            "rtol": Key(_positive),
+            "atol": Key(_positive),
             "ics": Key(_each(_number)),
-            "n_samples": Key(_int(2, 2**20), 2048),
-            "use_closed_form": Key(_bool, False),
+            "n_samples": Key(_int(2, 2**20)),
+            "use_closed_form": Key(_bool),
         },
         accept={
             "max_abs_error_le": Accept(_positive, "max_abs_error", "le"),
@@ -554,8 +565,8 @@ def _pde_task(task: str, max_order: int) -> Schema:
     return {
         "phase_match": Schema(
             keys={
-                "harmonic": Key(_int(), 3),
-                "k_range": Key(_each(_real, list, 2, 2), [0.1, 2.0]),
+                "harmonic": Key(_int(2, 3), 3),
+                "k_range": Key(_increasing(_real, 2, 2), [0.1, 2.0]),
             },
             accept={
                 "roots": Accept(_each(_number), "roots", "near",
@@ -567,12 +578,12 @@ def _pde_task(task: str, max_order: int) -> Schema:
             keys={
                 "eps": Key(_real, 0.1),
                 "k": Key(_positive_real, 1.0),
-                "amplitude": Key(_number, 0.5),
-                "sigma_wavelengths": Key(_number, 10.0),
+                "amplitude": Key(_number),
+                "sigma_wavelengths": Key(_number),
                 "checkpoints": Key(_checkpoints),
-                "dt": Key(_positive, 0.02),
-                "rtol": Key(_positive, 1e-9),
-                "points_per_wavelength": Key(_int(1), 16),
+                "dt": Key(_positive),
+                "rtol": Key(_positive),
+                "points_per_wavelength": Key(_int(1)),
                 "order": Key(_int(0, max_order), 1),
             },
             accept={

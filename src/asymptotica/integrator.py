@@ -6,6 +6,8 @@ PDE solve steps with it.  It is its own error-controlled Dormand-Prince
 without importing scipy.  ``msode`` re-exports it; ``blayer`` and ``mspde``
 import it from here.
 
+Every run samples through the dense output, at ``t_eval`` or, when that is
+None, at the end point ``t_span[1]`` alone; there is no accepted-step output.
 Sampling is deferred.  A step that covers requested times evaluates its 3
 dense-output stages at once (the next step overwrites the stages) and keeps
 the 7 interpolant coefficients; after the last step one alternating Horner
@@ -264,19 +266,21 @@ def integrate_reference(
     The library's one adaptive integrator: every direct solve, amplitude
     flow, shooting integration and pseudospectral PDE solve runs through it.
     Steps forward from ``t_span[0]`` to ``t_span[1]`` under error control
-    (DOP853, see the comment above) and samples the solution at ``t_eval``
-    through the dense output, or at the accepted steps when it is None.
-    The samples are interpolated in one pass after the last step (see the
-    module docstring).  Deterministic for fixed inputs.  ``meta`` records the
-    right-hand side evaluations (``nfev``), the accepted and rejected steps
-    (``n_steps``, ``n_rejected``), the steps that built dense output
-    (``n_dense``, 0 without ``t_eval``; each costs 3 evaluations, so
-    ``nfev == 2 + 12 * (n_steps + n_rejected) + 3 * n_dense``) and the
-    tolerances.  A non-finite ``t_span`` or ``t_eval`` raises ValueError
-    before the first evaluation.  Raises :class:`SolverError` when the step
-    size falls under ten times the spacing of doubles at t ("Required step
-    size is less than spacing between numbers"), as it does at a finite-time
-    blow-up; the message names that t.
+    (DOP853, see the comment above) and samples the solution through the
+    dense output at ``t_eval``, which defaults to ``[t_span[1]]``: a run
+    without ``t_eval`` returns the end state alone.  The samples are
+    interpolated in one pass after the last step (see the module docstring).
+    Deterministic for fixed inputs.  ``meta`` records the right-hand side
+    evaluations (``nfev``), the accepted and rejected steps (``n_steps``,
+    ``n_rejected``), the steps that built dense output (``n_dense``, each
+    costing 3 evaluations, so ``nfev == 2 + 12 * (n_steps + n_rejected) +
+    3 * n_dense``; at least 1 whenever ``t_eval`` is not empty, the default
+    included, since the last step reaches ``t_span[1]``) and the tolerances.
+    A non-finite ``t_span`` or ``t_eval`` raises ValueError before the first
+    evaluation.  Raises :class:`SolverError` when the step size falls under
+    ten times the spacing of doubles at t ("Required step size is less than
+    spacing between numbers"), as it does at a finite-time blow-up; the
+    message names that t.
     """
     if rtol <= 0 or atol <= 0:
         raise ValueError("rtol and atol must be positive")
@@ -294,17 +298,16 @@ def integrate_reference(
         raise ValueError("y0 must be a nonempty 1-dimensional array")
     if not np.isfinite(y).all():
         raise ValueError("all components of y0 must be finite")
-    if t_eval is not None:
-        t_eval = np.asarray(t_eval)
-        if t_eval.ndim != 1:
-            raise ValueError("t_eval must be 1-dimensional")
-        if not np.isfinite(t_eval).all():
-            raise ValueError("values in t_eval must be finite")
-        if np.any(t_eval < t0) or np.any(t_eval > t_bound):
-            raise ValueError("values in t_eval are not within t_span")
-        if np.any(np.diff(t_eval) <= 0):
-            raise ValueError("values in t_eval must strictly increase")
-        t_list = t_eval.tolist()
+    t_eval = np.asarray([t_bound] if t_eval is None else t_eval)
+    if t_eval.ndim != 1:
+        raise ValueError("t_eval must be 1-dimensional")
+    if not np.isfinite(t_eval).all():
+        raise ValueError("values in t_eval must be finite")
+    if np.any(t_eval < t0) or np.any(t_eval > t_bound):
+        raise ValueError("values in t_eval are not within t_span")
+    if np.any(np.diff(t_eval) <= 0):
+        raise ValueError("values in t_eval must strictly increase")
+    t_list = t_eval.tolist()
     n_eval = 0  # t_eval points covered so far
     dense = []  # per step that covers samples: (their number, t_old, t, y_old, F)
     nfev = n_steps = n_rejected = 0
@@ -320,7 +323,6 @@ def integrate_reference(
     n = len(y)
     K = np.empty((16, n))  # 13 stages of a step, then the 3 dense-output stages
     KT = [K[:s].T for s in range(16)]
-    ts, ys = [t], [y]
     while t < t_bound:
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         if h_abs < min_step:
@@ -363,10 +365,6 @@ def integrate_reference(
         h_abs *= factor
         n_steps += 1
         t_old, y_old, t, y, f = t, y, t_new, y_new, f_new
-        if t_eval is None:
-            ts.append(t)
-            ys.append(y)
-            continue
         n_new = bisect_right(t_list, t, n_eval)
         if n_new > n_eval:  # the 3 extra stages now, the interpolation after the loop
             for s in range(_N_STAGES + 1, 16):
@@ -381,8 +379,6 @@ def integrate_reference(
             n_eval = n_new
     meta = {"nfev": nfev, "rtol": rtol, "atol": atol, "n_steps": n_steps,
             "n_rejected": n_rejected, "n_dense": len(dense)}
-    if t_eval is None:
-        return Trajectory(t=np.array(ts), y=np.array(ys), meta=meta)
     samples = np.zeros((len(t_eval), n))
     if dense:
         counts, t_olds, t_news, y_olds, Fs = map(np.array, zip(*dense))

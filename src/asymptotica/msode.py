@@ -41,7 +41,9 @@ The shipped cases:
     x'' + 2x - y = eps x y^2, y'' + 3y - 2x = eps y x^2.  Two complex
     amplitudes riding carriers e^{-it} and e^{-2it}; the amplitude moduli are
     conserved, so the amplitude system integrates in closed form and the
-    oscillation frequencies shift with the initial data.
+    oscillation frequencies shift with the initial data.  Only the
+    first-order rate is declared: the rate ignores ``terms``, so ``terms=2``
+    runs the same flow as ``terms=1`` while ``stats`` echo the value asked for.
 
 The direct solve and the amplitude flows are integrated with
 :func:`integrate_reference`, the library's one adaptive integrator: its own
@@ -307,13 +309,15 @@ def integrate_amplitude(
 ) -> Trajectory:
     """Evolve the slow amplitudes; samples are complex with shape (n_t, n_amp).
 
-    With ``use_closed_form`` the analytic amplitude solution replaces the
-    integrator for cases whose rate is constant along the flow (the moduli
-    that set it are conserved), so that A = A0 e^{rate(A0) t}.
+    Samples at ``t_eval``, by default ``[t_span[1]]`` as in
+    :func:`integrate_reference`.  With ``use_closed_form`` the analytic
+    amplitude solution replaces the integrator for cases whose rate is
+    constant along the flow (the moduli that set it are conserved), so that
+    A = A0 e^{rate(A0) t}.
     """
     amps0 = np.asarray(amps0)
     if use_closed_form:
-        tt = np.linspace(*t_span, 512) if t_eval is None else np.asarray(t_eval)
+        tt = np.asarray([t_span[1]] if t_eval is None else t_eval)
         return Trajectory(
             t=tt,
             y=np.asarray(case.amplitude_closed_form(tt, amps0, eps, terms)),

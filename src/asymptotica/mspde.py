@@ -151,11 +151,11 @@ def find_phase_matched(d: Dispersion, n: int, k_range: tuple[float, float]) -> l
 
     The sign changes of the residual on a 2000-point grid, bisected to 1e-12.
     """
+    if n not in (2, 3):
+        raise ValueError("harmonic order must be 2 or 3")
     lo, hi = k_range
     if hi <= lo:
         return []
-    if n not in (2, 3):
-        raise ValueError("harmonic order must be 2 or 3")
     ks = np.linspace(lo, hi, 2000)
     vals = d.omega(n * ks) - n * d.omega(ks)  # phase_match_residual over the grid
     roots = []
@@ -186,6 +186,9 @@ MAX_GRID = 2**16  # packet grid budget: 1 MiB of complex samples per field
 # group velocity vanishes (fourth_order at k = 1/sqrt(2)).
 MAX_HORIZON = 1e4
 MAX_SPLIT_STEPS = 10**6
+# Snapshot budget, checkpoints x grid points: the direct solve samples a state
+# of 2n + 4 doubles per checkpoint; 64 checkpoints at the grid budget.
+MAX_SNAPSHOT_POINTS = 2**22
 
 
 def grid_points(length: float, n: int) -> np.ndarray:
@@ -304,7 +307,10 @@ def _solve_direct(
     t_eval: Sequence[float] | None = None,
     atol: float = 1e-12,
 ) -> DirectRun:
-    """Pseudospectral reference solve of the model ``kind`` from u0 to t_end."""
+    """Pseudospectral reference solve of the model ``kind`` from u0 to t_end.
+
+    Snapshots at ``t_eval``, by default ``[t_end]`` as in :func:`integrate_reference`.
+    """
     d = dispersion(kind)
     n = u0.n
     m = n // 2 + 1
@@ -332,8 +338,7 @@ def _solve_direct(
 
     u_hat, v_hat = np.fft.rfft(u0.u), np.fft.rfft(u0.ut)
     z0 = np.concatenate([u_hat.real, u_hat.imag, v_hat.real, v_hat.imag])
-    times = [t_end] if t_eval is None else list(t_eval)
-    traj = integrate_reference(rhs, z0, (0.0, t_end), rtol, atol, t_eval=times)
+    traj = integrate_reference(rhs, z0, (0.0, t_end), rtol, atol, t_eval=t_eval)
     fields = [
         RealField(u0.length, np.fft.irfft(spectrum(z, 0), n), np.fft.irfft(spectrum(z, 2), n))
         for z in traj.y
@@ -545,7 +550,7 @@ def packet_compare(
     sigma_wavelengths: float = 10.0,
     order: int = 1,
     checkpoints: Sequence[float] | None = None,
-    dt: float = 0.05,
+    dt: float = 0.02,
     rtol: float = 1e-9,
     kind: str = "klein_gordon",
     points_per_wavelength: int = 16,
@@ -561,9 +566,11 @@ def packet_compare(
     the grid, the direct run's energy drift and the envelope's L2 drift, and
     ``stats["fields"]`` always holds the compared snapshots themselves: the
     grid ``x`` and, per checkpoint, ``t``, ``direct`` and ``reconstructed``.
-    The direct solve runs at atol 1e-11.  The horizon and the split-step
-    count are held to ``MAX_HORIZON`` and ``MAX_SPLIT_STEPS`` before any
-    solve.
+    The direct solve runs at atol 1e-11 and the envelope at split step
+    ``dt`` 0.02, the value the acceptance pilot pinned.  The horizon, the
+    split-step count and the snapshot points (checkpoints times grid points)
+    are held to ``MAX_HORIZON``, ``MAX_SPLIT_STEPS`` and
+    ``MAX_SNAPSHOT_POINTS`` before any solve.
     """
     if amplitude == 0:
         raise ValueError("a zero-amplitude packet has no relative error")
@@ -584,6 +591,12 @@ def packet_compare(
     packet = gaussian_packet(
         eps, k, amplitude, sigma_wavelengths, horizon, points_per_wavelength, kind
     )
+    if len(checkpoints) * packet.n > MAX_SNAPSHOT_POINTS:
+        raise ValueError(
+            f"{len(checkpoints)} checkpoints on a {packet.n}-point grid need "
+            f"{len(checkpoints) * packet.n} snapshot points, above the budget of "
+            f"{MAX_SNAPSHOT_POINTS}: use fewer checkpoints or a coarser grid"
+        )
     u0 = reconstruct_field(packet, 0.0, order)
     direct = _solve_direct(
         eps, u0, max(checkpoints), kind, rtol, t_eval=checkpoints, atol=1e-11

@@ -105,12 +105,6 @@ class PerturbationSeries:
             tuple(a + b for a, b in zip(self.coefficients, other.coefficients))
         )
 
-    def __sub__(self, other: "PerturbationSeries") -> "PerturbationSeries":
-        self._check_order(other)
-        return PerturbationSeries(
-            tuple(a - b for a, b in zip(self.coefficients, other.coefficients))
-        )
-
     def __mul__(self, other: "PerturbationSeries") -> "PerturbationSeries":
         """Cauchy product truncated at the common order."""
         self._check_order(other)
@@ -123,37 +117,13 @@ class PerturbationSeries:
             out.append(s)
         return PerturbationSeries(tuple(out))
 
-    def __pow__(self, n: int) -> "PerturbationSeries":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("series powers must be nonnegative integers")
-        result = PerturbationSeries.constant(1, self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __call__(self, eps):
         """Evaluate by Horner's rule at a numeric eps."""
         return horner(self.coefficients, eps)
 
     def truncated(self, order: int) -> "PerturbationSeries":
-        if order >= self.order:
-            return self.padded(order)
-        return PerturbationSeries(self.coefficients[: order + 1])
-
-    def padded(self, order: int) -> "PerturbationSeries":
-        if order < self.order:
-            raise ValueError("cannot pad to a lower order")
-        return PerturbationSeries(
-            self.coefficients + (0,) * (order - self.order)
-        )
-
-    @staticmethod
-    def constant(value, order: int) -> "PerturbationSeries":
-        return PerturbationSeries((value,) + (0,) * order)
+        """The series at truncation order ``order``: cut, or padded with exact zeros."""
+        return PerturbationSeries(self.coefficients[: order + 1] + (0,) * (order - self.order))
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,8 @@ ROOTS = {"family": [[0, 1], [-1], [1]], "root": 1, "order": 4}
 ODE = {"case": "cubic", "eps": 0.1, "horizon_exponent": 1, "n_samples": 64}
 LAYER = {"kind": "linear", "eps": 0.1, "n_grid": 512}
 PACKET = {"task": "packet_compare", "eps": 0.1, "checkpoints": [1.0], "dt": 0.05}
+PHASE_MATCH = {"task": "phase_match", "kind": "fourth_order", "harmonic": 3,
+               "k_range": [0.1, 2.0], "accept": {"roots": [0.5773502691896258]}}
 
 
 def run(tmp_path, subcommand, payload, capsys=None, stem="cfg", out_dir=None):
@@ -73,6 +75,11 @@ REJECTED = [
     # zero group velocity: the grid stays small however long the horizon
     ("pde", dict(PACKET, kind="fourth_order", order=0, eps=1e-3, k=2**-0.5,
                  checkpoints=[2e4])),
+    # an empty k_range found no roots before the harmonic was checked: the
+    # first and the last exited 1 (roots [] != expected), the second 0
+    ("pde", dict(PHASE_MATCH, k_range=[2.0, 0.1])),
+    ("pde", dict(PHASE_MATCH, harmonic=4, k_range=[2.0, 0.1])),
+    ("pde", dict(PHASE_MATCH, k_range=[1.0, 1.0])),
 ]
 
 
@@ -221,6 +228,21 @@ def test_packet_grid_budget_checked_before_allocation(tmp_path, capsys, monkeypa
     code, err = run(tmp_path, "pde", dict(PACKET, checkpoints=[1e9]), capsys)
     assert code == EXIT_CONFIG
     assert "budget" in err
+
+
+def test_packet_snapshot_budget_checked_before_any_solve(tmp_path, capsys, monkeypatch):
+    # 5,000 checkpoints on a 2048-point grid pass the horizon and split-step
+    # budgets; the direct solve would sample 5,000 states of 4,100 doubles
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the snapshot budget must be checked before any solve")
+
+    monkeypatch.setattr(mspde, "reconstruct_field", unreachable)
+    monkeypatch.setattr(mspde, "_solve_direct", unreachable)
+    checkpoints = [round(0.01 * i, 2) for i in range(1, 5001)]
+    code, err = run(tmp_path, "pde", dict(PACKET, dt=0.01, checkpoints=checkpoints), capsys)
+    assert code == EXIT_CONFIG, err
+    assert f"budget of {mspde.MAX_SNAPSHOT_POINTS}" in err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 class RecordingPool:

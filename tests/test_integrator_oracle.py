@@ -29,7 +29,10 @@ def solve_with_scipy(rhs, y0, t_span, rtol, atol, t_eval, args=()):
 
 
 def assert_matches_scipy(rhs, y0, t_span, rtol, atol, t_eval, args=()):
-    ref = solve_with_scipy(rhs, y0, t_span, rtol, atol, t_eval, args)
+    # without t_eval integrate_reference samples t_span[1] alone, where
+    # scipy would return every accepted step
+    end = [t_span[1]] if t_eval is None else t_eval
+    ref = solve_with_scipy(rhs, y0, t_span, rtol, atol, end, args)
     assert ref.success, ref.message
     traj = integrate_reference(rhs, y0, t_span, rtol, atol, t_eval=t_eval, args=args)
     assert traj.t.tobytes() == ref.t.tobytes()
@@ -55,7 +58,7 @@ def recorded_call(monkeypatch, module, run):
 @pytest.mark.parametrize(
     "t_eval",
     [
-        None,
+        None,  # the end point alone, bit for bit the [400.0] case below
         np.linspace(0.0, 400.0, 8193),  # t0 included, about six samples per step
         np.array([3.0, 40.0, 400.0]),  # many steps between samples
         np.array([400.0]),  # only the end point: one step builds dense output
@@ -96,7 +99,7 @@ def test_rtol_under_the_floor_matches_scipy():
     case = catalog("cubic")
     with pytest.warns(UserWarning):
         assert_matches_scipy(case.original_rhs, case.default_ics, (0.0, 20.0),
-                             1e-16, 1e-16, None, args=(0.1,))
+                             1e-16, 1e-16, np.linspace(0.0, 20.0, 201), args=(0.1,))
 
 
 @pytest.mark.parametrize("kind", ["klein_gordon", "fourth_order"])  # u^2 and u^3

@@ -60,14 +60,14 @@ def test_reference_meta_records_settings_and_work():
 def test_reference_step_counters_account_for_every_evaluation():
     # 2 evaluations pick the first step, each attempted step costs 12 and
     # each step that covers t_eval points 3 more for its dense output;
-    # without t_eval every accepted step is one sample
+    # without t_eval only the last step does, for the end point
     case = catalog("cubic")
     traj = integrate_reference(case.original_rhs, (1.0, 0.0), (0.0, 20.0), 1e-10, 1e-12,
                                args=(0.1,))
     meta = traj.meta
-    assert meta["n_rejected"] > 0 and meta["n_dense"] == 0
-    assert meta["nfev"] == 2 + 12 * (meta["n_steps"] + meta["n_rejected"])
-    assert len(traj.t) == meta["n_steps"] + 1
+    assert meta["n_rejected"] > 0 and meta["n_dense"] == 1
+    assert meta["nfev"] == 2 + 12 * (meta["n_steps"] + meta["n_rejected"]) + 3
+    assert traj.t.tolist() == [20.0]
     sampled = integrate_reference(case.original_rhs, (1.0, 0.0), (0.0, 20.0), 1e-10, 1e-12,
                                   t_eval=[5.0, 5.0 + 1e-9, 20.0], args=(0.1,)).meta
     assert sampled["n_steps"] == meta["n_steps"] and sampled["n_dense"] == 2

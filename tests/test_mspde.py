@@ -75,6 +75,8 @@ def test_find_phase_matched():
     assert abs(roots[0] - 1.0 / np.sqrt(3.0)) <= 1e-10
     assert find_phase_matched(KG, 3, (0.1, 10.0)) == []
     assert find_phase_matched(KG, 2, (0.5, 0.5)) == []
+    with pytest.raises(ValueError, match="harmonic"):  # checked before the range
+        find_phase_matched(KG, 4, (2.0, 0.1))
 
 
 def test_field_invariants():
@@ -357,6 +359,14 @@ def test_packet_compare_quality_and_trend():
     assert errs[3] > errs[1]
     assert report.stats["energy_drift_rel"] <= 1e-8
     assert report.stats["envelope_l2_drift_rel"] <= 1e-10
+
+
+def test_packet_compare_default_dt_is_the_pilot_value():
+    kwargs = dict(eps=0.1, k=1.0, checkpoints=[0.5], rtol=1e-6, points_per_wavelength=8)
+    default = packet_compare(**kwargs)
+    pinned = packet_compare(dt=0.02, **kwargs)
+    assert default.stats["dt"] == 0.02
+    assert default.error.tobytes() == pinned.error.tobytes()
 
 
 def test_packet_grid_budget_checked_before_allocation(monkeypatch):

@@ -58,9 +58,14 @@ def test_zero_leading_coefficient_rejected():
         PolyFamily.from_coefficients([[1, 2], [0, 0]])
 
 
-def test_pow_matches_repeated_product():
-    a = S(Fraction(1), Fraction(2), Fraction(-1), Fraction(3))
-    assert (a**3).coefficients == (a * a * a).coefficients
+def test_truncated_cuts_and_pads_exact_series():
+    a = S(Fraction(1), Fraction(-2), Fraction(3, 4))
+    assert a.truncated(0).coefficients == (1,)
+    assert a.truncated(1).coefficients == (1, -2)
+    assert a.truncated(2) == a
+    padded = a.truncated(4)
+    assert padded.coefficients == (1, -2, Fraction(3, 4), 0, 0)
+    assert padded.is_exact
 
 
 small_fracs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
