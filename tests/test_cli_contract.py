@@ -34,6 +34,18 @@ ROOTS = {"family": [[0, 1], [-1], [1]], "root": 1, "order": 4}
 ODE = {"case": "cubic", "eps": 0.1, "horizon_exponent": 1, "n_samples": 64}
 LAYER = {"kind": "linear", "eps": 0.1, "n_grid": 512}
 PACKET = {"task": "packet_compare", "eps": 0.1, "checkpoints": [1.0], "dt": 0.05}
+# Each of these exited 4 with an internal error: a TypeError from np.log2 on a
+# Python int past the int64 range (the first three), an OverflowError from
+# int(inf) and from sigma**2, and a ZeroDivisionError when the L2 norms
+# underflowed to 0.
+PACKET_BREACHES = [
+    dict(PACKET, sigma_wavelengths=1e20),
+    dict(PACKET, points_per_wavelength=2**62),
+    dict(PACKET, k=1e150),
+    dict(PACKET, sigma_wavelengths=1e308),
+    dict(PACKET, k=1e-300),
+    dict(PACKET, amplitude=1e-300),
+]
 PHASE_MATCH = {"task": "phase_match", "kind": "fourth_order", "harmonic": 3,
                "k_range": [0.1, 2.0], "accept": {"roots": [0.5773502691896258]}}
 
@@ -146,6 +158,7 @@ def test_keys_that_do_nothing_are_rejected(tmp_path, capsys, subcommand, payload
         ("pde", dict(PACKET, amplitude=0)),
         ("roots", {"family": [[1]], "root": 0, "order": 2}),
         ("ode", {"case": "cubic", "eps": 1e-100, "horizon_exponent": 1}),
+        *[("pde", payload) for payload in PACKET_BREACHES],
     ],
 )
 def test_out_of_range_values_are_config_errors(tmp_path, capsys, subcommand, payload):
@@ -242,6 +255,18 @@ def test_packet_snapshot_budget_checked_before_any_solve(tmp_path, capsys, monke
     code, err = run(tmp_path, "pde", dict(PACKET, dt=0.01, checkpoints=checkpoints), capsys)
     assert code == EXIT_CONFIG, err
     assert f"budget of {mspde.MAX_SNAPSHOT_POINTS}" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("payload", PACKET_BREACHES)
+def test_packet_breaches_fail_before_any_solve(tmp_path, capsys, monkeypatch, payload):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the packet's values must be checked before any solve")
+
+    monkeypatch.setattr(mspde, "_solve_direct", unreachable)
+    monkeypatch.setattr(mspde, "solve_nls", unreachable)
+    code, err = run(tmp_path, "pde", payload, capsys)
+    assert code == EXIT_CONFIG, err
     assert not list(tmp_path.glob("*.csv"))
 
 

@@ -19,6 +19,7 @@ SHIPPED = [
     ("blayer", "blayer", str(CONFIGS / "linear_layer.json")),
     ("ode", "ode", str(CONFIGS / "damped_oscillator.json")),
     ("packet", "pde", str(CONFIGS / "kg_packet.json")),
+    ("fourth_packet", "pde", str(CONFIGS / "fourth_packet.json")),
 ]
 
 # Runs each config through cli.main in one fresh interpreter and prints, after
@@ -78,7 +79,7 @@ def test_integrating_runs_load_no_scipy_integrate(tmp_path):
         [*SHIPPED[5:], ("nonlinear_layer", "blayer", str(nonlinear_layer))], tmp_path
     )
     # the nonlinear layer's FD reference does not load scipy either
-    for stage in ("ode", "packet", "nonlinear_layer"):
+    for stage in ("ode", "packet", "fourth_packet", "nonlinear_layer"):
         assert loaded[stage]["scipy"] == [], (stage, loaded[stage])
 
 

@@ -384,6 +384,62 @@ def test_packet_grid_budget_checked_before_allocation(monkeypatch):
     assert gaussian_packet(0.1, 1.0, t_end=50.0).n <= 2**16
 
 
+def _trig_poly(length, modes, coef, n):
+    """sum_j coef_j exp(2 pi i modes_j x / length) on the n-point grid."""
+    x = grid_points(length, n)
+    return np.exp(2j * np.pi * np.outer(x, modes) / length) @ coef
+
+
+def test_resample_is_band_limited_interpolation():
+    rng = np.random.default_rng(0)
+    length, n, big = 7.0, 16, 128
+    modes = np.arange(-n // 2, n // 2)
+    coef = rng.normal(size=n) + 1j * rng.normal(size=n)
+    coarse = _trig_poly(length, modes, coef, n)
+    scale = np.max(np.abs(coarse))
+    assert mspde._resample(coarse, n) is coarse
+    # zero padding evaluates the polynomial on the finer grid, truncation returns it
+    fine = mspde._resample(coarse, big)
+    assert np.max(np.abs(fine - _trig_poly(length, modes, coef, big))) <= 1e-14 * scale
+    assert np.max(np.abs(mspde._resample(fine, n) - coarse)) <= 1e-14 * scale
+    # truncation drops the modes beyond the coarse band
+    high = np.array([n // 2, n, -n // 2 - 3])
+    wide = fine + _trig_poly(length, high, np.ones(3), big)
+    assert np.max(np.abs(mspde._resample(wide, n) - coarse)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("kind, order", [("klein_gordon", 1), ("fourth_order", 0)])
+def test_packet_envelope_grid_matches_field_grid_envelope(kind, order):
+    checkpoints = [2.0, 5.0]
+    report = packet_compare(0.1, 1.0, order=order, checkpoints=checkpoints,
+                            rtol=1e-6, kind=kind)
+    packet = gaussian_packet(0.1, 1.0, t_end=10.0, kind=kind)
+    assert report.stats["grid_n"] == packet.n
+    assert report.stats["envelope_grid_n"] == packet.n // 8
+    on_field_grid = solve_nls(packet, max(checkpoints), 0.02, checkpoints=checkpoints)
+    for snap, env in zip(report.stats["fields"]["snapshots"], on_field_grid):
+        want = reconstruct_field(env, snap["t"], order).u
+        gap = np.max(np.abs(snap["reconstructed"] - want))
+        assert gap <= 1e-7 * np.max(np.abs(snap["direct"]))
+
+
+@pytest.mark.parametrize("points_per_wavelength, shrink", [(16, 8), (2, 1)])
+def test_envelope_grid_has_two_points_per_carrier_wavelength(
+    monkeypatch, points_per_wavelength, shrink
+):
+    seen = []
+    real_solve_nls = mspde.solve_nls
+
+    def recording(fld, *args, **kwargs):
+        seen.append(fld.n)
+        return real_solve_nls(fld, *args, **kwargs)
+
+    monkeypatch.setattr(mspde, "solve_nls", recording)
+    report = packet_compare(0.1, 1.0, order=0, checkpoints=[0.5], rtol=1e-6,
+                            points_per_wavelength=points_per_wavelength)
+    assert seen == [report.stats["grid_n"] // shrink] == [report.stats["envelope_grid_n"]]
+
+
 def test_packet_compare_rejects_degenerate_inputs():
     with pytest.raises(ValueError, match="zero-amplitude"):
         packet_compare(0.1, 1.0, amplitude=0.0, checkpoints=[1.0])
