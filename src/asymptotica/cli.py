@@ -627,7 +627,7 @@ def _run_pde(cfg: dict, out: Path, name: str) -> tuple[dict, list[dict]]:
         "checkpoints": report.t.tolist(),
     }
     for key in ("relative_l2_per_checkpoint", "energy_drift_rel", "envelope_l2_drift_rel",
-                "grid_n", "envelope_grid_n", "domain_length"):
+                "grid_n", "envelope_grid_n", "domain_length", "direct_modes", "nfev_direct"):
         summary[key] = report.stats[key]
     errors = summary["relative_l2_per_checkpoint"]
     rising = [b > a for a, b in zip(errors, errors[1:])]

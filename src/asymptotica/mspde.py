@@ -4,8 +4,8 @@ A model is one :class:`Dispersion` declaration:
 
 * the coefficients of omega^2 as a polynomial in k^2 and the nonlinearity
   power, from which the direct-solve symbol, omega, omega' =
-  (omega^2)'/(2 omega), the conserved energy and the dealias cut n // (p+1)
-  are derived;
+  (omega^2)'/(2 omega), the conserved energy and the dealiased band
+  K = (n - 1) // (p + 1) are derived;
 * the hand-derived envelope coefficients (beta, gamma);
 * its carrier terms (coefficient, eps power, powers of A and conj(A),
   harmonic h); the field is u = 2 Re of their sum, the highest eps power is
@@ -40,9 +40,11 @@ fourth_order
 Direct reference solutions come from a Fourier pseudospectral first-order
 system in transform space, stepped by :func:`integrator.integrate_reference` (the
 library's one adaptive integrator, its own Dormand-Prince 8(5,3) stepper, so
-packet runs load no scipy), with alias-free
-nonlinear products (modes above n/(p+1) of u^p are dropped: the 2/3 rule for
-quadratic terms, the 1/2 rule for cubic ones).
+packet runs load no scipy).  The state is the dealiased band itself, the
+rfft modes 0..K of u and u_t with (p + 1) K < n, so the products u^p taken on
+the n-point grid are exactly alias-free (the 2/3 rule for quadratic terms,
+the 1/2 rule for cubic ones), and the modes above K, which no product
+forces, are not stepped at their high frequencies.
 Envelope equations are integrated by Strang-split steps whose linear part is
 exact in transform space and whose pointwise nonlinear part is exact
 (single wave) or one classical fourth-order Runge-Kutta stage (coupled pair).
@@ -195,8 +197,13 @@ MAX_GRID = 2**16  # packet grid budget: 1 MiB of complex samples per field
 MAX_HORIZON = 1e4
 MAX_SPLIT_STEPS = 10**6
 # Snapshot budget, checkpoints x grid points: the direct solve samples a state
-# of 2n + 4 doubles per checkpoint; 64 checkpoints at the grid budget.
+# of 4(K + 1) doubles per checkpoint and turns it into 2n of field; 64
+# checkpoints at the grid budget.
 MAX_SNAPSHOT_POINTS = 2**22
+# Direct-solve work budget, grid points x horizon x the band's top frequency
+# omega(2 pi K / L), which an explicit step must resolve: the solve's cost
+# grows with it.  The shipped and benchmark packets stay at or below 3.3e6.
+MAX_DIRECT_WORK = 2e7
 # Smallest packet |amplitude|: below it even the peak's square is subnormal,
 # so the L2 norms lose their digits or underflow to 0.
 MIN_AMPLITUDE = float(np.sqrt(np.finfo(float).tiny))
@@ -264,6 +271,7 @@ class DirectRun:
 
     t: np.ndarray
     fields: list[RealField]
+    start: RealField  # the initial field the solve evolves: u0 on the band
     meta: dict = field(default_factory=dict)
 
 
@@ -274,6 +282,11 @@ def _wavenumbers_rfft(length: float, n: int) -> np.ndarray:
 def _wavenumbers(fld: WavePacketField) -> np.ndarray:
     """Angular wavenumbers of the full FFT of an envelope."""
     return 2.0 * np.pi * np.fft.fftfreq(fld.n, d=fld.length / fld.n)
+
+
+def _direct_band(n: int, power: int) -> int:
+    """Modes 0..K the direct solve carries on n points: K + 1, K = (n - 1) // (p + 1)."""
+    return (n - 1) // (power + 1) + 1
 
 
 def _power(u: np.ndarray, p: int) -> np.ndarray:
@@ -337,41 +350,34 @@ def _solve_direct(
 ) -> DirectRun:
     """Pseudospectral reference solve of the model ``kind`` from u0 to t_end.
 
-    Snapshots at ``t_eval``, by default ``[t_end]`` as in :func:`integrate_reference`.
+    The state is the dealiased band: the rfft modes 0..K of u and u_t, with
+    K = (n - 1) // (p + 1) the largest K with (p + 1) K < n, so the p-fold
+    product on the n-point grid is exactly alias-free (the 2/3 rule for
+    quadratic terms, the 1/2 rule for cubic ones).  The modes above K are
+    never forced, so they are not carried; the solve starts from the band
+    projection of u0, returned as ``start``.  Snapshots at ``t_eval``, by
+    default ``[t_end]`` as in :func:`integrate_reference`.
     """
     d = dispersion(kind)
     n = u0.n
-    m = n // 2 + 1
-    symbol = d.symbol(_wavenumbers_rfft(u0.length, n))
-    mask = np.zeros(m)  # alias-free products of p factors
-    mask[: n // (d.power + 1) + 1] = 1.0
+    band = _direct_band(n, d.power)
+    symbol = d.symbol(_wavenumbers_rfft(u0.length, n)[:band])
 
-    # the state is [Re u_hat, Im u_hat, Re v_hat, Im v_hat], v = u_t
-    def spectrum(z, j):
-        """The half spectrum stored in z as Re at block j and Im at block j + 1."""
-        c = np.empty(m, complex)
-        c.real = z[j * m : (j + 1) * m]
-        c.imag = z[(j + 1) * m : (j + 2) * m]
-        return c
-
+    # the state is [u_hat, v_hat] on the band, v = u_t, complex interleaved
     def rhs(t, z):
-        u_hat = spectrum(z, 0)
-        nonlinear = mask * np.fft.rfft(_power(np.fft.irfft(u_hat, n), d.power))
-        v_t = -symbol * u_hat + eps * nonlinear
-        out = np.empty_like(z)
-        out[: 2 * m] = z[2 * m :]  # u_hat_t = v_hat
-        out[2 * m : 3 * m] = v_t.real
-        out[3 * m :] = v_t.imag
-        return out
+        u_hat = z[: 2 * band].view(complex)
+        nonlinear = np.fft.rfft(_power(np.fft.irfft(u_hat, n), d.power))[:band]
+        v_t = eps * nonlinear - symbol * u_hat
+        return np.concatenate([z[2 * band :], v_t.view(float)])  # u_hat_t = v_hat
 
-    u_hat, v_hat = np.fft.rfft(u0.u), np.fft.rfft(u0.ut)
-    z0 = np.concatenate([u_hat.real, u_hat.imag, v_hat.real, v_hat.imag])
+    def field_of(z):
+        c = z.view(complex)
+        return RealField(u0.length, np.fft.irfft(c[:band], n), np.fft.irfft(c[band:], n))
+
+    z0 = np.concatenate([np.fft.rfft(u0.u)[:band], np.fft.rfft(u0.ut)[:band]]).view(float)
     traj = integrate_reference(rhs, z0, (0.0, t_end), rtol, atol, t_eval=t_eval)
-    fields = [
-        RealField(u0.length, np.fft.irfft(spectrum(z, 0), n), np.fft.irfft(spectrum(z, 2), n))
-        for z in traj.y
-    ]
-    return DirectRun(t=traj.t, fields=fields, meta=traj.meta)
+    return DirectRun(t=traj.t, fields=[field_of(z) for z in traj.y], meta=traj.meta,
+                     start=field_of(z0))
 
 
 # --- envelope solvers -----------------------------------------------------------
@@ -600,7 +606,9 @@ def packet_compare(
     ``max(1/eps, max(checkpoints))``, the last checkpoint alone when eps <= 0.
     ``l2_error`` is the relative L2 error at the final checkpoint;
     ``error`` holds the per-checkpoint relative L2 errors; ``stats`` records
-    the grid, the direct run's energy drift and the envelope's L2 drift, and
+    the grid, the direct run's energy drift (from its band-projected start),
+    RHS evaluations ``nfev_direct`` and band size ``direct_modes`` = K + 1,
+    the envelope's L2 drift, and
     ``stats["fields"]`` always holds the compared snapshots themselves: the
     grid ``x`` and, per checkpoint, ``t``, ``direct`` and ``reconstructed``.
     The envelope evolves on its own grid of ``envelope_grid_n`` points: the
@@ -612,10 +620,11 @@ def packet_compare(
     grid, where the split step conserves it.
     The direct solve runs at atol 1e-11 and the envelope at split step
     ``dt`` 0.02, the value the acceptance pilot pinned.  The horizon, the
-    split-step count and the snapshot points (checkpoints times grid points)
-    are held to ``MAX_HORIZON``, ``MAX_SPLIT_STEPS`` and
-    ``MAX_SNAPSHOT_POINTS``, and ``|amplitude|`` to at least ``MIN_AMPLITUDE``,
-    before any solve.
+    split-step count, the snapshot points (checkpoints times grid points)
+    and the direct solve's work (grid points times horizon times the band's
+    top frequency) are held to ``MAX_HORIZON``, ``MAX_SPLIT_STEPS``,
+    ``MAX_SNAPSHOT_POINTS`` and ``MAX_DIRECT_WORK``, and ``|amplitude|`` to
+    at least ``MIN_AMPLITUDE``, before any solve.
     """
     if not abs(amplitude) >= MIN_AMPLITUDE:
         raise ValueError(
@@ -645,6 +654,18 @@ def packet_compare(
             f"{len(checkpoints) * packet.n} snapshot points, above the budget of "
             f"{MAX_SNAPSHOT_POINTS}: use fewer checkpoints or a coarser grid"
         )
+    d = dispersion(kind)
+    band = _direct_band(packet.n, d.power)
+    with np.errstate(over="ignore"):  # an overflow to inf fails the budget below
+        top = float(d.omega(2.0 * np.pi * (band - 1) / packet.length))
+    work = packet.n * max(checkpoints) * top
+    if not work <= MAX_DIRECT_WORK:
+        raise ValueError(
+            f"the direct solve on a {packet.n}-point grid to t = {max(checkpoints):.6g} "
+            f"resolves frequencies up to omega = {top:.6g}: grid x horizon x frequency "
+            f"= {work:.3g}, above the budget of {MAX_DIRECT_WORK:.3g}: "
+            "shorten the horizon or lower k or points_per_wavelength"
+        )
     u0 = reconstruct_field(packet, 0.0, order)
     direct = _solve_direct(
         eps, u0, max(checkpoints), kind, rtol, t_eval=checkpoints, atol=1e-11
@@ -664,7 +685,7 @@ def packet_compare(
         abs_errors.append(float(np.max(np.abs(diff))))
         snapshots.append({"t": t, "direct": snap.u, "reconstructed": rec.u})
 
-    e_start = energy(u0, eps, kind)
+    e_start = energy(direct.start, eps, kind)
     e_end = energy(direct.fields[-1], eps, kind)
     l2_start = float(np.linalg.norm(start.values))
     l2_end = float(np.linalg.norm(envelopes[-1].values))
@@ -690,6 +711,7 @@ def packet_compare(
             "energy_drift_rel": abs(e_end - e_start) / max(abs(e_start), 1e-300),
             "envelope_l2_drift_rel": abs(l2_end - l2_start) / l2_start,
             "nfev_direct": direct.meta["nfev"],
+            "direct_modes": band,
             "fields": {"x": packet.x, "snapshots": snapshots},
         },
     )

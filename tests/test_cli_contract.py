@@ -6,6 +6,7 @@ import copy
 import io
 import json
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -255,6 +256,33 @@ def test_packet_snapshot_budget_checked_before_any_solve(tmp_path, capsys, monke
     code, err = run(tmp_path, "pde", dict(PACKET, dt=0.01, checkpoints=checkpoints), capsys)
     assert code == EXIT_CONFIG, err
     assert f"budget of {mspde.MAX_SNAPSHOT_POINTS}" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+# Each of these ran past 60 s in the direct solve before its work budget:
+# k 1000 on the domain sized for the 1/eps horizon is a 32,768-point grid
+# whose dealiased band reaches omega 6380, which an explicit step must
+# resolve; at k 1e75 omega^2 overflows to inf.
+@pytest.mark.parametrize("payload, grid, omega", [
+    ({"task": "packet_compare", "eps": 0.1, "checkpoints": [1.0], "k": 1000},
+     "32768-point grid to t = 1 ", "omega = 6379.67"),
+    ({"task": "packet_compare", "eps": -1, "checkpoints": [1e-300], "k": 1e75,
+      "kind": "fourth_order", "order": 0, "points_per_wavelength": 512},
+     "65536-point grid to t = 1e-300 ", "omega = inf"),
+])
+def test_direct_work_budget_checked_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                     payload, grid, omega):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the direct-solve budget must be checked before any solve")
+
+    monkeypatch.setattr(mspde, "reconstruct_field", unreachable)
+    monkeypatch.setattr(mspde, "_solve_direct", unreachable)
+    start = time.perf_counter()
+    code, err = run(tmp_path, "pde", payload, capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_CONFIG, err
+    assert grid in err and omega in err
+    assert f"budget of {mspde.MAX_DIRECT_WORK:.3g}" in err
     assert not list(tmp_path.glob("*.csv"))
 
 

@@ -4,8 +4,10 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from test_integrator_oracle import recorded_call
 
 from asymptotica import mspde
+from asymptotica.integrator import integrate_reference
 from asymptotica.mspde import (
     RealField,
     WavePacketField,
@@ -126,6 +128,75 @@ def test_direct_resolution_independence():
     run_lo = mspde._solve_direct(eps, reconstruct_field(pkt_lo, 0.0, 1), 10.0, rtol=1e-10)
     run_hi = mspde._solve_direct(eps, reconstruct_field(pkt_hi, 0.0, 1), 10.0, rtol=1e-10)
     assert np.max(np.abs(run_hi.fields[-1].u[::2] - run_lo.fields[-1].u)) <= 1e-8
+
+
+# (kind, K = (n - 1) // (p + 1) on 32 points, mode of u^p the band keeps,
+# its coefficient): cos^2 = 1/2 + cos(2Kx)/2, cos^3 = 3/4 cos(Kx) + cos(3Kx)/4
+@pytest.mark.parametrize("kind, top, mode, coef",
+                         [("klein_gordon", 10, 0, 0.5), ("fourth_order", 7, 7, 0.75)])
+def test_direct_products_are_exactly_alias_free(monkeypatch, kind, top, mode, coef):
+    n = 32
+    _, u0 = single_mode_field(64.0 * np.pi, n, mode=top)
+
+    def v_block(eps):
+        rhs, y0, *_ = recorded_call(
+            monkeypatch, mspde, lambda: mspde._solve_direct(eps, u0, 1e-3, kind))
+        assert len(y0) == 4 * (top + 1)
+        return rhs(0.0, y0)[2 * (top + 1):].view(complex)
+
+    nonlinear = v_block(1.0) - v_block(0.0)
+    # rfft coefficients of u^p = sum_j c_j cos(j x): n c_0 at mode 0, n c_j / 2 above
+    want = np.zeros(top + 1, complex)
+    want[mode] = coef * n / (1 if mode == 0 else 2)
+    assert np.max(np.abs(nonlinear - want)) <= 1e-13
+
+
+def full_spectrum_solve(eps, u0, t_end, kind, rtol, t_eval, atol):
+    """Oracle for the band solve: every rfft mode of u and u_t stepped, u^p
+    masked to the modes <= n // (p + 1); returns (snapshots of u, nfev)."""
+    d = dispersion(kind)
+    n = u0.n
+    m = n // 2 + 1
+    symbol = d.symbol(2.0 * np.pi * np.fft.rfftfreq(n, d=u0.length / n))
+    mask = np.zeros(m)
+    mask[: n // (d.power + 1) + 1] = 1.0
+
+    def spectrum(z, j):
+        return z[j * m : (j + 1) * m] + 1j * z[(j + 1) * m : (j + 2) * m]
+
+    def rhs(t, z):
+        u_hat = spectrum(z, 0)
+        nonlinear = mask * np.fft.rfft(mspde._power(np.fft.irfft(u_hat, n), d.power))
+        v_t = -symbol * u_hat + eps * nonlinear
+        return np.concatenate([z[2 * m :], v_t.real, v_t.imag])
+
+    u_hat, v_hat = np.fft.rfft(u0.u), np.fft.rfft(u0.ut)
+    z0 = np.concatenate([u_hat.real, u_hat.imag, v_hat.real, v_hat.imag])
+    traj = integrate_reference(rhs, z0, (0.0, t_end), rtol, atol, t_eval=t_eval)
+    return [np.fft.irfft(spectrum(z, 0), n) for z in traj.y], traj.meta["nfev"]
+
+
+# (kind, order, checkpoints, the band solve's largest share of the RHS
+# evaluations the full-spectrum solve spends from the unprojected field);
+# the fourth_order row is scripts/configs/fourth_packet.json
+@pytest.mark.parametrize("kind, order, checkpoints, nfev_share", [
+    ("klein_gordon", 1, [2.0, 10.0], None),
+    ("fourth_order", 0, [2.0, 5.0, 10.0], 0.7),
+])
+def test_band_solve_matches_full_spectrum_solve(kind, order, checkpoints, nfev_share):
+    eps, rtol, atol = 0.1, 1e-9, 1e-11  # packet_compare's settings
+    packet = gaussian_packet(eps, 1.0, t_end=10.0, kind=kind)
+    u0 = reconstruct_field(packet, 0.0, order)
+    band = mspde._solve_direct(eps, u0, checkpoints[-1], kind, rtol, checkpoints, atol)
+    full, _ = full_spectrum_solve(eps, band.start, checkpoints[-1], kind, rtol,
+                                  checkpoints, atol)
+    for snap, want in zip(band.fields, full):
+        assert np.max(np.abs(snap.u - want)) <= 1e-8 * np.max(np.abs(want))
+    if nfev_share is not None:
+        # from u0 itself the modes above the band hold the 2-5e-11 floor of
+        # the Gaussian's 6 sigma cut, at the stiffest frequencies
+        _, nfev = full_spectrum_solve(eps, u0, checkpoints[-1], kind, rtol, checkpoints, atol)
+        assert band.meta["nfev"] <= nfev_share * nfev
 
 
 def test_nls_linear_limit_matches_analytic_propagator():
