@@ -426,7 +426,6 @@ def _ode_keys() -> Schema:
             "atol": Key(_positive),
             "ics": Key(_each(_number)),
             "n_samples": Key(_int(2, 2**20)),
-            "use_closed_form": Key(_bool),
         },
         accept={
             "max_abs_error_le": Accept(_positive, "max_abs_error", "le"),

@@ -311,9 +311,11 @@ def integrate_amplitude(
 
     Samples at ``t_eval``, by default ``[t_span[1]]`` as in
     :func:`integrate_reference`.  With ``use_closed_form`` the analytic
-    amplitude solution replaces the integrator for cases whose rate is
-    constant along the flow (the moduli that set it are conserved), so that
-    A = A0 e^{rate(A0) t}.
+    amplitude solution :meth:`CaseSpec.amplitude_closed_form` replaces the
+    integrator for cases whose rate is constant along the flow (the moduli
+    that set it are conserved), so that A = A0 e^{rate(A0) t}; it is a
+    reference for checks of the integrated path, which :func:`compare`
+    always takes.
     """
     amps0 = np.asarray(amps0)
     if use_closed_form:
@@ -470,7 +472,6 @@ def compare(
     terms: int = 2,
     ics=None,
     n_samples: int = 2048,
-    use_closed_form: bool = False,
     horizon: float | None = None,
 ) -> RunReport:
     """Run the direct and multiscale paths on a shared grid and record errors.
@@ -494,8 +495,7 @@ def compare(
     y_direct = direct.y[:, : case.n_components].T
 
     amp_traj = integrate_amplitude(
-        case, amps0, (0.0, horizon), eps, rtol, atol, terms, t_eval=grid,
-        use_closed_form=use_closed_form,
+        case, amps0, (0.0, horizon), eps, rtol, atol, terms, t_eval=grid
     )
     y_ms = reconstruct_on_grid(case, amp_traj, eps)
 

@@ -9,9 +9,7 @@ A model is one :class:`Dispersion` declaration:
 * the hand-derived envelope coefficients (beta, gamma);
 * its carrier terms (coefficient, eps power, powers of A and conj(A),
   harmonic h); the field is u = 2 Re of their sum, the highest eps power is
-  the highest reconstruction order, and u_t follows by the product rule;
-* the resonance, where the cubic harmonic is phase matched: the pointwise
-  coupling of the envelopes A of k and B of 3k.
+  the highest reconstruction order, and u_t follows by the product rule.
 
 Two second-order-in-time models are declared:
 
@@ -29,13 +27,9 @@ fourth_order
     u_tt + u_xx + u_xxxx + u = eps u^3,   omega(k) = sqrt(k^4 - k^2 + 1).
     A single envelope obeys the transport equation
     A_t + omega'(k) A_x = i eps 3/(2 omega) |A|^2 A (eps kept explicit), and
-    the field is u = A e^{i theta} + c.c.
-    The cubic harmonic e^{3 i theta} resonates exactly when
-    omega(3k) = 3 omega(k), i.e. at k = 1/sqrt(3); at that carrier a second
-    envelope B rides e^{3 i theta} and the pair couples through
-
-        2 i omega(k)  (A_t + omega'(k)  A_x) = eps (-3|A|^2 A - 6|B|^2 A - 3 conj(A)^2 B),
-        2 i omega(3k) (B_t + omega'(3k) B_x) = eps (-3|B|^2 B - 6|A|^2 B - A^3).
+    the field is u = A e^{i theta} + c.c.  The cubic harmonic resonates
+    where omega(3k) = 3 omega(k), at k = 1/sqrt(3) (:func:`find_phase_matched`),
+    and there this single envelope does not apply.
 
 Direct reference solutions come from a Fourier pseudospectral first-order
 system in transform space, stepped by :func:`integrator.integrate_reference` (the
@@ -44,13 +38,12 @@ packet runs load no scipy).  The state is the dealiased band itself, the
 rfft modes 0..K of u and u_t with (p + 1) K < n, so the products u^p taken on
 the n-point grid are exactly alias-free (the 2/3 rule for quadratic terms,
 the 1/2 rule for cubic ones), and the modes above K, which no product
-forces, are not stepped at their high frequencies.
-Envelope equations are integrated by Strang-split steps whose linear part is
-exact in transform space and whose pointwise nonlinear part is exact
-(single wave) or one classical fourth-order Runge-Kutta stage (coupled pair).
-The half substeps that close one step and open the next are merged into one
-full substep: the kicks of the single wave (which leave |A| unchanged) and
-the linear transports of the coupled pair; the scheme is still second-order
+forces and the periodic start leaves at roundoff, are not stepped at their
+high frequencies.
+The envelope equation is integrated by Strang-split steps whose linear part
+is exact in transform space and whose pointwise nonlinear part is exact.
+The half kicks that close one step and open the next are merged into one
+full kick (a kick leaves |A| unchanged); the scheme is still second-order
 Strang.
 
 A packet comparison evolves the envelope on its own grid, not the field's:
@@ -59,7 +52,9 @@ wavenumber at least k), capped at the field grid, which at the default 16
 points per wavelength is an eighth of it.  The envelope's wavenumbers are
 << k by the scale separation the derivation assumes, so band-limited
 resampling (:func:`_resample`: spectral truncation onto the envelope grid,
-zero padding back to the field grid) drops only modes at the roundoff level.
+zero padding back to the field grid) drops only modes at the roundoff level:
+the Gaussian start is periodic (:func:`gaussian_packet`), so its spectrum
+has no floor above them.
 """
 
 from __future__ import annotations
@@ -91,9 +86,6 @@ class Dispersion:
     power: int
     envelope: Callable[[float, float], tuple[float, float]]  # (omega, eps) -> (beta, gamma)
     carriers: tuple[Carrier, ...]
-    # (A, B, eps) -> (2 i omega(k) (A_t + omega'(k) A_x), the same for B at 3k)
-    # for the envelopes of the phase-matched pair; None when there is none
-    resonance: Callable | None = None
 
     @property
     def max_order(self) -> int:
@@ -126,11 +118,6 @@ _DISPERSIONS = {
             kind="fourth_order", omega2=(1.0, -1.0, 1.0), power=3,
             envelope=lambda omega, eps: (0.0, eps * 3.0 / (2.0 * omega)),
             carriers=((1.0, 0, 1, 0, 1),),  # A e^{i theta}
-            resonance=lambda a, b, eps: (
-                eps * (-3.0 * np.abs(a) ** 2 * a - 6.0 * np.abs(b) ** 2 * a
-                       - 3.0 * np.conj(a) ** 2 * b),
-                eps * (-3.0 * np.abs(b) ** 2 * b - 6.0 * np.abs(a) ** 2 * b - a * a * a),
-            ),
         ),
     )
 }
@@ -160,14 +147,19 @@ def find_phase_matched(d: Dispersion, n: int, k_range: tuple[float, float]) -> l
     """Phase-matched carriers in k_range.
 
     The sign changes of the residual on a 2000-point grid, bisected to 1e-12.
+    A residual that is not finite on the grid (omega overflows) would hide
+    the roots near it, so it raises ValueError.
     """
     if n not in (2, 3):
         raise ValueError("harmonic order must be 2 or 3")
     lo, hi = k_range
     if hi <= lo:
         return []
-    ks = np.linspace(lo, hi, 2000)
-    vals = d.omega(n * ks) - n * d.omega(ks)  # phase_match_residual over the grid
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises below
+        ks = np.linspace(lo, hi, 2000)
+        vals = d.omega(n * ks) - n * d.omega(ks)  # phase_match_residual over the grid
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"omega overflows on k_range [{lo}, {hi}]: narrow the range")
     roots = []
     for i in np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]:
         a, b = ks[i], ks[i + 1]
@@ -271,7 +263,6 @@ class DirectRun:
 
     t: np.ndarray
     fields: list[RealField]
-    start: RealField  # the initial field the solve evolves: u0 on the band
     meta: dict = field(default_factory=dict)
 
 
@@ -354,9 +345,10 @@ def _solve_direct(
     K = (n - 1) // (p + 1) the largest K with (p + 1) K < n, so the p-fold
     product on the n-point grid is exactly alias-free (the 2/3 rule for
     quadratic terms, the 1/2 rule for cubic ones).  The modes above K are
-    never forced, so they are not carried; the solve starts from the band
-    projection of u0, returned as ``start``.  Snapshots at ``t_eval``, by
-    default ``[t_end]`` as in :func:`integrate_reference`.
+    never forced, so they are not carried: the solve starts from the band
+    projection of u0, which differs from u0 at roundoff for the periodic
+    :func:`gaussian_packet` start.  Snapshots at ``t_eval``, by default
+    ``[t_end]`` as in :func:`integrate_reference`.
     """
     d = dispersion(kind)
     n = u0.n
@@ -376,8 +368,7 @@ def _solve_direct(
 
     z0 = np.concatenate([np.fft.rfft(u0.u)[:band], np.fft.rfft(u0.ut)[:band]]).view(float)
     traj = integrate_reference(rhs, z0, (0.0, t_end), rtol, atol, t_eval=t_eval)
-    return DirectRun(t=traj.t, fields=[field_of(z) for z in traj.y], meta=traj.meta,
-                     start=field_of(z0))
+    return DirectRun(t=traj.t, fields=[field_of(z) for z in traj.y], meta=traj.meta)
 
 
 # --- envelope solvers -----------------------------------------------------------
@@ -461,57 +452,6 @@ def solve_nls(
     return out
 
 
-def solve_two_wave(
-    fld_a: WavePacketField,
-    fld_b: WavePacketField,
-    t_end: float,
-    dt: float,
-) -> tuple[WavePacketField, WavePacketField]:
-    """Coupled envelopes at a phase-matched carrier (k and 3k).
-
-    Linear transport is exact per wave; the coupled cubic terms are advanced
-    by one classical fourth-order Runge-Kutta stage per split step.  The
-    closing half transport of one step and the opening half transport of the
-    next are merged into one full transport, so only the first and the last
-    step keep a half; the scheme is still second-order Strang.
-    """
-    d = dispersion(fld_a.kind)
-    if d.resonance is None or dispersion(fld_b.kind) is not d:
-        raise ValueError(f"{fld_a.kind} declares no resonant pair for both fields")
-    if abs(phase_match_residual(d, 3, fld_a.k)) >= 1e-6:
-        raise ValueError(
-            f"carrier k={fld_a.k} is not phase matched: "
-            f"omega(3k) - 3 omega(k) = {phase_match_residual(d, 3, fld_a.k):.3e}"
-        )
-    if abs(fld_b.k - 3.0 * fld_a.k) > 1e-9:
-        raise ValueError("second field must ride the third harmonic 3k")
-    om1, om3 = d.omega(fld_a.k), d.omega(3.0 * fld_a.k)
-    om1p, om3p = d.omega_prime(fld_a.k), d.omega_prime(3.0 * fld_a.k)
-    kappa = _wavenumbers(fld_a)
-
-    def nonlinear(a, b):
-        ra, rb = d.resonance(a, b, fld_a.eps)
-        return ra / (2j * om1), rb / (2j * om3)
-
-    def transport(a, b, lin):
-        return np.fft.ifft(lin[0] * np.fft.fft(a)), np.fft.ifft(lin[1] * np.fft.fft(b))
-
-    steps = int(_split_steps(t_end, dt))
-    h = t_end / steps
-    half, full = ((np.exp(-1j * om1p * kappa * span), np.exp(-1j * om3p * kappa * span))
-                  for span in (0.5 * h, h))
-    a, b = transport(fld_a.values, fld_b.values, half)
-    for step in range(steps):
-        ka1, kb1 = nonlinear(a, b)
-        ka2, kb2 = nonlinear(a + 0.5 * h * ka1, b + 0.5 * h * kb1)
-        ka3, kb3 = nonlinear(a + 0.5 * h * ka2, b + 0.5 * h * kb2)
-        ka4, kb4 = nonlinear(a + h * ka3, b + h * kb3)
-        a = a + h / 6.0 * (ka1 + 2.0 * ka2 + 2.0 * ka3 + ka4)
-        b = b + h / 6.0 * (kb1 + 2.0 * kb2 + 2.0 * kb3 + kb4)
-        a, b = transport(a, b, full if step < steps - 1 else half)
-    return replace(fld_a, values=a), replace(fld_b, values=b)
-
-
 # --- reconstruction and comparison ----------------------------------------------
 
 def reconstruct_field(fld: WavePacketField, t: float, order: int) -> RealField:
@@ -550,13 +490,16 @@ def gaussian_packet(
     points_per_wavelength: int = 16,
     kind: str = "klein_gordon",
 ) -> WavePacketField:
-    """Gaussian envelope a exp(-(x-x_c)^2 / 2 sigma^2) on a big-enough domain.
+    """Gaussian envelope a exp(-(x-x_c)^2 / 2 sigma^2) on a big-enough periodic domain.
 
     The derivation assumes the envelope varies slowly against the carrier,
     so sigma must be at least 10 carrier wavelengths.  The domain is sized
     so the carrier is an exact grid wavenumber and the packet, moving at
     the group velocity, never wraps within t_end (L >= x_c + |omega'| t_end
-    + 6 sigma with x_c = 6 sigma).
+    + 6 sigma with x_c = 6 sigma).  The envelope is the sum of the
+    Gaussian's periodic images j = -1, 0, 1, centred at x_c + j L, so it is
+    smooth across the boundary and its spectrum falls to roundoff; the next
+    images are below e^-160 on the domain (L >= 12 sigma).
     """
     if sigma_wavelengths < 10.0:
         raise ValueError("envelope must span at least 10 carrier wavelengths")
@@ -582,7 +525,11 @@ def gaussian_packet(
     length = m * wavelength
     n = 1 << int(np.ceil(np.log2(points_per_wavelength * m)))
     x = grid_points(length, n)
-    values = amplitude * np.exp(-((x - x_c) ** 2) / (2.0 * sigma**2))
+    # in units of sigma: sigma**2 may overflow, the squares of z = (x - x_c - j L) / sigma
+    # cannot (L / sigma <= 6554 within the grid budget)
+    values = amplitude * sum(
+        np.exp(-0.5 * ((x - x_c - j * length) / sigma) ** 2) for j in (-1, 0, 1)
+    )
     return WavePacketField(length, values, k, eps, kind)
 
 
@@ -606,7 +553,7 @@ def packet_compare(
     ``max(1/eps, max(checkpoints))``, the last checkpoint alone when eps <= 0.
     ``l2_error`` is the relative L2 error at the final checkpoint;
     ``error`` holds the per-checkpoint relative L2 errors; ``stats`` records
-    the grid, the direct run's energy drift (from its band-projected start),
+    the grid, the direct run's energy drift (from u0),
     RHS evaluations ``nfev_direct`` and band size ``direct_modes`` = K + 1,
     the envelope's L2 drift, and
     ``stats["fields"]`` always holds the compared snapshots themselves: the
@@ -685,7 +632,7 @@ def packet_compare(
         abs_errors.append(float(np.max(np.abs(diff))))
         snapshots.append({"t": t, "direct": snap.u, "reconstructed": rec.u})
 
-    e_start = energy(direct.start, eps, kind)
+    e_start = energy(u0, eps, kind)
     e_end = energy(direct.fields[-1], eps, kind)
     l2_start = float(np.linalg.norm(start.values))
     l2_end = float(np.linalg.norm(envelopes[-1].values))

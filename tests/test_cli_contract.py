@@ -93,6 +93,10 @@ REJECTED = [
     ("pde", dict(PHASE_MATCH, k_range=[2.0, 0.1])),
     ("pde", dict(PHASE_MATCH, harmonic=4, k_range=[2.0, 0.1])),
     ("pde", dict(PHASE_MATCH, k_range=[1.0, 1.0])),
+    # omega(k)^2 ~ k^4 overflows on most of this range: the residual read
+    # inf - inf = NaN there, so the root at 1/sqrt(3) was missed and the run
+    # exited 0 with no roots and numpy warnings
+    ("pde", {"task": "phase_match", "kind": "fourth_order", "k_range": [0.1, 1e308]}),
 ]
 
 
@@ -350,7 +354,7 @@ FUZZ_BASES = [
     ("ode", dict(ODE, eps=[0.1, 0.05], terms=2, seed=1,
                  accept={"max_abs_error_le": 0.2, "l2_error_le": 0.2})),
     ("ode", {"case": "damped_linear", "eps": 0.1, "horizon": 20.0, "n_samples": 64,
-             "ics": [1.0, 0.0], "use_closed_form": True, "include_naive": True,
+             "ics": [1.0, 0.0], "include_naive": True,
              "accept": {"max_abs_error_le": 0.05}}),
     ("blayer", dict(LAYER, eps=[0.1, 0.2], n_grid=256, seed=2,
                     accept={"max_gap_le": 0.05, "half_width_le_eps_multiple": 5.0})),
