@@ -25,9 +25,18 @@ on a solver failure and 4 on an internal error, reported in one line
 without a traceback.  ``--jobs`` fans out across independent configs only,
 one worker per config at most.
 
-The solver modules and numpy load inside the ``ode``, ``blayer`` and ``pde``
-declarations and runners, so ``pi``, ``roots`` and ``euler`` runs never
-import them.
+Each runner loads the modules it computes with: ``dimsys`` and ``series``
+inside the ``pi``, ``roots`` and ``euler`` runners, the solver modules and
+numpy inside the ``ode``, ``blayer`` and ``pde`` declarations and runners, so
+``pi``, ``roots`` and ``euler`` runs never import numpy and the others never
+import ``dimsys``.
+
+Every solve runs on one thread, so a CLI process gives numpy's BLAS one
+thread too: :func:`main` sets ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``
+and ``MKL_NUM_THREADS`` to 1 before numpy loads, unless the caller has set
+any of them or numpy is already loaded.  An idle BLAS worker would otherwise
+spin on a second core.  ``--jobs`` is the way to use more cores; its pool
+workers inherit the setting.
 """
 
 from __future__ import annotations
@@ -35,12 +44,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from . import SolverError, dimsys, series
+from . import SolverError
 
 EXIT_OK = 0
 EXIT_ACCEPT = 1
@@ -310,6 +320,8 @@ _PI = Schema(
 
 
 def _run_pi(cfg: dict, out: Path, name: str) -> tuple[dict, list[dict]]:
+    from . import dimsys
+
     if "fixture" in cfg:
         try:
             qs = dimsys.parse_quantity_set(Path(cfg["fixture"]).read_text())
@@ -363,6 +375,8 @@ _ROOTS = Schema(
 
 
 def _run_roots(cfg: dict, out: Path, name: str) -> tuple[dict, list[dict]]:
+    from . import series
+
     family = series.PolyFamily.from_coefficients(cfg["family"])
     if "rescale_exponent" in cfg:
         family = series.rescale_singular(family, cfg["rescale_exponent"])
@@ -389,6 +403,8 @@ _EULER = Schema(
 
 
 def _run_euler(cfg: dict, out: Path, name: str) -> tuple[dict, list[dict]]:
+    from . import series
+
     rows = []
     for eps in cfg["eps_values"]:
         f_val = series.euler_f(eps, cfg["quad_tol"])
@@ -694,7 +710,23 @@ def ProcessPoolExecutor(max_workers: int):
     return pool(max_workers=max_workers)
 
 
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _one_blas_thread():
+    """One BLAS thread for the numpy this process is about to load.
+
+    BLAS reads these variables once, when numpy loads, so a loaded numpy
+    keeps its pool; a caller's own setting of any of them is left as it is.
+    """
+    if "numpy" in sys.modules or any(v in os.environ for v in _THREAD_VARIABLES):
+        return
+    for variable in _THREAD_VARIABLES:
+        os.environ[variable] = "1"
+
+
 def main(argv=None) -> int:
+    _one_blas_thread()
     parser = argparse.ArgumentParser(
         prog="asymptotica",
         description="dimensional analysis, perturbation expansions and "

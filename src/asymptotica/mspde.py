@@ -201,6 +201,23 @@ MAX_DIRECT_WORK = 2e7
 MIN_AMPLITUDE = float(np.sqrt(np.finfo(float).tiny))
 
 
+def _amplitude_limits(d: Dispersion, eps: float) -> tuple[float, float]:
+    """The weak-nonlinearity and the overflow limits on a packet's |amplitude|.
+
+    The envelope equation assumes a weak nonlinearity: each eps^q carrier is
+    (|eps| |A|^(p-1))^q times the leading one, so |eps| |amplitude|^(p-1) <= 1
+    (no limit at eps = 0).  Under it the starting field stays below
+    2 (sum of the carriers' |coefficients|) |amplitude|, and the largest power
+    a run takes of it, the energy's u^(p+1) summed over at most MAX_GRID
+    points, must not overflow.
+    """
+    with np.errstate(divide="ignore", over="ignore"):  # eps 0 or subnormal: no limit
+        weak = float(np.float64(abs(eps)) ** (-1.0 / (d.power - 1)))
+    field_bound = 2.0 * sum(abs(carrier[0]) for carrier in d.carriers)
+    finite = (np.finfo(float).max / MAX_GRID) ** (1.0 / (d.power + 1)) / field_bound
+    return weak, finite
+
+
 def grid_points(length: float, n: int) -> np.ndarray:
     return np.arange(n) * (length / n)
 
@@ -571,12 +588,26 @@ def packet_compare(
     and the direct solve's work (grid points times horizon times the band's
     top frequency) are held to ``MAX_HORIZON``, ``MAX_SPLIT_STEPS``,
     ``MAX_SNAPSHOT_POINTS`` and ``MAX_DIRECT_WORK``, and ``|amplitude|`` to
-    at least ``MIN_AMPLITUDE``, before any solve.
+    at least ``MIN_AMPLITUDE`` and at most the weak-nonlinearity and overflow
+    limits of :func:`_amplitude_limits`, before any solve.
     """
     if not abs(amplitude) >= MIN_AMPLITUDE:
         raise ValueError(
             f"amplitude {amplitude} is below {MIN_AMPLITUDE:.3g}, where the error norms "
             "underflow; a zero-amplitude packet has no relative error"
+        )
+    d = dispersion(kind)
+    weak, finite = _amplitude_limits(d, eps)
+    if not abs(amplitude) <= weak:
+        raise ValueError(
+            f"amplitude {amplitude} is beyond |amplitude| <= {weak:.3g}, the weak "
+            f"nonlinearity |eps| |amplitude|^{d.power - 1} <= 1 that the {kind} envelope "
+            f"equation assumes at eps {eps}"
+        )
+    if not abs(amplitude) <= finite:
+        raise ValueError(
+            f"amplitude {amplitude} is beyond |amplitude| <= {finite:.3g}, above which "
+            f"u^{d.power + 1} of the {kind} field overflows"
         )
     if checkpoints is None and eps <= 0:
         raise ValueError("eps <= 0 needs explicit checkpoints")
@@ -601,7 +632,6 @@ def packet_compare(
             f"{len(checkpoints) * packet.n} snapshot points, above the budget of "
             f"{MAX_SNAPSHOT_POINTS}: use fewer checkpoints or a coarser grid"
         )
-    d = dispersion(kind)
     band = _direct_band(packet.n, d.power)
     with np.errstate(over="ignore"):  # an overflow to inf fails the budget below
         top = float(d.omega(2.0 * np.pi * (band - 1) / packet.length))

@@ -7,6 +7,7 @@ import io
 import json
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -300,6 +301,43 @@ def test_packet_breaches_fail_before_any_solve(tmp_path, capsys, monkeypatch, pa
     code, err = run(tmp_path, "pde", payload, capsys)
     assert code == EXIT_CONFIG, err
     assert not list(tmp_path.glob("*.csv"))
+
+
+# Before the amplitude limits, 1e150 wrote four numpy overflow warnings and
+# exited 2 naming y0, not the amplitude; 1e60 exited 3 after eleven
+# warnings; 1e10, 1e20 and 1e40 exited 3 after 2.7-12.7 s of a solve that
+# blew up; 1e4 ran past 20 s and 1e77 past 3 minutes.
+@pytest.mark.parametrize("amplitude", [1e150, 1e77, 1e60, 1e40, 1e20, 1e10, 1e4])
+def test_strongly_nonlinear_packet_fails_at_once(tmp_path, capsys, amplitude):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        start = time.perf_counter()
+        code, err = run(tmp_path, "pde", dict(PACKET, amplitude=amplitude), capsys)
+        elapsed = time.perf_counter() - start
+    assert code == EXIT_CONFIG, err
+    assert elapsed < 1.0
+    assert [str(w.message) for w in caught] == []
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: amplitude {amplitude} is beyond |amplitude| <= 10, ")
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("kind, order, amplitude, power", [
+    ("klein_gordon", 1, 1e150, 3),
+    ("fourth_order", 0, 1e80, 4),
+])
+def test_packet_amplitude_that_overflows_fails_at_once(tmp_path, capsys, kind, order,
+                                                       amplitude, power):
+    # at eps 0 no weak-nonlinearity limit applies
+    payload = dict(PACKET, eps=0.0, kind=kind, order=order, amplitude=amplitude)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, err = run(tmp_path, "pde", payload, capsys)
+    assert code == EXIT_CONFIG, err
+    assert [str(w.message) for w in caught] == []
+    _, finite = mspde._amplitude_limits(mspde.dispersion(kind), 0.0)
+    assert err == (f"error: amplitude {amplitude} is beyond |amplitude| <= {finite:.3g}, "
+                   f"above which u^{power} of the {kind} field overflows\n")
 
 
 class RecordingPool:

@@ -1,5 +1,7 @@
 """Runs load only what they compute with: pi, roots and euler runs load no
-numpy, and no run loads scipy."""
+numpy, ode, blayer and pde runs load no dimsys, and no run loads scipy.  A
+CLI process gives numpy's BLAS one thread unless its caller set a thread
+count."""
 
 import json
 import os
@@ -7,7 +9,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from asymptotica import blayer
+import pytest
+
+from asymptotica import blayer, cli
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "scripts" / "configs"
@@ -22,19 +26,32 @@ SHIPPED = [
     ("fourth_packet", "pde", str(CONFIGS / "fourth_packet.json")),
 ]
 
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
 # Runs each config through cli.main in one fresh interpreter and prints, after
-# the import and after each labelled run, whether numpy is loaded and which
-# scipy modules are.  With "block", any scipy import raises ImportError.
+# the import and after each labelled run, whether numpy is loaded, which scipy
+# modules are, which of a few other modules are, the process's thread count
+# (None without /proc/self/task) and its *_NUM_THREADS variables.  With "block",
+# any scipy import raises ImportError.
 _PROBE = """
-import json, sys
+import json, os, sys
 if sys.argv[3] == "block":
     sys.modules["scipy"] = None
 import asymptotica.cli as cli
 
+WATCHED = ("asymptotica.dimsys", "asymptotica.series", "dataclasses")
+TASKS = "/proc/self/task"
+
 def loaded():
     scipy = sorted(m for m in sys.modules
                    if (m == "scipy" or m.startswith("scipy.")) and sys.modules[m] is not None)
-    return {"numpy": "numpy" in sys.modules, "scipy": scipy}
+    return {
+        "numpy": "numpy" in sys.modules,
+        "scipy": scipy,
+        "modules": [m for m in WATCHED if m in sys.modules],
+        "threads": len(os.listdir(TASKS)) if os.path.isdir(TASKS) else None,
+        "env": {v: os.environ[v] for v in sorted(os.environ) if v.endswith("_NUM_THREADS")},
+    }
 
 seen = {"import": loaded()}
 for label, sub, config in json.loads(sys.argv[1]):
@@ -45,10 +62,12 @@ print(json.dumps(seen))
 """
 
 
-def loaded_per_run(runs, out_dir, scipy="allow"):
-    """{label: {"numpy": bool, "scipy": [modules]}} after each run, from one
-    fresh interpreter; ``scipy="block"`` makes every scipy import fail."""
-    env = dict(os.environ)
+def loaded_per_run(runs, out_dir, scipy="allow", threads_env=None):
+    """{label: what the probe sees} after each run, from one fresh interpreter
+    whose environment holds no ``*_NUM_THREADS`` variable but those of
+    ``threads_env``; ``scipy="block"`` makes every scipy import fail."""
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env.update(threads_env or {})
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
@@ -63,7 +82,9 @@ def loaded_per_run(runs, out_dir, scipy="allow"):
 def test_light_runs_load_no_scipy(tmp_path):
     loaded = loaded_per_run(SHIPPED[:5], tmp_path)
     for stage in ("import", "pi", "roots", "euler"):
-        assert loaded[stage] == {"numpy": False, "scipy": []}, (stage, loaded[stage])
+        assert not loaded[stage]["numpy"] and loaded[stage]["scipy"] == [], (stage, loaded[stage])
+    # the pi, roots and euler runners load dimsys and series themselves
+    assert loaded["import"]["modules"] == [], loaded["import"]
     # the linear layer's FD reference solves its tridiagonal systems in house
     for stage in ("pde", "blayer"):
         assert loaded[stage]["scipy"] == [], (stage, loaded[stage])
@@ -71,16 +92,60 @@ def test_light_runs_load_no_scipy(tmp_path):
     assert callable(blayer.solve_banded)
 
 
-def test_integrating_runs_load_no_scipy_integrate(tmp_path):
-    # ODE, packet and shooting solves step with the library's own DOP853
-    nonlinear_layer = tmp_path / "nonlinear_layer.json"
+@pytest.fixture(scope="module")
+def integrating_runs(tmp_path_factory):
+    """The probe over the ode, packet and nonlinear-layer runs, in one fresh
+    interpreter without BLAS thread variables."""
+    out = tmp_path_factory.mktemp("integrating")
+    nonlinear_layer = out / "nonlinear_layer.json"
     nonlinear_layer.write_text(json.dumps({"kind": "nonlinear", "eps": 0.1, "n_grid": 512}))
-    loaded = loaded_per_run(
-        [*SHIPPED[5:], ("nonlinear_layer", "blayer", str(nonlinear_layer))], tmp_path
-    )
+    return loaded_per_run([*SHIPPED[5:], ("nonlinear_layer", "blayer", str(nonlinear_layer))], out)
+
+
+INTEGRATING = ("ode", "packet", "fourth_packet", "nonlinear_layer")
+
+
+def test_integrating_runs_load_no_scipy_integrate(integrating_runs):
+    # ODE, packet and shooting solves step with the library's own DOP853;
     # the nonlinear layer's FD reference does not load scipy either
-    for stage in ("ode", "packet", "fourth_packet", "nonlinear_layer"):
-        assert loaded[stage]["scipy"] == [], (stage, loaded[stage])
+    for stage in INTEGRATING:
+        assert integrating_runs[stage]["scipy"] == [], (stage, integrating_runs[stage])
+
+
+def test_solver_runs_load_no_dimsys(integrating_runs):
+    for stage in INTEGRATING:
+        assert "asymptotica.dimsys" not in integrating_runs[stage]["modules"], stage
+
+
+def test_numeric_runs_hold_one_thread(integrating_runs):
+    if integrating_runs["import"]["threads"] is None:
+        pytest.skip("no /proc/self/task to count threads in")
+    for stage in INTEGRATING:
+        seen = integrating_runs[stage]
+        assert seen["numpy"] and seen["threads"] == 1, (stage, seen)
+        assert seen["env"] == dict.fromkeys(THREAD_VARIABLES, "1"), (stage, seen)
+
+
+def test_caller_thread_setting_is_kept(tmp_path):
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc/self/task to count threads in")
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("BLAS caps its threads at the one CPU this process may use")
+    seen = loaded_per_run(SHIPPED[3:4], tmp_path, threads_env={"OPENBLAS_NUM_THREADS": "2"})
+    assert seen["pde"]["numpy"], seen
+    assert seen["pde"]["env"] == {"OPENBLAS_NUM_THREADS": "2"}, seen
+    assert seen["pde"]["threads"] == 2, seen
+
+
+def test_main_leaves_the_environment_of_a_numpy_caller(tmp_path, monkeypatch):
+    # this process loaded numpy with blayer, so its BLAS pool is set already
+    assert "numpy" in sys.modules
+    for variable in THREAD_VARIABLES:
+        monkeypatch.delenv(variable, raising=False)
+    before = dict(os.environ)
+    _, sub, config = SHIPPED[0]
+    assert cli.main([sub, "--config", config, "--out-dir", str(tmp_path)]) == cli.EXIT_OK
+    assert dict(os.environ) == before
 
 
 def test_shipped_configs_run_with_scipy_blocked(tmp_path):

@@ -1,4 +1,5 @@
 import json
+import re
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -459,3 +460,29 @@ def test_packet_compare_rejects_degenerate_inputs():
         packet_compare(0.1, 1.0, amplitude=0.0, checkpoints=[1.0])
     with pytest.raises(ValueError, match="eps <= 0"):
         packet_compare(0.0, 1.0)
+
+
+@pytest.mark.parametrize("kind, power", [("klein_gordon", 2), ("fourth_order", 3)])
+def test_packet_amplitude_limits(kind, power):
+    d = mspde.dispersion(kind)
+    # |eps| |amplitude|^(p - 1) <= 1, for either sign of eps, and none at eps 0
+    for eps in (0.1, -0.1):
+        weak, _ = mspde._amplitude_limits(d, eps)
+        assert weak == pytest.approx(10.0 ** (1.0 / (power - 1)), rel=1e-14)
+    assert mspde._amplitude_limits(d, 0.0)[0] == np.inf
+    assert mspde._amplitude_limits(d, 5e-324)[0] >= 1e161
+    with pytest.raises(ValueError, match=rf"weak nonlinearity \|eps\| \|amplitude\|\^{power - 1}"):
+        packet_compare(0.1, 1.0, amplitude=-1.01 * weak, kind=kind, order=0, checkpoints=[1.0])
+
+
+@pytest.mark.parametrize("kind, order", [("klein_gordon", 1), ("fourth_order", 0)])
+def test_packet_at_the_overflow_limit_overflows_nothing(kind, order):
+    # eps 0 sets no weak-nonlinearity limit, so the overflow limit is the one
+    # that holds; every power the run takes of the field stays finite
+    _, finite = mspde._amplitude_limits(mspde.dispersion(kind), 0.0)
+    args = dict(kind=kind, order=order, checkpoints=[0.5], dt=0.05, points_per_wavelength=8)
+    with np.errstate(over="raise", invalid="raise"):
+        report = packet_compare(0.0, 1.0, amplitude=finite, **args)
+    assert report.l2_error <= 1e-3 and np.isfinite(report.stats["energy_drift_rel"])
+    with pytest.raises(ValueError, match=re.escape(f"{finite:.3g}, above which u")):
+        packet_compare(0.0, 1.0, amplitude=1.01 * finite, **args)
