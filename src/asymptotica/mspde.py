@@ -1,17 +1,25 @@
 """Wave-packet multiple scales for 1D dispersive PDEs on periodic domains.
 
-A model is one :class:`Dispersion` declaration:
+A model is one :class:`Dispersion` declaration: the coefficients of
+omega^2 as a polynomial in k^2 and the nonlinearity power p (2 or 3).
+Derived from it are the direct-solve symbol, omega, omega' =
+(omega^2)'/(2 omega), the conserved energy and the dealiased band
+K = (n - 1) // (p + 1), and, by harmonic balance at the carrier wavenumber k
+(:meth:`Dispersion.harmonic_balance`), the packet's envelope equation
 
-* the coefficients of omega^2 as a polynomial in k^2 and the nonlinearity
-  power, from which the direct-solve symbol, omega, omega' =
-  (omega^2)'/(2 omega), the conserved energy and the dealiased band
-  K = (n - 1) // (p + 1) are derived;
-* the hand-derived envelope coefficients (beta, gamma);
-* its carrier terms (coefficient, eps power, powers of A and conj(A),
-  harmonic h); the field is u = 2 Re of their sum, the highest eps power is
-  the highest reconstruction order, and u_t follows by the product rule.
+    A_t = -omega' A_x + i beta A_xx + i gamma |A|^2 A,   beta = omega''(k)/2,
 
-Two second-order-in-time models are declared:
+and its carrier terms (coefficient, eps power, powers of A and conj(A),
+harmonic h): the field is u = 2 Re of their sum, the highest eps power is
+the highest reconstruction order, and u_t follows by the product rule.
+For odd p, u0^p with u0 = A e^{i theta} + c.c. forces e^{i theta} at first
+order, so gamma = eps F/(2 omega) with F the coefficient of |A|^2 A there,
+and the field is u0.  For even p, u0^p has only non-resonant harmonics; each
+is divided by D(h) = omega(h k)^2 - h^2 omega(k)^2 into the first-order field
+u1, gamma = eps^2 F/(2 omega) comes from p u0^{p-1} u1, and the field is
+u0 + eps u1.
+
+Three second-order-in-time models are declared:
 
 klein_gordon
     u_tt - u_xx + u = eps u^2,   omega(k) = sqrt(1 + k^2).
@@ -25,11 +33,17 @@ klein_gordon
 
 fourth_order
     u_tt + u_xx + u_xxxx + u = eps u^3,   omega(k) = sqrt(k^4 - k^2 + 1).
-    A single envelope obeys the transport equation
-    A_t + omega'(k) A_x = i eps 3/(2 omega) |A|^2 A (eps kept explicit), and
-    the field is u = A e^{i theta} + c.c.  The cubic harmonic resonates
-    where omega(3k) = 3 omega(k), at k = 1/sqrt(3) (:func:`find_phase_matched`),
+    The envelope obeys the NLS
+    A_t = -omega' A_x + i (omega''/2) A_xx + i eps 3/(2 omega) |A|^2 A
+    (eps kept explicit; omega''(1)/2 = 2), and the field is
+    u = A e^{i theta} + c.c.  The cubic harmonic resonates where
+    omega(3k) = 3 omega(k), at k = 1/sqrt(3) (:func:`find_phase_matched`),
     and there this single envelope does not apply.
+
+cubic_klein_gordon
+    u_tt - u_xx + u = eps u^3: the NLS with beta = 1/(2 omega^3) and
+    gamma = eps 3/(2 omega), and u = A e^{i theta} + c.c.  Its cubic harmonic
+    never resonates: omega(3k)^2 - 9 omega(k)^2 = -8.
 
 Direct reference solutions come from a Fourier pseudospectral first-order
 system in transform space, stepped by :func:`integrator.integrate_reference` (the
@@ -60,7 +74,7 @@ has no floor above them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -71,10 +85,18 @@ from .series import horner
 
 # --- models -------------------------------------------------------------------
 
-# (coefficient, eps power p, power m of A, power n of conj(A), harmonic h):
-# adds coefficient eps^p A^m conj(A)^n e^{i h theta} inside u = 2 Re(...),
-# with theta = k x - omega t.
-Carrier = tuple[float, int, int, int, int]
+def _d_dq(coeffs: Sequence[float]) -> list[float]:
+    """Coefficients of the derivative of a polynomial in q."""
+    return [j * c for j, c in enumerate(coeffs)][1:]
+
+
+def _product(a: dict, b: dict) -> dict:
+    """Product of two polynomials {(m, n): coefficient of A^m conj(A)^n}."""
+    out = {}
+    for (m, n), c in a.items():
+        for (i, j), e in b.items():
+            out[m + i, n + j] = out.get((m + i, n + j), 0.0) + c * e
+    return out
 
 
 @dataclass(frozen=True)
@@ -84,13 +106,19 @@ class Dispersion:
     kind: str
     omega2: tuple[float, ...]
     power: int
-    envelope: Callable[[float, float], tuple[float, float]]  # (omega, eps) -> (beta, gamma)
-    carriers: tuple[Carrier, ...]
+
+    def __post_init__(self):
+        if self.power not in (2, 3):
+            raise ValueError(
+                f"{self.kind}: power {self.power} is not 2 or 3, the powers whose "
+                "envelope nonlinearity is the |A|^2 A the split step integrates"
+            )
 
     @property
     def max_order(self) -> int:
-        """Highest reconstruction order: the largest eps power of a carrier."""
-        return max(c[1] for c in self.carriers)
+        """Highest reconstruction order: the carriers stop below gamma's eps
+        power, which is 1 for odd p and 2 for even p."""
+        return 1 - self.power % 2
 
     def symbol(self, k):
         """omega(k)^2."""
@@ -101,24 +129,61 @@ class Dispersion:
 
     def omega_prime(self, k):
         k = np.asarray(k)
-        slope = [j * c for j, c in enumerate(self.omega2)][1:]  # d omega^2 / d(k^2)
+        slope = _d_dq(self.omega2)  # d omega^2 / d(k^2)
         return k * horner(slope, k**2) / self.omega(k)
+
+    def beta(self, k):
+        """The envelope's dispersion coefficient omega''(k)/2.
+
+        With S(q) = omega^2 at q = k^2, omega'' = (S (S' + 2 q S'') - q S'^2) / omega^3.
+        """
+        q = np.asarray(k) ** 2
+        slope = _d_dq(self.omega2)
+        s1, s2 = horner(slope, q), horner(_d_dq(slope), q)
+        curvature = self.symbol(k) * (s1 + 2.0 * q * s2) - q * s1 * s1
+        return curvature / (2.0 * self.omega(k) ** 3)
+
+    def harmonic_balance(self, k: float) -> tuple[float, tuple[tuple, ...]]:
+        """(F, carriers) at carrier wavenumber k, by harmonic balance.
+
+        u0 = A e^{i theta} + c.c. is held as {(m, n): coefficient of
+        A^m conj(A)^n}, of harmonic h = m - n.  F is the coefficient of the
+        |A|^2 A e^{i theta} forcing, so gamma = eps^(max_order + 1) F / (2 omega):
+        from u0^p for odd p; from p u0^{p-1} u1 for even p, where u0^p holds
+        only even, so non-resonant, harmonics and u1 is u0^p with each term
+        divided by D(h) = omega(h k)^2 - h^2 omega(k)^2
+        = sum_j c_j k^{2j} (h^{2j} - h^2) (the j = 1 term is exactly 0).
+        The carriers (coefficient, eps power, m, n, h) are the terms of u0
+        and u1 with h >= 0, the h = 0 term halved inside u = 2 Re(...),
+        with theta = k x - omega t.
+        """
+        u0 = {(1, 0): 1.0, (0, 1): 1.0}
+        lower = u0  # u0^(p - 1)
+        for _ in range(self.power - 2):
+            lower = _product(lower, u0)
+        forcing = _product(lower, u0)
+        orders = [u0]
+        if self.max_order:  # even p
+            def detuning(h):
+                return sum(c * k ** (2 * j) * (h ** (2 * j) - h * h)
+                           for j, c in enumerate(self.omega2))
+
+            orders.append({(m, n): c / detuning(m - n) for (m, n), c in forcing.items()})
+            forcing = {mn: self.power * c for mn, c in _product(lower, orders[1]).items()}
+        carriers = sorted(
+            ((c / 2.0 if m == n else c, order, m, n, m - n)
+             for order, terms in enumerate(orders) for (m, n), c in terms.items() if m >= n),
+            key=lambda carrier: (carrier[1], carrier[4]),
+        )
+        return forcing[2, 1], tuple(carriers)
 
 
 _DISPERSIONS = {
     d.kind: d
     for d in (
-        Dispersion(  # u_tt - u_xx + u = eps u^2
-            kind="klein_gordon", omega2=(1.0, 1.0), power=2,
-            envelope=lambda omega, eps: (1.0 / (2.0 * omega**3), eps**2 * 5.0 / (3.0 * omega)),
-            # A e^{i theta} + eps (|A|^2 - A^2 e^{2 i theta}/3)
-            carriers=((1.0, 0, 1, 0, 1), (1.0, 1, 1, 1, 0), (-1.0 / 3.0, 1, 2, 0, 2)),
-        ),
-        Dispersion(  # u_tt + u_xx + u_xxxx + u = eps u^3
-            kind="fourth_order", omega2=(1.0, -1.0, 1.0), power=3,
-            envelope=lambda omega, eps: (0.0, eps * 3.0 / (2.0 * omega)),
-            carriers=((1.0, 0, 1, 0, 1),),  # A e^{i theta}
-        ),
+        Dispersion("klein_gordon", (1.0, 1.0), 2),  # u_tt - u_xx + u = eps u^2
+        Dispersion("fourth_order", (1.0, -1.0, 1.0), 3),  # u_tt + u_xx + u_xxxx + u = eps u^3
+        Dispersion("cubic_klein_gordon", (1.0, 1.0), 3),  # u_tt - u_xx + u = eps u^3
     )
 }
 
@@ -201,8 +266,8 @@ MAX_DIRECT_WORK = 2e7
 MIN_AMPLITUDE = float(np.sqrt(np.finfo(float).tiny))
 
 
-def _amplitude_limits(d: Dispersion, eps: float) -> tuple[float, float]:
-    """The weak-nonlinearity and the overflow limits on a packet's |amplitude|.
+def _amplitude_limits(d: Dispersion, eps: float, k: float) -> tuple[float, float]:
+    """The weak-nonlinearity and the overflow limits on a carrier-k packet's |amplitude|.
 
     The envelope equation assumes a weak nonlinearity: each eps^q carrier is
     (|eps| |A|^(p-1))^q times the leading one, so |eps| |amplitude|^(p-1) <= 1
@@ -213,7 +278,7 @@ def _amplitude_limits(d: Dispersion, eps: float) -> tuple[float, float]:
     """
     with np.errstate(divide="ignore", over="ignore"):  # eps 0 or subnormal: no limit
         weak = float(np.float64(abs(eps)) ** (-1.0 / (d.power - 1)))
-    field_bound = 2.0 * sum(abs(carrier[0]) for carrier in d.carriers)
+    field_bound = 2.0 * sum(abs(carrier[0]) for carrier in d.harmonic_balance(k)[1])
     finite = (np.finfo(float).max / MAX_GRID) ** (1.0 / (d.power + 1)) / field_bound
     return weak, finite
 
@@ -394,14 +459,15 @@ def envelope_coefficients(fld: WavePacketField) -> tuple[float, float, float]:
     """(advection speed, dispersion coefficient, cubic coefficient) for the envelope.
 
     The envelope equation is A_t = -c A_x + i beta A_xx + i gamma |A|^2 A with
-    c = omega'(k) for every model and (beta, gamma) as the model declares:
-    beta = 1/(2 omega^3) for klein_gordon (the second time derivative has
-    been traded for a spatial one, keeping the equation first order in time)
-    and beta = 0 for fourth_order, and gamma = eps^2 5/(3 omega) resp.
-    eps 3/(2 omega).
+    c = omega'(k), beta = omega''(k)/2 and gamma = eps^(max_order + 1) F /
+    (2 omega), F from :meth:`Dispersion.harmonic_balance`: e.g. beta =
+    1/(2 omega^3) and gamma = eps^2 5/(3 omega) for klein_gordon, beta = 2 at
+    k = 1 and gamma = eps 3/(2 omega) for fourth_order.
     """
     d = dispersion(fld.kind)
-    return (d.omega_prime(fld.k), *d.envelope(d.omega(fld.k), fld.eps))
+    forcing, _ = d.harmonic_balance(fld.k)
+    gamma = fld.eps ** (d.max_order + 1) * forcing / (2.0 * d.omega(fld.k))
+    return d.omega_prime(fld.k), d.beta(fld.k), gamma
 
 
 def envelope_rhs(fld: WavePacketField) -> np.ndarray:
@@ -474,9 +540,9 @@ def solve_nls(
 def reconstruct_field(fld: WavePacketField, t: float, order: int) -> RealField:
     """Real field and its exact time derivative from the envelope at time t.
 
-    u = 2 Re of the sum of the model's carriers whose eps power is at most
-    ``order``; u_t by the product rule, with A_t from the envelope equation
-    and d/dt e^{i h theta} = -i h omega e^{i h theta}.
+    u = 2 Re of the sum of the carriers (:meth:`Dispersion.harmonic_balance`)
+    whose eps power is at most ``order``; u_t by the product rule, with A_t
+    from the envelope equation and d/dt e^{i h theta} = -i h omega e^{i h theta}.
     """
     d = dispersion(fld.kind)
     if order not in range(d.max_order + 1):
@@ -486,7 +552,7 @@ def reconstruct_field(fld: WavePacketField, t: float, order: int) -> RealField:
     a_bar, a_bar_t = np.conj(a), np.conj(a_t)
     phase = np.exp(1j * (fld.k * fld.x - omega * t))
     u = u_t = 0.0
-    for coef, p, m, n, h in d.carriers:
+    for coef, p, m, n, h in d.harmonic_balance(fld.k)[1]:
         if p > order:
             continue
         c = coef * fld.eps**p * phase**h
@@ -582,8 +648,10 @@ def packet_compare(
     checkpoint's envelope is zero padded back to the field grid before
     reconstruction; ``envelope_l2_drift_rel`` is measured on the envelope
     grid, where the split step conserves it.
-    The direct solve runs at atol 1e-11 and the envelope at split step
-    ``dt`` 0.02, the value the acceptance pilot pinned.  The horizon, the
+    The direct solve runs at atol 2e-11 |amplitude| (1e-11 at the default
+    0.5), so its work does not grow with the amplitude at fixed eps
+    |amplitude|^(p-1), and the envelope at split step ``dt`` 0.02, the value
+    the acceptance pilot pinned.  The horizon, the
     split-step count, the snapshot points (checkpoints times grid points)
     and the direct solve's work (grid points times horizon times the band's
     top frequency) are held to ``MAX_HORIZON``, ``MAX_SPLIT_STEPS``,
@@ -597,7 +665,7 @@ def packet_compare(
             "underflow; a zero-amplitude packet has no relative error"
         )
     d = dispersion(kind)
-    weak, finite = _amplitude_limits(d, eps)
+    weak, finite = _amplitude_limits(d, eps, k)
     if not abs(amplitude) <= weak:
         raise ValueError(
             f"amplitude {amplitude} is beyond |amplitude| <= {weak:.3g}, the weak "
@@ -644,9 +712,8 @@ def packet_compare(
             "shorten the horizon or lower k or points_per_wavelength"
         )
     u0 = reconstruct_field(packet, 0.0, order)
-    direct = _solve_direct(
-        eps, u0, max(checkpoints), kind, rtol, t_eval=checkpoints, atol=1e-11
-    )
+    direct = _solve_direct(eps, u0, max(checkpoints), kind, rtol, t_eval=checkpoints,
+                           atol=2e-11 * abs(amplitude))
     wavelengths = round(k * packet.length / (2.0 * np.pi))
     envelope_n = min(packet.n, 1 << (2 * wavelengths - 1).bit_length())
     start = replace(packet, values=_resample(packet.values, envelope_n))

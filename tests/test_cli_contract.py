@@ -335,7 +335,7 @@ def test_packet_amplitude_that_overflows_fails_at_once(tmp_path, capsys, kind, o
         code, err = run(tmp_path, "pde", payload, capsys)
     assert code == EXIT_CONFIG, err
     assert [str(w.message) for w in caught] == []
-    _, finite = mspde._amplitude_limits(mspde.dispersion(kind), 0.0)
+    _, finite = mspde._amplitude_limits(mspde.dispersion(kind), 0.0, 1.0)
     assert err == (f"error: amplitude {amplitude} is beyond |amplitude| <= {finite:.3g}, "
                    f"above which u^{power} of the {kind} field overflows\n")
 

@@ -46,7 +46,7 @@ def test_dispersion_values():
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.floats(min_value=0.01, max_value=10.0), st.sampled_from(["klein_gordon", "fourth_order"]))
+@given(st.floats(min_value=0.01, max_value=10.0), st.sampled_from(mspde.dispersion_kinds()))
 def test_dispersion_symmetry(k, kind):
     d = dispersion(kind)
     om_p, gp_p = d.omega(k), d.omega_prime(k)
@@ -58,7 +58,54 @@ def test_dispersion_symmetry(k, kind):
     h = 1e-5 * k
     fd = (d.omega(k + h) - d.omega(k - h)) / (2.0 * h)
     assert gp_p == pytest.approx(fd, rel=1e-6, abs=1e-8)
+    # the derived beta = omega''/2 against a centered second difference
+    h = 1e-3
+    fd2 = (d.omega(k + h) - 2.0 * om_p + d.omega(k - h)) / h**2
+    assert d.beta(k) == pytest.approx(fd2 / 2.0, rel=1e-5, abs=1e-6)
 
+
+@pytest.mark.parametrize("k", [1.0, 0.9, 1.17, 0.75])
+def test_harmonic_balance_reproduces_the_hand_derived_models(k):
+    eps = 0.1
+    # klein_gordon: beta = 1/(2 omega^3), gamma = eps^2 5/(3 omega) and
+    # u = A e^{i theta} + eps (|A|^2 - A^2 e^{2 i theta}/3) + c.c.
+    omega = KG.omega(k)
+    assert KG.beta(k) == pytest.approx(1.0 / (2.0 * omega**3), rel=1e-15, abs=0.0)
+    _, _, gamma = envelope_coefficients(WavePacketField(2.0 * np.pi / k, np.ones(8), k, eps))
+    assert gamma == pytest.approx(eps**2 * 5.0 / (3.0 * omega), rel=1e-15, abs=0.0)
+    assert KG.harmonic_balance(k)[1] == (
+        (1.0, 0, 1, 0, 1), (1.0, 1, 1, 1, 0), (-1.0 / 3.0, 1, 2, 0, 2))
+    assert KG.max_order == 1
+    # fourth_order: gamma = eps 3/(2 omega), u = A e^{i theta} + c.c.
+    fld = WavePacketField(2.0 * np.pi / k, np.ones(8), k, eps, "fourth_order")
+    _, _, gamma = envelope_coefficients(fld)
+    assert gamma == pytest.approx(eps * 3.0 / (2.0 * FOURTH.omega(k)), rel=1e-15, abs=0.0)
+    assert FOURTH.harmonic_balance(k)[1] == ((1.0, 0, 1, 0, 1),)
+    assert FOURTH.max_order == 0
+    assert FOURTH.beta(1.0) == 2.0
+
+
+def test_dispersion_rejects_powers_without_a_cubic_envelope():
+    with pytest.raises(ValueError, match="power 4 is not 2 or 3"):
+        mspde.Dispersion("quartic", (1.0, 1.0), 4)
+
+
+@pytest.mark.parametrize("eps, a", [(0.1, 0.1), (0.1, 0.2), (0.05, 0.2)])
+@pytest.mark.parametrize("kind", mspde.dispersion_kinds())
+def test_uniform_mode_turns_at_the_shifted_frequency(kind, eps, a):
+    # a constant envelope A = a obeys A_t = i gamma a^2 A, so the direct
+    # solve's rfft mode 1 turns at omega - gamma a^2; 16 points hold the
+    # harmonics up to 3 (p = 3) or 5 (p = 2), and 64 give the same frequency
+    # to 3 digits at 5 times the cost of the stiff fourth_order solve
+    d = dispersion(kind)
+    fld = WavePacketField(2.0 * np.pi, np.full(16, a + 0j), 1.0, eps, kind)
+    t = np.linspace(0.0, 200.0, 801)
+    run = mspde._solve_direct(eps, reconstruct_field(fld, 0.0, d.max_order), t[-1], kind,
+                              rtol=1e-10, t_eval=t)
+    phase = np.unwrap([np.angle(np.fft.rfft(f.u)[1]) for f in run.fields])
+    frequency = -np.polyfit(t, phase, 1)[0]
+    shift = envelope_coefficients(fld)[2] * a**2
+    assert abs(frequency - (d.omega(1.0) - shift)) <= 0.01 * shift
 
 def test_phase_match_residual_values():
     # quadratic harmonic never resonates for the Klein-Gordon branch
@@ -355,6 +402,14 @@ def test_packet_compare_zero_eps():
     assert report.l2_error <= 1e-5
 
 
+
+def test_fourth_order_linear_limit_carries_the_dispersion():
+    # at eps = 0 only the envelope's dispersion beta = omega''/2 separates
+    # the two paths; beta = 0 was 4.2e-3 off at t = 10
+    report = packet_compare(0.0, 1.0, kind="fourth_order", order=0,
+                            checkpoints=[2.0, 5.0, 10.0])
+    assert max(report.stats["relative_l2_per_checkpoint"]) <= 1e-5
+
 def test_packet_compare_quality_and_trend():
     report = packet_compare(
         0.1, 1.0, amplitude=0.5, order=1, checkpoints=[1.0, 5.0, 10.0, 50.0],
@@ -467,19 +522,27 @@ def test_packet_amplitude_limits(kind, power):
     d = mspde.dispersion(kind)
     # |eps| |amplitude|^(p - 1) <= 1, for either sign of eps, and none at eps 0
     for eps in (0.1, -0.1):
-        weak, _ = mspde._amplitude_limits(d, eps)
+        weak, _ = mspde._amplitude_limits(d, eps, 1.0)
         assert weak == pytest.approx(10.0 ** (1.0 / (power - 1)), rel=1e-14)
-    assert mspde._amplitude_limits(d, 0.0)[0] == np.inf
-    assert mspde._amplitude_limits(d, 5e-324)[0] >= 1e161
+    assert mspde._amplitude_limits(d, 0.0, 1.0)[0] == np.inf
+    assert mspde._amplitude_limits(d, 5e-324, 1.0)[0] >= 1e161
     with pytest.raises(ValueError, match=rf"weak nonlinearity \|eps\| \|amplitude\|\^{power - 1}"):
         packet_compare(0.1, 1.0, amplitude=-1.01 * weak, kind=kind, order=0, checkpoints=[1.0])
 
+
+
+def test_direct_solve_work_does_not_grow_with_the_amplitude():
+    # at fixed eps amplitude the field scales with the amplitude, and so does
+    # the direct solve's atol
+    nfev = [packet_compare(eps, 1.0, amplitude=a, checkpoints=[1.0]).stats["nfev_direct"]
+            for eps, a in [(-0.1, 1.0), (-1e-3, 100.0), (-1e-5, 1e4), (-1e-9, 1e8)]]
+    assert nfev == [nfev[0]] * 4
 
 @pytest.mark.parametrize("kind, order", [("klein_gordon", 1), ("fourth_order", 0)])
 def test_packet_at_the_overflow_limit_overflows_nothing(kind, order):
     # eps 0 sets no weak-nonlinearity limit, so the overflow limit is the one
     # that holds; every power the run takes of the field stays finite
-    _, finite = mspde._amplitude_limits(mspde.dispersion(kind), 0.0)
+    _, finite = mspde._amplitude_limits(mspde.dispersion(kind), 0.0, 1.0)
     args = dict(kind=kind, order=order, checkpoints=[0.5], dt=0.05, points_per_wavelength=8)
     with np.errstate(over="raise", invalid="raise"):
         report = packet_compare(0.0, 1.0, amplitude=finite, **args)
