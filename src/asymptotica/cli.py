@@ -50,7 +50,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from . import SolverError
+from . import SolverError, parse_fraction
 
 EXIT_OK = 0
 EXIT_ACCEPT = 1
@@ -124,13 +124,23 @@ def _one_of(*names: str) -> Callable:
 
 
 def _exact(value) -> Fraction:
-    """An int, a float (as its shortest decimal repr) or a fraction string, exactly."""
+    """An int, a float (as its shortest decimal repr) or a fraction string,
+    exactly, read by :func:`asymptotica.parse_fraction`."""
+    what = "must be an integer, a float or a fraction string"
+    if type(value) not in (int, float, str):
+        raise ValueError(what)
     try:
-        if type(value) in (int, float, str):
-            return Fraction(str(value))
-    except (ValueError, ZeroDivisionError):
-        pass
-    raise ValueError("must be an integer, a float or a fraction string")
+        return parse_fraction(str(value))
+    except ValueError as exc:
+        raise ValueError(f"{what} ({exc})") from None
+
+
+def _exact_float(value) -> float:
+    """An exact value (see ``_exact``) rounded to a finite float."""
+    try:
+        return float(_exact(value))
+    except OverflowError:
+        raise ValueError(f"must be within the float range, got {value!r}") from None
 
 
 def _each(item: Callable, container: type = list, min_len=0, max_len=math.inf) -> Callable:
@@ -369,7 +379,7 @@ _ROOTS = Schema(
     },
     variant=lambda cfg: {
         "exact": _roots_mode(_exact, lambda c: str(_exact(c))),
-        "float": _roots_mode(lambda c: float(_exact(c))),
+        "float": _roots_mode(_exact_float),
     }[cfg["mode"]],
 )
 
@@ -391,10 +401,13 @@ def _run_roots(cfg: dict, out: Path, name: str) -> tuple[dict, list[dict]]:
     return summary, [summary]
 
 
+# on (0, 1] every partial sum and remainder bound with m <= 169 is a finite
+# float; above m = 169, (m+1)! in the bound overflows one
+_unit_eps = _type("a number in (0, 1]", lambda v: _is_number(v) and 0 < v <= 1, float)
+
 _EULER = Schema(
     keys={
-        "eps_values": Key(_each(_real), _REQUIRED),
-        # (m+1)! in the remainder bound overflows a float above m = 169
+        "eps_values": Key(_each(_unit_eps), _REQUIRED),
         "m_values": Key(_each(_int(0, 169)), _REQUIRED),
         "quad_tol": Key(_positive, 1e-12),
     },

@@ -29,6 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from . import parse_fraction
+
 
 class DimensionError(ValueError):
     """Raised for inconsistent base systems or malformed declarations."""
@@ -50,9 +52,9 @@ class QuantitySet:
 
 def parse_exponent(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DimensionError(f"bad exponent {text!r}") from exc
+        return parse_fraction(text)
+    except ValueError as exc:
+        raise DimensionError(f"bad exponent {text!r}: {exc}") from exc
 
 
 def parse_dimension(base: Sequence[str], text: str) -> tuple[Fraction, ...]:

@@ -305,26 +305,15 @@ def integrate_amplitude(
     atol: float = 1e-12,
     terms: int = 2,
     t_eval=None,
-    use_closed_form: bool = False,
 ) -> Trajectory:
     """Evolve the slow amplitudes; samples are complex with shape (n_t, n_amp).
 
     Samples at ``t_eval``, by default ``[t_span[1]]`` as in
-    :func:`integrate_reference`.  With ``use_closed_form`` the analytic
-    amplitude solution :meth:`CaseSpec.amplitude_closed_form` replaces the
-    integrator for cases whose rate is constant along the flow (the moduli
-    that set it are conserved), so that A = A0 e^{rate(A0) t}; it is a
-    reference for checks of the integrated path, which :func:`compare`
-    always takes.
+    :func:`integrate_reference`.  Where the rate is constant along the flow,
+    :meth:`CaseSpec.amplitude_closed_form` gives the same path in closed form,
+    a reference for checks of this one.
     """
     amps0 = np.asarray(amps0)
-    if use_closed_form:
-        tt = np.asarray([t_span[1]] if t_eval is None else t_eval)
-        return Trajectory(
-            t=tt,
-            y=np.asarray(case.amplitude_closed_form(tt, amps0, eps, terms)),
-            meta={"eps": eps, "case": case.name, "closed_form": True},
-        )
 
     def rhs(t, vec):
         amps = _real_to_amps(vec, case.n_amplitudes, case.real_amplitudes)

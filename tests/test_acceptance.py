@@ -198,9 +198,7 @@ def test_criterion_6_coupled_cubic(capfd):
         t_end = 500.0 * 2.0 * np.pi  # >= 50 carrier periods, resolves the shift
         n = 1 << 16
         grid = np.linspace(0.0, t_end, n, endpoint=False)
-        amp = msode.integrate_amplitude(
-            case, amps0, (0.0, t_end), eps, t_eval=grid, use_closed_form=True
-        )
+        amp = msode.Trajectory(t=grid, y=case.amplitude_closed_form(grid, amps0, eps))
         x = msode.reconstruct_on_grid(case, amp, eps)[0]
         spectrum = np.abs(np.fft.rfft(x * np.hanning(n)))
         freqs = 2.0 * np.pi * np.fft.rfftfreq(n, d=grid[1] - grid[0])

@@ -165,11 +165,40 @@ def test_keys_that_do_nothing_are_rejected(tmp_path, capsys, subcommand, payload
         ("roots", {"family": [[1]], "root": 0, "order": 2}),
         ("ode", {"case": "cubic", "eps": 1e-100, "horizon_exponent": 1}),
         *[("pde", payload) for payload in PACKET_BREACHES],
+        # these exited 4 with an OverflowError from eps ** (m + 1) and from
+        # float(Fraction), and the fourth exited 1 with abs_error NaN and bound
+        # Infinity although the bound holds
+        ("euler", {"eps_values": [1e200], "m_values": [2]}),
+        ("roots", dict(ROOTS, mode="float", root="1e400")),
+        ("roots", dict(ROOTS, mode="float", family=[[0, 1], ["-1e400"], [1]])),
+        ("euler", {"eps_values": [1.2], "m_values": [169], "accept": {"bound_holds": True}}),
     ],
 )
 def test_out_of_range_values_are_config_errors(tmp_path, capsys, subcommand, payload):
     code, err = run(tmp_path, subcommand, payload, capsys)
     assert code == EXIT_CONFIG, err
+
+
+# Fraction builds 10**e in full: the roots coefficient ran past 20 s, the pi
+# dimension and membership exponent past 10 s, and "1e10000000" took 14 s
+# before exiting 2.
+@pytest.mark.parametrize(
+    "subcommand,payload",
+    [
+        ("roots", dict(ROOTS, family=[[0, 1], ["1e1000000000"], [1]])),
+        ("roots", dict(ROOTS, family=[[0, 1], ["1e10000000"], [1]])),
+        ("roots", dict(ROOTS, mode="float", root="1e-1000000000")),
+        ("roots", dict(ROOTS, rescale_exponent="1e1000000000")),
+        ("pi", dict(PENDULUM, quantities={"t": "T", "s": "L^1e1000000000"}, membership={})),
+        ("pi", dict(PENDULUM, membership={"pi_one": {"t": "1e1000000000"}})),
+    ],
+)
+def test_huge_decimal_exponent_fails_at_once(tmp_path, capsys, subcommand, payload):
+    start = time.perf_counter()
+    code, err = run(tmp_path, subcommand, payload, capsys)
+    assert code == EXIT_CONFIG, err
+    assert time.perf_counter() - start < 1.0
+    assert "beyond +-4300" in err and len(err.splitlines()) == 1
 
 
 def test_default_order_beyond_the_model_is_named(tmp_path, capsys):

@@ -88,6 +88,15 @@ def test_fractional_exponent_parsing():
     assert v == (Fraction(1, 2), Fraction(2), Fraction(3))
 
 
+def test_decimal_exponent_is_bounded():
+    # Fraction would build 10**e in full; the bound is Python's int-string limit
+    assert parse_dimension(("L",), "L^1e4300") == (Fraction(10**4300),)
+    assert parse_dimension(("L",), "L^-25e-4300") == (Fraction(-25, 10**4300),)
+    for text in ("L^1e4301", "L^1E-4301", "L^1e1000000000", "L^1/0"):
+        with pytest.raises(DimensionError):
+            parse_dimension(("L",), text)
+
+
 def test_nullspace_identity_is_empty():
     eye = [[frac(i == j) for j in range(3)] for i in range(3)]
     assert rational_nullspace(eye) == []

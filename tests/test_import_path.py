@@ -24,6 +24,9 @@ SHIPPED = [
     ("ode", "ode", str(CONFIGS / "damped_oscillator.json")),
     ("packet", "pde", str(CONFIGS / "kg_packet.json")),
     ("fourth_packet", "pde", str(CONFIGS / "fourth_packet.json")),
+    ("nonlinear_layer", "blayer", str(CONFIGS / "nonlinear_layer.json")),
+    ("coupled_cubic_pilot", "ode", str(CONFIGS / "coupled_cubic_pilot.json")),
+    ("coupled_cubic_short", "ode", str(CONFIGS / "coupled_cubic_short.json")),
 ]
 
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -96,13 +99,10 @@ def test_light_runs_load_no_scipy(tmp_path):
 def integrating_runs(tmp_path_factory):
     """The probe over the ode, packet and nonlinear-layer runs, in one fresh
     interpreter without BLAS thread variables."""
-    out = tmp_path_factory.mktemp("integrating")
-    nonlinear_layer = out / "nonlinear_layer.json"
-    nonlinear_layer.write_text(json.dumps({"kind": "nonlinear", "eps": 0.1, "n_grid": 512}))
-    return loaded_per_run([*SHIPPED[5:], ("nonlinear_layer", "blayer", str(nonlinear_layer))], out)
+    return loaded_per_run(SHIPPED[5:], tmp_path_factory.mktemp("integrating"))
 
 
-INTEGRATING = ("ode", "packet", "fourth_packet", "nonlinear_layer")
+INTEGRATING = [label for label, _, _ in SHIPPED[5:]]
 
 
 def test_integrating_runs_load_no_scipy_integrate(integrating_runs):

@@ -179,13 +179,12 @@ def test_coupled_closed_form_agreement():
         case = catalog(name)
         amps0 = np.array([0.3 + 0.1j, 0.2 - 0.25j])[: case.n_amplitudes]
         try:
-            closed = integrate_amplitude(case, amps0, (0.0, eps**-2), eps,
-                                         t_eval=grid, use_closed_form=True)
+            closed = case.amplitude_closed_form(grid, amps0, eps)
         except ValueError:  # the case declares no closed form
             continue
         integrated = integrate_amplitude(case, amps0, (0.0, eps**-2), eps,
                                          rtol=rtol, atol=1e-13, t_eval=grid)
-        assert np.max(np.abs(integrated.y - closed.y)) <= 100 * rtol, name
+        assert np.max(np.abs(integrated.y - closed)) <= 100 * rtol, name
         checked.append(name)
     assert {"damped_linear", "cubic", "coupled_cubic"} <= set(checked)
 
@@ -339,8 +338,7 @@ def test_coupled_spectrum_peaks_at_shifted_frequencies():
     t_end = 500.0 * 2.0 * np.pi
     n = 1 << 16
     grid = np.linspace(0.0, t_end, n, endpoint=False)
-    traj = integrate_amplitude(case, amps0, (0.0, t_end), eps, t_eval=grid,
-                               use_closed_form=True)
+    traj = Trajectory(t=grid, y=case.amplitude_closed_form(grid, amps0, eps))
     x = reconstruct_on_grid(case, traj, eps)[0]
     spectrum = np.abs(np.fft.rfft(x * np.hanning(n)))
     freqs = 2.0 * np.pi * np.fft.rfftfreq(n, d=grid[1] - grid[0])
@@ -352,11 +350,21 @@ def test_coupled_spectrum_peaks_at_shifted_frequencies():
         assert abs(peak - omega) <= bin_width
 
 
-def test_quadratic_damped_error_shrinks_with_eps():
-    case = catalog("quadratic_damped")
-    r1 = compare(case, 0.025, 2)
-    r2 = compare(case, 0.0125, 2)
-    assert r2.max_abs_error < r1.max_abs_error / 4.0
+@pytest.mark.parametrize(
+    "name, eps, horizon_exponent, ratio",
+    [
+        ("quadratic_damped", 0.025, 2, 4.0),
+        # second order at the eps^-1 horizon: halving eps divides the error by
+        # 4.0, and by 1.9 without the -(15/16) eps^2 |A|^4 term of the rate
+        ("cubic", 0.1, 1, 3.0),
+    ],
+    ids=["quadratic_damped", "cubic"],
+)
+def test_error_shrinks_with_eps(name, eps, horizon_exponent, ratio):
+    case = catalog(name)
+    r1 = compare(case, eps, horizon_exponent)
+    r2 = compare(case, eps / 2, horizon_exponent)
+    assert r2.max_abs_error < r1.max_abs_error / ratio
 
 
 def test_trajectory_invariants():
