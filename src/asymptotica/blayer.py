@@ -87,32 +87,11 @@ def solve_banded(ab, b) -> np.ndarray:
     return np.array(x)
 
 
-# f and f' of eps y'' + y' + f(y) = 0, per problem kind
+# per problem kind: f and f' of eps y'' + y' + f(y) = 0, and (y(0), y(1))
 _REACTION = {
-    "linear": (lambda y: -y, lambda y: -1.0),
-    "nonlinear": (lambda y: y**2, lambda y: 2.0 * y),
+    "linear": (lambda y: -y, lambda y: -1.0, (1.0, 0.0)),
+    "nonlinear": (lambda y: y**2, lambda y: 2.0 * y, (0.0, 0.5)),
 }
-
-
-@dataclass(frozen=True)
-class BvpProblem:
-    eps: float
-    kind: str  # a key of _REACTION: "linear" or "nonlinear"
-    boundary: tuple[float, float]
-
-    def __post_init__(self):
-        if not 0.0 < self.eps < 1.0:
-            raise ValueError("eps must lie strictly between 0 and 1")
-        if self.kind not in _REACTION:
-            raise ValueError(f"unknown problem kind {self.kind!r}")
-
-
-def linear_problem(eps: float) -> BvpProblem:
-    return BvpProblem(eps=eps, kind="linear", boundary=(1.0, 0.0))
-
-
-def nonlinear_problem(eps: float) -> BvpProblem:
-    return BvpProblem(eps=eps, kind="nonlinear", boundary=(0.0, 0.5))
 
 
 LINEAR_EPS_FLOOR = 1e-6  # the linear closed form's smallest eps
@@ -138,8 +117,10 @@ def linear_blayer_multiscale(x, eps: float):
     return (grow + decay) / denom
 
 
-def solve_bvp_fd(problem: BvpProblem, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Second-order centered finite differences on a uniform grid of n cells.
+def solve_bvp_fd(kind: str, eps: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``kind`` problem ("linear" or "nonlinear") by second-order
+    centered finite differences on a uniform grid of n >= 64 cells, for
+    0 < eps < 1.
 
     Returns (x, y) including the boundary rows, which carry the imposed
     boundary values exactly.  Solved by damped Newton from a layer-profile
@@ -149,13 +130,15 @@ def solve_bvp_fd(problem: BvpProblem, n: int) -> tuple[np.ndarray, np.ndarray]:
     that bound is taken whole; at the roundoff floor of a fine grid, where
     the full step stays above it, the line search damps the step below it.
     """
+    if kind not in _REACTION:
+        raise ValueError(f"unknown problem kind {kind!r}")
+    if not 0.0 < eps < 1.0:
+        raise ValueError("eps must lie strictly between 0 and 1")
     if n < 64:
         raise ValueError("need at least 64 grid cells")
-    eps = problem.eps
-    f, f_prime = _REACTION[problem.kind]
+    f, f_prime, (ya, yb) = _REACTION[kind]
     h = 1.0 / n
     x = np.linspace(0.0, 1.0, n + 1)
-    ya, yb = problem.boundary
 
     # h^2-scaled residual G_i = eps D2 y + D1 y + f(y) on interior points
     def residual(y_int: np.ndarray) -> np.ndarray:
@@ -223,7 +206,8 @@ _LAYER = catalog("quadratic_damped")
 
 def _inner_profile(eps: float, b0: float, xi: np.ndarray) -> np.ndarray:
     """u at the requested layer coordinates (any order, repeats ok)."""
-    a0 = -b0 + 0.5 * eps * b0**2
+    # u is linear in A, so u(0) = 0 fixes A(0) as minus u(0) at A = 0
+    a0 = -_LAYER.reconstruct(0.0, (0.0, b0), eps)[0]
     points, inverse = np.unique(xi, return_inverse=True)
     traj = integrate_reference(
         lambda t, ab: _LAYER.amplitude_rhs(t, ab, eps, 2),

@@ -50,7 +50,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from . import SolverError, parse_fraction
+from . import MAX_DECIMAL_EXPONENT, SolverError, parse_fraction
 
 EXIT_OK = 0
 EXIT_ACCEPT = 1
@@ -313,7 +313,8 @@ def _sweep(cfg: dict, run: Callable) -> list:
 
 _PI = Schema(
     keys={
-        "fixture": Key(_text),
+        "base": Key(_text, _REQUIRED),
+        "quantities": Key(_each(_text, dict), _REQUIRED),
         "membership": Key(_each(_each(_exact, dict), dict), {}),
     },
     accept={
@@ -322,23 +323,13 @@ _PI = Schema(
             _bool, "in_span", "all", "a membership target is outside the group span"
         ),
     },
-    variant=lambda cfg: None if "fixture" in cfg else Schema({
-        "base": Key(_text, _REQUIRED),
-        "quantities": Key(_each(_text, dict), _REQUIRED),
-    }),
 )
 
 
 def _run_pi(cfg: dict, out: Path, name: str) -> tuple[dict, list[dict]]:
     from . import dimsys
 
-    if "fixture" in cfg:
-        try:
-            qs = dimsys.parse_quantity_set(Path(cfg["fixture"]).read_text())
-        except OSError as exc:
-            raise ConfigError(f"pi: cannot read fixture: {exc}") from None
-    else:
-        qs = dimsys.quantity_set(cfg["base"].split(), cfg["quantities"].items())
+    qs = dimsys.quantity_set(cfg["base"].split(), cfg["quantities"].items())
     groups = dimsys.pi_groups(qs)
     membership = {}
     for label, exponents in cfg["membership"].items():
@@ -370,6 +361,26 @@ def _roots_mode(number: Callable, coefficient: Callable | None = None) -> Schema
     )
 
 
+def _digits(n: int) -> int:
+    """The decimal digits of |n|, without the str() that Python holds to 4300 digits."""
+    d = max(1, math.floor(abs(n).bit_length() * math.log10(2)))  # the count or one less
+    return d + (abs(n) >= 10**d)
+
+
+def _exact_digits(cfg: dict) -> None:
+    """Reject an exact expansion whose printed coefficients would pass Python's
+    int string limit: the order-p coefficient of x^2 - x + v eps has about
+    p (D + 1) digits, with D the longest numerator or denominator among the
+    family, the root and the rescale exponent."""
+    values = [*sum(cfg["family"], []), cfg["root"], cfg.get("rescale_exponent", 0)]
+    digits = max(_digits(part) for v in values for part in (v.numerator, v.denominator))
+    need = max(cfg["order"], 1) * (digits + 1)  # order 0 prints the root
+    if need > MAX_DECIMAL_EXPONENT:
+        raise ValueError(f"roots: order {cfg['order']} with {digits}-digit values needs about "
+                         f"{need}-digit coefficients, above the limit of {MAX_DECIMAL_EXPONENT}: "
+                         "lower the order or shorten the values")
+
+
 _ROOTS = Schema(
     keys={
         # each order re-evaluates the family on the series so far; 100 takes about 2 s
@@ -378,7 +389,7 @@ _ROOTS = Schema(
         "rescale_exponent": Key(_exact),
     },
     variant=lambda cfg: {
-        "exact": _roots_mode(_exact, lambda c: str(_exact(c))),
+        "exact": _roots_mode(_exact, lambda c: str(_exact(c)))._replace(variant=_exact_digits),
         "float": _roots_mode(_exact_float),
     }[cfg["mode"]],
 )
@@ -409,6 +420,8 @@ _EULER = Schema(
     keys={
         "eps_values": Key(_each(_unit_eps), _REQUIRED),
         "m_values": Key(_each(_int(0, 169)), _REQUIRED),
+        # the error the caller accepts, echoed in the summary: f comes back
+        # correctly rounded, so it meets any quad_tol >= 1e-15
         "quad_tol": Key(_positive, 1e-12),
     },
     accept={"bound_holds": Accept(_bool, "within_bound", "all", "remainder bound violated")},
@@ -420,7 +433,7 @@ def _run_euler(cfg: dict, out: Path, name: str) -> tuple[dict, list[dict]]:
 
     rows = []
     for eps in cfg["eps_values"]:
-        f_val = series.euler_f(eps, cfg["quad_tol"])
+        f_val = series.euler_f(eps)
         for m in cfg["m_values"]:
             s_val = float(series.euler_partial_sum(eps, m))
             bound = series.euler_remainder_bound(eps, m)
@@ -551,10 +564,8 @@ def _run_blayer(cfg: dict, out: Path, name: str) -> tuple[dict, list[dict]]:
     from . import blayer
 
     def run(eps: float) -> dict:
-        linear = cfg["kind"] == "linear"
-        problem = blayer.linear_problem(eps) if linear else blayer.nonlinear_problem(eps)
-        x, y_ref = blayer.solve_bvp_fd(problem, cfg["n_grid"])
-        if linear:
+        x, y_ref = blayer.solve_bvp_fd(cfg["kind"], eps, cfg["n_grid"])
+        if cfg["kind"] == "linear":
             y_ms = blayer.linear_blayer_multiscale(x, eps)
             extra = {"half_width": blayer.layer_half_width(x, y_ref)}
         else:

@@ -144,10 +144,6 @@ def _rref(matrix: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], l
     return rows, pivots
 
 
-def rank(matrix: Sequence[Sequence[Fraction]]) -> int:
-    return len(_rref(matrix)[1])
-
-
 def _canonicalize(vec: list[Fraction]) -> tuple[Fraction, ...]:
     """Scale to coprime integer entries with positive leading nonzero entry."""
     denom_lcm = math.lcm(*(x.denominator for x in vec))

@@ -205,11 +205,15 @@ def _coupled_rate(ab, eps, terms):
 def coupled_cubic_frequencies(a0: complex, b0: complex, eps: float) -> tuple[float, float]:
     """Initial-data-dependent oscillation frequencies of the reconstructed motion.
 
-    The carriers at frequencies 1 and 2 are shifted by the conserved moduli:
+    Amplitude j rides its carrier e^{lam_j t} and turns at rate_j(A0), which
+    the flow conserves, so the motion oscillates at |Im lam_j + Im rate_j(A0)|:
     Omega_1 = 1 + eps(|B0|^2 - 3|A0|^2/2), Omega_2 = 2 + eps(|A0|^2/2 - 3|B0|^2/2).
     """
-    ma, mb = abs(a0) ** 2, abs(b0) ** 2
-    return 1.0 + eps * (mb - 1.5 * ma), 2.0 + eps * (0.5 * ma - 1.5 * mb)
+    case = catalog("coupled_cubic")
+    lams = {powers: lam for _, _, _, powers, lam in case.carrier_terms}
+    rates = case.rate((a0, b0), eps, 2)
+    return tuple(float(abs(lams[unit].imag + rate.imag))
+                 for unit, rate in zip(((1, 0), (0, 1)), rates))
 
 
 _CATALOG: dict[str, CaseSpec] = {

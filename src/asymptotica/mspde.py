@@ -143,6 +143,15 @@ class Dispersion:
         curvature = self.symbol(k) * (s1 + 2.0 * q * s2) - q * s1 * s1
         return curvature / (2.0 * self.omega(k) ** 3)
 
+    def detuning(self, k, h):
+        """D(h) = omega(h k)^2 - h^2 omega(k)^2 = sum_j c_j k^{2j} (h^{2j} - h^2).
+
+        The j = 1 term is exactly 0.  D(h) divides the harmonic h of the
+        forcing in :meth:`harmonic_balance`, and a zero of D(h) makes that
+        harmonic resonant (:func:`find_phase_matched`).
+        """
+        return sum(c * k ** (2 * j) * (h ** (2 * j) - h * h) for j, c in enumerate(self.omega2))
+
     def harmonic_balance(self, k: float) -> tuple[float, tuple[tuple, ...]]:
         """(F, carriers) at carrier wavenumber k, by harmonic balance.
 
@@ -151,8 +160,7 @@ class Dispersion:
         |A|^2 A e^{i theta} forcing, so gamma = eps^(max_order + 1) F / (2 omega):
         from u0^p for odd p; from p u0^{p-1} u1 for even p, where u0^p holds
         only even, so non-resonant, harmonics and u1 is u0^p with each term
-        divided by D(h) = omega(h k)^2 - h^2 omega(k)^2
-        = sum_j c_j k^{2j} (h^{2j} - h^2) (the j = 1 term is exactly 0).
+        divided by the detuning D(h) (:meth:`detuning`).
         The carriers (coefficient, eps power, m, n, h) are the terms of u0
         and u1 with h >= 0, the h = 0 term halved inside u = 2 Re(...),
         with theta = k x - omega t.
@@ -164,11 +172,7 @@ class Dispersion:
         forcing = _product(lower, u0)
         orders = [u0]
         if self.max_order:  # even p
-            def detuning(h):
-                return sum(c * k ** (2 * j) * (h ** (2 * j) - h * h)
-                           for j, c in enumerate(self.omega2))
-
-            orders.append({(m, n): c / detuning(m - n) for (m, n), c in forcing.items()})
+            orders.append({(m, n): c / self.detuning(k, m - n) for (m, n), c in forcing.items()})
             forcing = {mn: self.power * c for mn, c in _product(lower, orders[1]).items()}
         carriers = sorted(
             ((c / 2.0 if m == n else c, order, m, n, m - n)
@@ -201,18 +205,13 @@ def dispersion_kinds() -> list[str]:
     return sorted(_DISPERSIONS)
 
 
-def phase_match_residual(d: Dispersion, n: int, k: float) -> float:
-    """omega(n k) - n omega(k); a zero makes the n-th harmonic resonant."""
-    if n not in (2, 3):
-        raise ValueError("harmonic order must be 2 or 3")
-    return float(d.omega(n * k) - n * d.omega(k))
-
-
 def find_phase_matched(d: Dispersion, n: int, k_range: tuple[float, float]) -> list[float]:
-    """Phase-matched carriers in k_range.
+    """Phase-matched carriers in k_range: the zeros of the detuning D(n).
 
-    The sign changes of the residual on a 2000-point grid, bisected to 1e-12.
-    A residual that is not finite on the grid (omega overflows) would hide
+    D(n) = (omega(n k) - n omega(k)) (omega(n k) + n omega(k)), and the
+    second factor is positive, so D(n) changes sign where omega(n k) - n
+    omega(k) does.  Its sign changes on a 2000-point grid are bisected to
+    1e-12.  A D(n) that is not finite on the grid (k^2 overflows) would hide
     the roots near it, so it raises ValueError.
     """
     if n not in (2, 3):
@@ -222,7 +221,7 @@ def find_phase_matched(d: Dispersion, n: int, k_range: tuple[float, float]) -> l
         return []
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises below
         ks = np.linspace(lo, hi, 2000)
-        vals = d.omega(n * ks) - n * d.omega(ks)  # phase_match_residual over the grid
+        vals = d.detuning(ks, n)
     if not np.all(np.isfinite(vals)):
         raise ValueError(f"omega overflows on k_range [{lo}, {hi}]: narrow the range")
     roots = []
@@ -231,7 +230,7 @@ def find_phase_matched(d: Dispersion, n: int, k_range: tuple[float, float]) -> l
         fa = vals[i]
         while b - a > 1e-12:
             mid = 0.5 * (a + b)
-            fm = phase_match_residual(d, n, mid)
+            fm = d.detuning(mid, n)
             if fa * fm <= 0:
                 b = mid
             else:
@@ -497,9 +496,9 @@ def solve_nls(
     along it.  For that reason the closing half kick of one step and the
     opening half kick of the next are merged into one full kick, and only
     the ends of each span between checkpoints keep a half kick; the scheme
-    is still second-order Strang.  With ``checkpoints``
-    a list of fields at those times is returned (dt is shrunk per segment
-    to land on them exactly).
+    is still second-order Strang.  With ``checkpoints``, none beyond
+    ``t_end``, a list of fields at those times is returned (dt is shrunk per
+    segment to land on them exactly).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -522,6 +521,8 @@ def solve_nls(
 
     if checkpoints is None:
         return replace(fld, values=advance(fld.values, t_end))
+    if max(checkpoints, default=0.0) > t_end:
+        raise ValueError(f"checkpoint {max(checkpoints)} is beyond t_end {t_end}")
     out = []
     a = fld.values
     t_prev = 0.0

@@ -274,15 +274,13 @@ def euler_remainder_bound(eps: float, m: int) -> float:
     return math.factorial(m + 1) * float(eps) ** (m + 1)
 
 
-def euler_f(eps: float, quad_tol: float = 1e-12) -> float:
+def euler_f(eps: float) -> float:
     """f(eps) = int_0^inf exp(-t) / (1 + eps t) dt, correctly rounded.
 
     Substituting s = 1 + eps t gives f = z e^z E1(z) with z = 1/eps, which
     mpmath evaluates at 30 significant digits inside a local ``workdps``, so
-    the caller's global ``mpmath.mp`` precision plays no part.  ``quad_tol``
-    is the error the caller accepts (the CLI's config key and summary
-    field): since 0 < f <= 1, the correctly rounded value is within 1.2e-16
-    of f and meets any ``quad_tol >= 1e-15``.
+    the caller's global ``mpmath.mp`` precision plays no part.  Since
+    0 < f <= 1, the value is within 1.2e-16 of f.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")

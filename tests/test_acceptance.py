@@ -116,7 +116,7 @@ def test_criterion_4_euler_bound_and_divergence(capfd):
             for eps_frac in (Fraction(1, 100), Fraction(1, 20), Fraction(1, 10)):
                 eps = float(eps_frac)
                 eps_mp = mpmath.mpf(eps_frac.numerator) / eps_frac.denominator
-                f_float = series.euler_f(eps, quad_tol)
+                f_float = series.euler_f(eps)
                 f_mp = mpmath.quad(
                     lambda t: mpmath.e ** (-t) / (1 + eps_mp * t), [0, mpmath.inf]
                 )
@@ -133,7 +133,7 @@ def test_criterion_4_euler_bound_and_divergence(capfd):
                     assert err_mp <= mpmath.factorial(m + 1) * eps_mp ** (m + 1)
                     checked += 1
         # divergence at eps = 0.1: the error passes a minimum then grows
-        f_val = series.euler_f(0.1, quad_tol)
+        f_val = series.euler_f(0.1)
         errs = [abs(f_val - series.euler_partial_sum(0.1, m)) for m in range(30)]
         best = int(np.argmin(errs))
         assert 5 <= best <= 15 and errs[-1] > errs[best]
@@ -223,7 +223,7 @@ def test_criterion_7_linear_boundary_layer(capfd):
         eps_values = np.array([0.2, 0.1, 0.05])
         gaps = []
         for eps in eps_values:
-            x, y_fd = blayer.solve_bvp_fd(blayer.linear_problem(eps), 8192)
+            x, y_fd = blayer.solve_bvp_fd("linear", eps, 8192)
             gaps.append(np.max(np.abs(blayer.linear_blayer_multiscale(x, eps) - y_fd)))
             assert blayer.layer_half_width(x, y_fd) <= 5.0 * eps
         slope = float(np.polyfit(np.log(eps_values), np.log(gaps), 1)[0])
@@ -240,7 +240,7 @@ def test_criterion_8_nonlinear_boundary_layer(capfd):
             sol = blayer.nonlinear_blayer_multiscale(eps, shoot_tol=1e-10)
             assert abs(sol.inner(0.0)[0]) <= 1e-8
             assert abs(sol.inner(1.0 / eps)[0] - 0.5) <= 1e-8
-            x, y_fd = blayer.solve_bvp_fd(blayer.nonlinear_problem(eps), 8192)
+            x, y_fd = blayer.solve_bvp_fd("nonlinear", eps, 8192)
             gaps[eps] = float(np.max(np.abs(sol(x) - y_fd)))
         assert gaps[0.01] < gaps[0.1]
     report(

@@ -2,23 +2,20 @@ import numpy as np
 import pytest
 
 from asymptotica.blayer import (
-    BvpProblem,
     layer_half_width,
     linear_blayer_multiscale,
-    linear_problem,
     nonlinear_blayer_multiscale,
-    nonlinear_problem,
     solve_bvp_fd,
 )
 
 
 def test_problem_invariants():
     with pytest.raises(ValueError):
-        BvpProblem(eps=0.0, kind="linear", boundary=(1.0, 0.0))
+        solve_bvp_fd("linear", 0.0, 256)
     with pytest.raises(ValueError):
-        BvpProblem(eps=1.5, kind="linear", boundary=(1.0, 0.0))
+        solve_bvp_fd("linear", 1.5, 256)
     with pytest.raises(ValueError):
-        BvpProblem(eps=0.1, kind="cubic", boundary=(1.0, 0.0))
+        solve_bvp_fd("cubic", 0.1, 256)
 
 
 def test_linear_multiscale_boundary_values_exact():
@@ -36,19 +33,19 @@ def test_linear_multiscale_domain_checks():
 
 def test_fd_requires_minimum_grid():
     with pytest.raises(ValueError):
-        solve_bvp_fd(linear_problem(0.1), 32)
+        solve_bvp_fd("linear", 0.1, 32)
 
 
 def test_fd_boundary_rows_exact():
-    for problem in (linear_problem(0.1), nonlinear_problem(0.1)):
-        x, y = solve_bvp_fd(problem, 256)
-        assert y[0] == problem.boundary[0] and y[-1] == problem.boundary[1]
+    for kind, boundary in (("linear", (1.0, 0.0)), ("nonlinear", (0.0, 0.5))):
+        x, y = solve_bvp_fd(kind, 0.1, 256)
+        assert y[0] == boundary[0] and y[-1] == boundary[1]
 
 
 def test_fd_self_convergence_second_order():
     sols = {}
     for n in (1024, 2048, 4096):
-        _, y = solve_bvp_fd(linear_problem(0.1), n)
+        _, y = solve_bvp_fd("linear", 0.1, n)
         sols[n] = y[:: n // 1024]
     coarse = np.max(np.abs(sols[1024] - sols[2048]))
     fine = np.max(np.abs(sols[2048] - sols[4096]))
@@ -56,26 +53,25 @@ def test_fd_self_convergence_second_order():
     assert order == pytest.approx(2.0, abs=0.2)
 
 
-@pytest.mark.parametrize("problem", [linear_problem(0.1), nonlinear_problem(0.1)],
-                         ids=["linear", "nonlinear"])
-def test_fd_newton_converges_on_fine_grids(problem):
+@pytest.mark.parametrize("kind", ["linear", "nonlinear"])
+def test_fd_newton_converges_on_fine_grids(kind):
     # the stopping rule must hold on every grid: a residual target scaled by
     # h^2 is met early on fine grids, from n = 2^19 up by the initial guess
-    _, ref = solve_bvp_fd(problem, 8192)
+    _, ref = solve_bvp_fd(kind, 0.1, 8192)
     for n in (2**16, 2**20):
-        _, y = solve_bvp_fd(problem, n)
+        _, y = solve_bvp_fd(kind, 0.1, n)
         assert np.max(np.abs(y[:: n // 8192] - ref)) <= 1e-6
 
 
 def test_fd_grid_refinement_agreement():
-    _, a = solve_bvp_fd(linear_problem(0.5), 2048)
-    _, b = solve_bvp_fd(linear_problem(0.5), 4096)
+    _, a = solve_bvp_fd("linear", 0.5, 2048)
+    _, b = solve_bvp_fd("linear", 0.5, 4096)
     assert np.max(np.abs(a - b[::2])) < 1e-6
 
 
 def test_layer_half_width_within_five_eps():
     for eps in (0.1, 0.05, 0.01):
-        x, y = solve_bvp_fd(linear_problem(eps), 8192)
+        x, y = solve_bvp_fd("linear", eps, 8192)
         assert layer_half_width(x, y) <= 5.0 * eps
 
 
@@ -83,7 +79,7 @@ def test_linear_gap_second_order_in_eps():
     eps_values = np.array([0.2, 0.1, 0.05])
     gaps = []
     for eps in eps_values:
-        x, y_fd = solve_bvp_fd(linear_problem(eps), 8192)
+        x, y_fd = solve_bvp_fd("linear", eps, 8192)
         gaps.append(np.max(np.abs(linear_blayer_multiscale(x, eps) - y_fd)))
     slope = np.polyfit(np.log(eps_values), np.log(gaps), 1)[0]
     assert slope >= 2.0
@@ -101,7 +97,7 @@ def test_nonlinear_gap_shrinks_with_eps():
     gaps = {}
     for eps in (0.1, 0.01):
         sol = nonlinear_blayer_multiscale(eps)
-        x, y_fd = solve_bvp_fd(nonlinear_problem(eps), 8192)
+        x, y_fd = solve_bvp_fd("nonlinear", eps, 8192)
         gaps[eps] = np.max(np.abs(sol(x) - y_fd))
     assert gaps[0.01] < gaps[0.1]
 

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -35,23 +36,11 @@ def test_pi_pendulum(tmp_path):
     assert summary["result"]["membership"]["pi_one"]["coefficients"] is not None
 
 
-def test_pi_fixture_file(tmp_path):
-    fixture = tmp_path / "drop.txt"
-    fixture.write_text(
-        "# oscillating drop\nbase: L T M\nt: T\ns: M T^-2\nr: L\nrho: M L^-3\n"
-    )
-    cfg = write_config(
-        tmp_path, "drop.json",
-        {"fixture": str(fixture), "accept": {"group_count": 1}},
-    )
-    assert main(["pi", "--config", cfg, "--out-dir", str(tmp_path)]) == EXIT_OK
-
-
 @pytest.mark.parametrize(
     "quantities,group",
     [
-        # in the fixture text format these would read as a second base line
-        # and as a name "a" with dimensions "b: L"
+        # in dimsys.parse_quantity_set's text format these would read as a
+        # second base line and as a name "a" with dimensions "b: L"
         ({"x": "L", "t": "T", "base": "L T"}, {"x": "1", "t": "1", "base": "-1"}),
         ({"a:b": "L", "c": "L"}, {"a:b": "1", "c": "-1"}),
     ],
@@ -366,6 +355,18 @@ def readme_commands():
 def test_readme_runs_every_shipped_config():
     shipped = {f"scripts/configs/{p.name}" for p in (ROOT / "scripts/configs").glob("*.json")}
     assert sorted(config for _, config in readme_commands()) == sorted(shipped)
+
+
+def ci_commands():
+    """(subcommand, config) for every run in the CI loop over the shipped configs."""
+    text = (ROOT / ".github/workflows/tests.yml").read_text()
+    loop = text[text.index("for out in"):]
+    return re.findall(r"run (\w+) --config (scripts/configs/\S+)", loop[:loop.index("done")])
+
+
+def test_ci_runs_every_shipped_config():
+    # each shipped config, with the subcommand the README runs it with
+    assert sorted(ci_commands()) == sorted(readme_commands())
 
 
 @pytest.mark.parametrize("subcommand,config", readme_commands())

@@ -98,6 +98,8 @@ REJECTED = [
     # inf - inf = NaN there, so the root at 1/sqrt(3) was missed and the run
     # exited 0 with no roots and numpy warnings
     ("pde", {"task": "phase_match", "kind": "fourth_order", "k_range": [0.1, 1e308]}),
+    # ran 11 s, then failed on Python's int-to-str limit (test_exact_roots_digit_budget)
+    ("roots", dict(ROOTS, family=[[0, "1e300"], [-1], [1]], order=64)),
 ]
 
 
@@ -225,16 +227,37 @@ def test_null_means_default(tmp_path):
     assert summary["result"]["runs"][0]["stats"]["terms"] == 2
 
 
-def test_pi_needs_a_fixture_or_an_inline_quantity_set(tmp_path, capsys):
+def test_pi_needs_an_inline_quantity_set(tmp_path, capsys):
     code, err = run(tmp_path, "pi", {"base": "L T M"}, capsys)
     assert code == EXIT_CONFIG
     assert "missing required key 'quantities'" in err
 
 
-def test_unreadable_fixture_is_a_config_error(tmp_path, capsys):
-    code, err = run(tmp_path, "pi", {"fixture": str(tmp_path / "missing.txt")}, capsys)
+def test_pi_fixture_key_is_unknown(tmp_path, capsys):
+    # a pi config holds its quantities itself; it names no file to read them from
+    code, err = run(tmp_path, "pi", dict(PENDULUM, fixture="drop.txt"), capsys)
     assert code == EXIT_CONFIG
-    assert "fixture" in err
+    assert "unknown keys ['fixture']" in err
+
+
+# Exact coefficients of x^2 - x + v eps grow by about D + 1 digits an order for
+# a D-digit v, and the summary prints them: past 4300 digits Python's int-to-str
+# limit failed the run after the whole expansion (11 s for 1e300 at order 64),
+# with a message that named no key.
+@pytest.mark.parametrize("value,order,code", [
+    ("1e305", 14, EXIT_OK),  # 306 digits: 14 x 307 = 4298
+    ("1e306", 14, EXIT_CONFIG),  # 307 digits: 14 x 308 = 4312
+    ("1e-306", 14, EXIT_CONFIG),  # so do denominators
+])
+def test_exact_roots_digit_budget(tmp_path, capsys, value, order, code):
+    payload = {"family": [[0, value], [-1], [1]], "root": 1, "order": order}
+    got, err = run(tmp_path, "roots", payload, capsys)
+    assert got == code, err
+    if code == EXIT_OK:
+        result = json.loads((tmp_path / "cfg_summary.json").read_text())["result"]
+        assert len(result["coefficients"]) == order + 1
+    else:
+        assert f"order {order} with" in err
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Runs load only what they compute with: pi, roots and euler runs load no
-numpy, ode, blayer and pde runs load no dimsys, and no run loads scipy.  A
+numpy, ode, blayer and pde runs load no dimsys, and no run loads scipy or
+sympy, which only the tests use.  A
 CLI process gives numpy's BLAS one thread unless its caller set a thread
 count."""
 
@@ -35,14 +36,14 @@ THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 # the import and after each labelled run, whether numpy is loaded, which scipy
 # modules are, which of a few other modules are, the process's thread count
 # (None without /proc/self/task) and its *_NUM_THREADS variables.  With "block",
-# any scipy import raises ImportError.
+# any scipy or sympy import raises ImportError.
 _PROBE = """
 import json, os, sys
 if sys.argv[3] == "block":
-    sys.modules["scipy"] = None
+    sys.modules["scipy"] = sys.modules["sympy"] = None
 import asymptotica.cli as cli
 
-WATCHED = ("asymptotica.dimsys", "asymptotica.series", "dataclasses")
+WATCHED = ("asymptotica.dimsys", "asymptotica.series", "dataclasses", "sympy")
 TASKS = "/proc/self/task"
 
 def loaded():
@@ -51,7 +52,7 @@ def loaded():
     return {
         "numpy": "numpy" in sys.modules,
         "scipy": scipy,
-        "modules": [m for m in WATCHED if m in sys.modules],
+        "modules": [m for m in WATCHED if sys.modules.get(m) is not None],
         "threads": len(os.listdir(TASKS)) if os.path.isdir(TASKS) else None,
         "env": {v: os.environ[v] for v in sorted(os.environ) if v.endswith("_NUM_THREADS")},
     }
@@ -68,7 +69,7 @@ print(json.dumps(seen))
 def loaded_per_run(runs, out_dir, scipy="allow", threads_env=None):
     """{label: what the probe sees} after each run, from one fresh interpreter
     whose environment holds no ``*_NUM_THREADS`` variable but those of
-    ``threads_env``; ``scipy="block"`` makes every scipy import fail."""
+    ``threads_env``; ``scipy="block"`` makes every scipy and sympy import fail."""
     env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
     env.update(threads_env or {})
     env["PYTHONPATH"] = os.pathsep.join(
@@ -88,6 +89,7 @@ def test_light_runs_load_no_scipy(tmp_path):
         assert not loaded[stage]["numpy"] and loaded[stage]["scipy"] == [], (stage, loaded[stage])
     # the pi, roots and euler runners load dimsys and series themselves
     assert loaded["import"]["modules"] == [], loaded["import"]
+    assert all("sympy" not in seen["modules"] for seen in loaded.values()), loaded
     # the linear layer's FD reference solves its tridiagonal systems in house
     for stage in ("pde", "blayer"):
         assert loaded[stage]["scipy"] == [], (stage, loaded[stage])
@@ -115,6 +117,7 @@ def test_integrating_runs_load_no_scipy_integrate(integrating_runs):
 def test_solver_runs_load_no_dimsys(integrating_runs):
     for stage in INTEGRATING:
         assert "asymptotica.dimsys" not in integrating_runs[stage]["modules"], stage
+        assert "sympy" not in integrating_runs[stage]["modules"], stage
 
 
 def test_numeric_runs_hold_one_thread(integrating_runs):

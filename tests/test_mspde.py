@@ -20,7 +20,6 @@ from asymptotica.mspde import (
     gaussian_packet,
     grid_points,
     packet_compare,
-    phase_match_residual,
     reconstruct_field,
     solve_nls,
 )
@@ -107,17 +106,18 @@ def test_uniform_mode_turns_at_the_shifted_frequency(kind, eps, a):
     shift = envelope_coefficients(fld)[2] * a**2
     assert abs(frequency - (d.omega(1.0) - shift)) <= 0.01 * shift
 
-def test_phase_match_residual_values():
-    # quadratic harmonic never resonates for the Klein-Gordon branch
+def test_detuning_values():
+    # D(h) = omega(h k)^2 - h^2 omega(k)^2: the quadratic harmonic never
+    # resonates for the Klein-Gordon branch, where D(2) = -3 at every k
     for k in np.linspace(0.01, 10.0, 200):
-        assert phase_match_residual(KG, 2, k) < 0
+        assert KG.detuning(k, 2) == -3.0
     # cubic harmonic of the fourth-order branch resonates at 1/sqrt(3)
-    assert phase_match_residual(FOURTH, 3, 1.0 / np.sqrt(3.0)) == pytest.approx(0.0, abs=1e-12)
+    assert FOURTH.detuning(1.0 / np.sqrt(3.0), 3) == pytest.approx(0.0, abs=1e-12)
     for d in (KG, FOURTH):
         for n in (2, 3):
-            assert phase_match_residual(d, n, 0.0) == pytest.approx(1.0 - n)
+            assert d.detuning(0.0, n) == pytest.approx(d.omega2[0] * (1 - n * n))
     with pytest.raises(ValueError):
-        phase_match_residual(KG, 4, 1.0)
+        find_phase_matched(KG, 4, (0.1, 1.0))
 
 
 def test_find_phase_matched():
@@ -128,6 +128,12 @@ def test_find_phase_matched():
     assert find_phase_matched(KG, 2, (0.5, 0.5)) == []
     with pytest.raises(ValueError, match="harmonic"):  # checked before the range
         find_phase_matched(KG, 4, (2.0, 0.1))
+    # past k ~ 1e7, omega(n k) - n omega(k) rounds to exactly 0 on the
+    # Klein-Gordon branches, which read as hundreds of roots; D(n) = 1 - n^2 there
+    for d in (KG, dispersion("cubic_klein_gordon")):
+        for n in (2, 3):
+            assert find_phase_matched(d, n, (1e7, 1e8)) == []
+            assert find_phase_matched(d, n, (0.1, 1e80)) == []
 
 
 def test_field_invariants():
@@ -295,6 +301,14 @@ def test_nls_rejects_bad_dt():
     pkt = gaussian_packet(0.1, 1.0, t_end=1.0)
     with pytest.raises(ValueError):
         solve_nls(pkt, 1.0, dt=0.0)
+
+
+def test_nls_rejects_a_checkpoint_beyond_t_end():
+    # t_end bounds the run: a later checkpoint is an error, not a longer run
+    pkt = gaussian_packet(0.1, 1.0, t_end=10.0)
+    with pytest.raises(ValueError, match="beyond t_end"):
+        solve_nls(pkt, 5.0, 0.02, checkpoints=[10.0])
+    assert len(solve_nls(pkt, 5.0, 0.02, checkpoints=[2.0, 5.0])) == 2
 
 
 def test_envelope_group_velocity():

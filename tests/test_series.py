@@ -218,7 +218,7 @@ def test_euler_remainder_bound(eps):
     # above its quadrature tolerance; the full grid is checked in high
     # precision below
     quad_tol = 1e-12
-    f_val = euler_f(eps, quad_tol)
+    f_val = euler_f(eps)
     for m in range(13):
         bound = euler_remainder_bound(eps, m)
         if bound > 10.0 * quad_tol:
@@ -239,7 +239,7 @@ def test_euler_remainder_bound_high_precision(eps_frac):
             bound = mpmath.factorial(m + 1) * eps ** (m + 1)
             assert err <= bound
     # and the production float evaluation agrees with the oracle
-    assert abs(euler_f(float(eps_frac), 1e-12) - float(f_val)) < 1e-12
+    assert abs(euler_f(float(eps_frac)) - float(f_val)) < 1e-12
 
 
 @pytest.mark.parametrize("eps", [1e-3, 0.01, 0.05, 0.1, 0.5, 5.0])
@@ -264,7 +264,7 @@ def test_euler_f_is_correctly_rounded():
 
 def test_euler_series_diverges():
     # error passes through a minimum then grows; raw sums grow without bound
-    f_val = euler_f(0.1, 1e-12)
+    f_val = euler_f(0.1)
     errs = [abs(f_val - euler_partial_sum(0.1, m)) for m in range(40)]
     best = int(np.argmin(errs))
     assert 5 <= best <= 15

@@ -25,8 +25,8 @@ def newton_systems(problems, n):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(blayer, "solve_banded", record)
-        for problem in problems:
-            blayer.solve_bvp_fd(problem, n)
+        for kind, eps in problems:
+            blayer.solve_bvp_fd(kind, eps, n)
     return systems
 
 
@@ -36,8 +36,8 @@ def assert_matches_scipy(ab, b):
 
 
 def test_newton_systems_match_scipy():
-    problems = [blayer.linear_problem(eps) for eps in (0.2, 0.1, 0.05, 0.02, 0.01, 0.005)]
-    problems += [blayer.nonlinear_problem(eps) for eps in (0.17, 0.1, 0.05, 0.02)]
+    problems = [("linear", eps) for eps in (0.2, 0.1, 0.05, 0.02, 0.01, 0.005)]
+    problems += [("nonlinear", eps) for eps in (0.17, 0.1, 0.05, 0.02)]
     systems = newton_systems(problems, 8192)
     assert len(systems) >= 2 * len(problems)
     for ab, b in systems:
@@ -46,7 +46,7 @@ def test_newton_systems_match_scipy():
 
 def test_row_interchanges_match_scipy():
     # eps < h/2: the subdiagonal outweighs the diagonal, so dgtsv swaps rows
-    problems = [blayer.linear_problem(0.001), blayer.nonlinear_problem(0.001)]
+    problems = [("linear", 0.001), ("nonlinear", 0.001)]
     systems = newton_systems(problems, 64)
     assert all(abs(ab[1, 0]) < abs(ab[2, 0]) for ab, _ in systems)
     for ab, b in systems:
