@@ -403,6 +403,13 @@ def _run_roots(cfg: dict, out: Path, name: str) -> tuple[dict, list[dict]]:
         family = series.rescale_singular(family, cfg["rescale_exponent"])
     expansion = series.expand_root(family, cfg["root"], cfg["order"])
     exact = cfg["mode"] == "exact"
+    if exact:  # _exact_digits estimates; the coefficients themselves decide
+        need = max(_digits(part) for c in expansion.coefficients
+                   for part in (c.numerator, c.denominator))
+        if need > MAX_DECIMAL_EXPONENT:
+            raise ValueError(f"roots: order {cfg['order']} needs {need}-digit coefficients, "
+                             f"above the limit of {MAX_DECIMAL_EXPONENT}: lower the order "
+                             "or shorten the values")
     summary = {
         "mode": cfg["mode"],
         "order": cfg["order"],

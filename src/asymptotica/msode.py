@@ -1,21 +1,35 @@
 """Multiple-scales treatment of weakly nonlinear oscillators.
 
-Each catalog entry is one :class:`CaseSpec` declaration.  A case declares
+Each catalog entry is one :class:`CaseSpec` declaration: three tables of
+polynomial rows and, where one exists, an exact solution.
 
-* the original right hand side (integrated at high accuracy as the reference),
-* the amplitude rate: every shipped flow has the form dA_j/dt = rate_j A_j,
-* its carrier terms (component, coefficient, eps power, amplitude powers,
-  carrier exponent lam); the reconstruction is y = 2 Re of their sum, and
-* an exact solution where one exists.
+* ``accelerations``: rows (component, coefficient, eps power p, exponents
+  over the state), so x_k'' is the sum over k's rows of
+  coefficient eps^p prod_i s_i^{n_i}.  The state is positions, then
+  velocities, so the position rows x' = v follow from the layout.
+* ``rate_terms``: rows (amplitude, coefficient, eps power p, exponents over
+  |A_i|^2, or over A_i for real amplitudes) of the amplitude rate; every
+  flow has the form dA_j/dt = rate_j A_j.  Truncating at ``terms`` keeps
+  the rows with p <= terms.
+* ``carrier_terms``: rows (component, coefficient, eps power, amplitude
+  powers, carrier exponent lam); the reconstruction is y = 2 Re of their sum.
 
-Derived once from the declaration, for every case: the sizes (the state
-dimension is ``len(default_ics)``, positions then velocities, so half of it
-is the number of oscillator components; the number of amplitudes is the
-length of a carrier term's amplitude powers), the amplitude-equation right
-hand side, the reconstruction map, its time derivative (product rule
-along the amplitude flow), the initial-amplitude fit (Newton on the
-reconstruction and its time derivative at t=0) and, where the rate is
-constant along the flow, the closed form A0 e^{rate(A0) t}.
+One evaluator reads the first two tables.  It multiplies each row's
+coefficient by eps, p times, then by the powers in index order, and starts
+each sum from its first term; each row's nonzero (index, power) pairs are
+picked out once per case.
+
+Derived from the declaration, for every case: the sizes (the state
+dimension is ``len(default_ics)``, so half of it is the number of
+oscillator components; the number of amplitudes is the length of a carrier
+term's amplitude powers), the original right hand side (integrated at high
+accuracy as the reference), the rate, the amplitude-equation right hand
+side, the reconstruction map, its time derivative (product rule along the
+amplitude flow) and the initial-amplitude fit (Newton on the
+reconstruction and its time derivative at t=0).  The rate is conserved
+along the flow when every amplitude it reads is complex and turns at a
+purely imaginary rate, since then no modulus it reads changes; such a case
+has the closed form A0 e^{rate(A0) t}.
 
 The shipped cases:
 
@@ -41,9 +55,9 @@ The shipped cases:
     x'' + 2x - y = eps x y^2, y'' + 3y - 2x = eps y x^2.  Two complex
     amplitudes riding carriers e^{-it} and e^{-2it}; the amplitude moduli are
     conserved, so the amplitude system integrates in closed form and the
-    oscillation frequencies shift with the initial data.  Only the
-    first-order rate is declared: the rate ignores ``terms``, so ``terms=2``
-    runs the same flow as ``terms=1`` while ``stats`` echo the value asked for.
+    oscillation frequencies shift with the initial data.  coupled_cubic
+    declares no eps^2 rate row, so ``terms=2`` runs the same flow as
+    ``terms=1`` while ``stats`` echo the value asked for.
 
 The direct solve and the amplitude flows are integrated with
 :func:`integrate_reference`, the library's one adaptive integrator: its own
@@ -83,9 +97,37 @@ class RunReport:
             raise ValueError("error norms must be nonnegative")
 
 
+# (output, coefficient, eps power p, exponents n): adds coefficient eps^p
+# prod_i x_i^{n_i} to the output, an acceleration or an amplitude's rate.
+PolynomialRow = tuple[int, complex, int, tuple[int, ...]]
 # (component, coefficient, eps power p, amplitude powers n, carrier exponent
 # lam): adds coefficient eps^p prod_j A_j^{n_j} e^{lam t} inside 2 Re(...).
 CarrierTerm = tuple[int, float, int, tuple[int, ...], complex]
+
+
+def _group_rows(rows: tuple[PolynomialRow, ...], n_outputs: int) -> tuple:
+    """Per output, its rows as (coefficient, eps power, factors).  The factors are
+    (index, power) pairs: (-1, 1) p times, for eps, then the nonzero exponents."""
+    return tuple(tuple((coef, p, ((-1, 1),) * p + tuple((i, n) for i, n in enumerate(powers) if n))
+                       for out, coef, p, powers in rows if out == k) for k in range(n_outputs))
+
+
+def _evaluate(grouped: tuple, values: list, max_power=math.inf) -> list:
+    """Each output's sum over its rows with eps power <= max_power, 0.0 if none.
+
+    ``values`` ends with eps.  Each term is the coefficient times its factors
+    in order, and each sum starts from its first term.
+    """
+    sums = []
+    for rows in grouped:
+        total = None
+        for term, p, factors in rows:
+            if p <= max_power:
+                for i, n in factors:
+                    term = term * (values[i] if n == 1 else values[i] ** n)
+                total = term if total is None else total + term
+        sums.append(0.0 if total is None else total)
+    return sums
 
 
 @dataclass(frozen=True)
@@ -95,12 +137,15 @@ class CaseSpec:
     name: str
     validity_exponent: int
     default_ics: tuple[float, ...]  # positions, then velocities
-    original_rhs: Callable  # (t, state, eps) -> dstate
-    rate: Callable  # (amps, eps, terms) -> rates, dA_j/dt = rate_j A_j
+    accelerations: tuple[PolynomialRow, ...]  # exponents over the state
+    rate_terms: tuple[PolynomialRow, ...]  # exponents over |A_i|^2, or A_i if real
     carrier_terms: tuple[CarrierTerm, ...]
     real_amplitudes: bool = False
-    rate_conserved: bool = False  # constant along the flow: closed form exists
     exact: Optional[Callable] = None  # (t, eps) -> components
+
+    def __post_init__(self):  # the evaluator's grouping, once per case
+        object.__setattr__(self, "_accel_rows", _group_rows(self.accelerations, self.n_components))
+        object.__setattr__(self, "_rate_rows", _group_rows(self.rate_terms, self.n_amplitudes))
 
     @property
     def state_dim(self) -> int:
@@ -113,6 +158,26 @@ class CaseSpec:
     @property
     def n_amplitudes(self) -> int:
         return len(self.carrier_terms[0][3])
+
+    @property
+    def rate_conserved(self) -> bool:
+        """Constant along the flow: every amplitude a rate reads is complex
+        and has a purely imaginary rate, so no modulus it reads changes."""
+        read = {i for *_, powers in self.rate_terms for i, n in enumerate(powers) if n}
+        return not (read and self.real_amplitudes) and all(
+            complex(coef).real == 0 for out, coef, _, _ in self.rate_terms if out in read
+        )
+
+    def original_rhs(self, t, state, eps):
+        """(positions, velocities)' = (velocities, accelerations)."""
+        x = np.asarray(state).tolist() + [eps]
+        accelerations = _evaluate(self._accel_rows, x)
+        return np.array(x[len(accelerations):-1] + accelerations)
+
+    def rate(self, amps, eps, terms=2):
+        """rate_j in dA_j/dt = rate_j A_j, from the rows of eps power <= terms."""
+        x = list(amps) if self.real_amplitudes else [np.abs(a) ** 2 for a in amps]
+        return tuple(_evaluate(self._rate_rows, x + [eps], terms))
 
     def amplitude_rhs(self, t, amps, eps, terms=2):
         """dA/dt = rate(A) A."""
@@ -145,61 +210,11 @@ class CaseSpec:
         return np.stack([2.0 * np.real(s) for s in sums])
 
 
-# --- damped linear oscillator -------------------------------------------------
-
-def _damped_linear_rhs(t, s, eps):
-    y, v = s
-    return np.array([v, -y - eps * v])
-
-
-def _damped_linear_rate(a, eps, terms):
-    return (-0.5 * eps - (0.125j * eps * eps if terms >= 2 else 0.0),)
-
-
 def _damped_linear_exact(t, eps):
     omega = np.sqrt(1.0 - 0.25 * eps * eps)
     lam = -0.5 * eps + 1j * omega
     c = -np.conj(lam) / (lam - np.conj(lam))
     return np.real(2.0 * c * np.exp(lam * np.asarray(t)))[np.newaxis]
-
-
-# --- cubic oscillator ---------------------------------------------------------
-
-def _cubic_rhs(t, s, eps):
-    y, v = s
-    return np.array([v, -y + eps * y**3])
-
-
-def _cubic_rate(a, eps, terms):
-    mod2 = np.abs(a[0]) ** 2
-    return (-1.5j * eps * mod2 - (0.9375j * eps * eps * mod2**2 if terms >= 2 else 0.0),)
-
-
-# --- damped oscillator with quadratic nonlinearity ----------------------------
-
-def _quadratic_rhs(t, s, eps):
-    y, v = s
-    return np.array([v, -v - eps * y**2])
-
-
-def _quadratic_rate(ab, eps, terms):
-    a = ab[0]
-    second = 2.0 * eps * eps * a**2 if terms >= 2 else 0.0
-    return (-eps * a - second, 2.0 * eps * a + second)
-
-
-# --- two coupled cubic oscillators --------------------------------------------
-
-def _coupled_rhs(t, s, eps):
-    x, y, vx, vy = s
-    return np.array(
-        [vx, vy, -2.0 * x + y + eps * x * y**2, -3.0 * y + 2.0 * x + eps * y * x**2]
-    )
-
-
-def _coupled_rate(ab, eps, terms):
-    ma, mb = np.abs(ab[0]) ** 2, np.abs(ab[1]) ** 2
-    return (0.5j * eps * (3.0 * ma - 2.0 * mb), 0.5j * eps * (3.0 * mb - ma))
 
 
 def coupled_cubic_frequencies(a0: complex, b0: complex, eps: float) -> tuple[float, float]:
@@ -223,51 +238,50 @@ _CATALOG: dict[str, CaseSpec] = {
             name="damped_linear",
             validity_exponent=3,
             default_ics=(1.0, 0.0),
-            original_rhs=_damped_linear_rhs,
-            rate=_damped_linear_rate,
+            # y'' = -y - eps y'; rate = -eps/2 - i eps^2/8
+            accelerations=((0, -1.0, 0, (1, 0)), (0, -1.0, 1, (0, 1))),
+            rate_terms=((0, -0.5, 1, (0,)), (0, -0.125j, 2, (0,))),
             carrier_terms=((0, 1.0, 0, (1,), 1j),),  # y = A e^{it} + c.c.
-            rate_conserved=True,
             exact=_damped_linear_exact,
         ),
         CaseSpec(
             name="cubic",
             validity_exponent=3,
             default_ics=(1.0, 0.0),
-            original_rhs=_cubic_rhs,
-            rate=_cubic_rate,
+            # y'' = -y + eps y^3; rate = -i(3 eps/2)|A|^2 - i(15 eps^2/16)|A|^4
+            accelerations=((0, -1.0, 0, (1, 0)), (0, 1.0, 1, (3, 0))),
+            rate_terms=((0, -1.5j, 1, (1,)), (0, -0.9375j, 2, (2,))),
             # y = A e^{it} - (eps/8) A^3 e^{3it} + c.c.
             carrier_terms=((0, 1.0, 0, (1,), 1j), (0, -0.125, 1, (3,), 3j)),
-            rate_conserved=True,
         ),
         CaseSpec(
             name="quadratic_damped",
             real_amplitudes=True,
             validity_exponent=3,
             default_ics=(1.0, 1.0),
-            original_rhs=_quadratic_rhs,
-            rate=_quadratic_rate,
+            # y'' = -y' - eps y^2; rate = (-eps A - 2 eps^2 A^2, 2 eps A + 2 eps^2 A^2)
+            accelerations=((0, -1.0, 0, (0, 1)), (0, -1.0, 1, (2, 0))),
+            rate_terms=((0, -1.0, 1, (1, 0)), (0, -2.0, 2, (2, 0)),
+                        (1, 2.0, 1, (1, 0)), (1, 2.0, 2, (2, 0))),
             # y = A + B e^{-t} - (eps/2) B^2 e^{-2t}, halved inside 2 Re(...)
-            carrier_terms=(
-                (0, 0.5, 0, (1, 0), 0.0),
-                (0, 0.5, 0, (0, 1), -1.0),
-                (0, -0.25, 1, (0, 2), -2.0),
-            ),
+            carrier_terms=((0, 0.5, 0, (1, 0), 0.0), (0, 0.5, 0, (0, 1), -1.0),
+                           (0, -0.25, 1, (0, 2), -2.0)),
         ),
         CaseSpec(
             name="coupled_cubic",
             validity_exponent=2,
             # the eps = 0 state of A = B = 0.3
             default_ics=(1.2, -0.6, 0.0, 0.0),
-            original_rhs=_coupled_rhs,
-            rate=_coupled_rate,
+            # x'' = -2x + y + eps x y^2, y'' = -3y + 2x + eps x^2 y
+            accelerations=((0, -2.0, 0, (1, 0, 0, 0)), (0, 1.0, 0, (0, 1, 0, 0)),
+                           (0, 1.0, 1, (1, 2, 0, 0)), (1, -3.0, 0, (0, 1, 0, 0)),
+                           (1, 2.0, 0, (1, 0, 0, 0)), (1, 1.0, 1, (2, 1, 0, 0))),
+            # rate = (i eps (3|A|^2 - 2|B|^2)/2, i eps (3|B|^2 - |A|^2)/2)
+            rate_terms=((0, 1.5j, 1, (1, 0)), (0, -1j, 1, (0, 1)),
+                        (1, 1.5j, 1, (0, 1)), (1, -0.5j, 1, (1, 0))),
             # x = A e^{-it} + B e^{-2it} + c.c., y = A e^{-it} - 2B e^{-2it} + c.c.
-            carrier_terms=(
-                (0, 1.0, 0, (1, 0), -1j),
-                (0, 1.0, 0, (0, 1), -2j),
-                (1, 1.0, 0, (1, 0), -1j),
-                (1, -2.0, 0, (0, 1), -2j),
-            ),
-            rate_conserved=True,
+            carrier_terms=((0, 1.0, 0, (1, 0), -1j), (0, 1.0, 0, (0, 1), -2j),
+                           (1, 1.0, 0, (1, 0), -1j), (1, -2.0, 0, (0, 1), -2j)),
         ),
     )
 }

@@ -187,6 +187,8 @@ def expand_root(p: PolyFamily, a0, n_order: int) -> PerturbationSeries:
     value = horner(c0, a0)
     deriv = horner([j * c for j, c in enumerate(c0)][1:], a0)
     if exact:
+        if isinstance(deriv, int):
+            deriv = Fraction(deriv)  # int / int would round to a float
         if value != 0:
             raise ValueError(f"a0={a0} is not a root of the unperturbed polynomial")
         if deriv == 0:

@@ -260,6 +260,20 @@ def test_exact_roots_digit_budget(tmp_path, capsys, value, order, code):
         assert f"order {order} with" in err
 
 
+def test_exact_roots_past_the_digit_estimate_name_order_and_digits(tmp_path, capsys):
+    # The estimate is no bound: this family's coefficients grow by about one
+    # digit an order more than D + 1.  Scaled by 1e535 they pass the estimate
+    # at order 8 (4296 digits) and need 4305; scaled by 1e65 the same happens
+    # at order 64 (4288 against 4361) after 9 s.  Python's int-to-str limit
+    # then failed the run with a message that named no key.
+    rows = [[3, -8, 9], [2, 9, -4], [5, 2, 4], [4, 8, 7], [-2, -8, 2]]
+    family = [[c0] + [f"{v}e535" for v in rest] for c0, *rest in rows]
+    code, err = run(tmp_path, "roots", {"family": family, "root": 3, "order": 8}, capsys)
+    assert code == EXIT_CONFIG, err
+    assert "order 8 needs 4305-digit coefficients" in err and "Traceback" not in err
+    assert not (tmp_path / "cfg_summary.json").exists()
+
+
 @pytest.mark.parametrize(
     "error,code,prefix",
     [

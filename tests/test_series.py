@@ -103,6 +103,15 @@ def test_quadratic_expansion_exact():
     assert exp.is_exact
 
 
+def test_int_family_expands_to_exact_catalan_numbers():
+    # x - 1 + eps x^2 = 0 at x(0) = 1: the signed Catalan numbers.  Dividing by
+    # the int P'(1) used to give floats, so is_exact was False.
+    exp = expand_root(PolyFamily.from_coefficients([[-1], [1], [0, 1]]), 1, 6)
+    assert exp.coefficients == (1, -1, 2, -5, 14, -42, 132)
+    assert not any(isinstance(c, float) for c in exp.coefficients)
+    assert exp.is_exact
+
+
 def test_quintic_expansion_exact_symbolic():
     family = PolyFamily.from_coefficients(
         [
