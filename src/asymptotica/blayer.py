@@ -210,7 +210,7 @@ def _inner_profile(eps: float, b0: float, xi: np.ndarray) -> np.ndarray:
     a0 = -_LAYER.reconstruct(0.0, (0.0, b0), eps)[0]
     points, inverse = np.unique(xi, return_inverse=True)
     traj = integrate_reference(
-        lambda t, ab: _LAYER.amplitude_rhs(t, ab, eps, 2),
+        lambda t, ab: _LAYER.amplitude_rhs(t, ab, eps),
         (a0, b0),
         (0.0, float(points[-1]) if points[-1] > 0 else 1.0),
         rtol=1e-10,

@@ -331,9 +331,13 @@ def _run_pi(cfg: dict, out: Path, name: str) -> tuple[dict, list[dict]]:
 
     qs = dimsys.quantity_set(cfg["base"].split(), cfg["quantities"].items())
     groups = dimsys.pi_groups(qs)
+    _check_digits(sum(groups, ()), "pi: the quantities' group basis", "exponents",
+                  "shorten the quantities' exponents")
     membership = {}
     for label, exponents in cfg["membership"].items():
         coeffs = dimsys.group_membership(qs, exponents)
+        _check_digits(coeffs or (), f"pi: membership {label!r}", "coefficients",
+                      "shorten its exponents")
         membership[label] = {
             "in_span": coeffs is not None,
             "coefficients": None if coeffs is None else [str(c) for c in coeffs],
@@ -367,13 +371,28 @@ def _digits(n: int) -> int:
     return d + (abs(n) >= 10**d)
 
 
+def _most_digits(numbers) -> int:
+    """The most digits of any numerator or denominator among exact ``numbers``, 1 if none."""
+    return max((_digits(part) for v in numbers for part in (v.numerator, v.denominator)),
+               default=1)
+
+
+def _check_digits(numbers, subject: str, noun: str, hint: str) -> None:
+    """A config error naming ``subject`` when exact ``numbers`` would print with more
+    digits than Python's int-to-str limit allows."""
+    need = _most_digits(numbers)
+    if need > MAX_DECIMAL_EXPONENT:
+        raise ValueError(f"{subject} needs {need}-digit {noun}, above the limit of "
+                         f"{MAX_DECIMAL_EXPONENT}: {hint}")
+
+
 def _exact_digits(cfg: dict) -> None:
     """Reject an exact expansion whose printed coefficients would pass Python's
     int string limit: the order-p coefficient of x^2 - x + v eps has about
     p (D + 1) digits, with D the longest numerator or denominator among the
     family, the root and the rescale exponent."""
     values = [*sum(cfg["family"], []), cfg["root"], cfg.get("rescale_exponent", 0)]
-    digits = max(_digits(part) for v in values for part in (v.numerator, v.denominator))
+    digits = _most_digits(values)
     need = max(cfg["order"], 1) * (digits + 1)  # order 0 prints the root
     if need > MAX_DECIMAL_EXPONENT:
         raise ValueError(f"roots: order {cfg['order']} with {digits}-digit values needs about "
@@ -404,12 +423,8 @@ def _run_roots(cfg: dict, out: Path, name: str) -> tuple[dict, list[dict]]:
     expansion = series.expand_root(family, cfg["root"], cfg["order"])
     exact = cfg["mode"] == "exact"
     if exact:  # _exact_digits estimates; the coefficients themselves decide
-        need = max(_digits(part) for c in expansion.coefficients
-                   for part in (c.numerator, c.denominator))
-        if need > MAX_DECIMAL_EXPONENT:
-            raise ValueError(f"roots: order {cfg['order']} needs {need}-digit coefficients, "
-                             f"above the limit of {MAX_DECIMAL_EXPONENT}: lower the order "
-                             "or shorten the values")
+        _check_digits(expansion.coefficients, f"roots: order {cfg['order']}", "coefficients",
+                      "lower the order or shorten the values")
     summary = {
         "mode": cfg["mode"],
         "order": cfg["order"],

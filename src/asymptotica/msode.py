@@ -9,8 +9,8 @@ polynomial rows and, where one exists, an exact solution.
   velocities, so the position rows x' = v follow from the layout.
 * ``rate_terms``: rows (amplitude, coefficient, eps power p, exponents over
   |A_i|^2, or over A_i for real amplitudes) of the amplitude rate; every
-  flow has the form dA_j/dt = rate_j A_j.  Truncating at ``terms`` keeps
-  the rows with p <= terms.
+  flow has the form dA_j/dt = rate_j A_j.  :meth:`CaseSpec.truncated`
+  keeps the rows with p <= terms.
 * ``carrier_terms``: rows (component, coefficient, eps power, amplitude
   powers, carrier exponent lam); the reconstruction is y = 2 Re of their sum.
 
@@ -26,10 +26,13 @@ term's amplitude powers), the original right hand side (integrated at high
 accuracy as the reference), the rate, the amplitude-equation right hand
 side, the reconstruction map, its time derivative (product rule along the
 amplitude flow) and the initial-amplitude fit (Newton on the
-reconstruction and its time derivative at t=0).  The rate is conserved
-along the flow when every amplitude it reads is complex and turns at a
-purely imaginary rate, since then no modulus it reads changes; such a case
-has the closed form A0 e^{rate(A0) t}.
+reconstruction and its time derivative at t=0).  The amplitudes are real
+when every carrier exponent lam is real.  The validity exponent is 1 + the
+highest eps power among the rate rows: rates through eps^N keep the phase
+to t ~ eps^-(N+1), the horizons :func:`resolve_horizon` admits.  The rate
+is conserved along the flow when every amplitude it reads is complex and
+turns at a purely imaginary rate, since then no modulus it reads changes;
+such a case has the closed form A0 e^{rate(A0) t}.
 
 The shipped cases:
 
@@ -56,8 +59,9 @@ The shipped cases:
     amplitudes riding carriers e^{-it} and e^{-2it}; the amplitude moduli are
     conserved, so the amplitude system integrates in closed form and the
     oscillation frequencies shift with the initial data.  coupled_cubic
-    declares no eps^2 rate row, so ``terms=2`` runs the same flow as
-    ``terms=1`` while ``stats`` echo the value asked for.
+    declares no eps^2 rate row, so its validity exponent is 2, and
+    ``terms=2`` runs the same flow as ``terms=1`` while ``stats`` echo the
+    value asked for.
 
 The direct solve and the amplitude flows are integrated with
 :func:`integrate_reference`, the library's one adaptive integrator: its own
@@ -70,7 +74,7 @@ every case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -106,14 +110,14 @@ CarrierTerm = tuple[int, float, int, tuple[int, ...], complex]
 
 
 def _group_rows(rows: tuple[PolynomialRow, ...], n_outputs: int) -> tuple:
-    """Per output, its rows as (coefficient, eps power, factors).  The factors are
-    (index, power) pairs: (-1, 1) p times, for eps, then the nonzero exponents."""
-    return tuple(tuple((coef, p, ((-1, 1),) * p + tuple((i, n) for i, n in enumerate(powers) if n))
+    """Per output, its rows as (coefficient, factors).  The factors are (index,
+    power) pairs: (-1, 1) p times, for eps, then the nonzero exponents."""
+    return tuple(tuple((coef, ((-1, 1),) * p + tuple((i, n) for i, n in enumerate(powers) if n))
                        for out, coef, p, powers in rows if out == k) for k in range(n_outputs))
 
 
-def _evaluate(grouped: tuple, values: list, max_power=math.inf) -> list:
-    """Each output's sum over its rows with eps power <= max_power, 0.0 if none.
+def _evaluate(grouped: tuple, values: list) -> list:
+    """Each output's sum over its rows, 0.0 if none.
 
     ``values`` ends with eps.  Each term is the coefficient times its factors
     in order, and each sum starts from its first term.
@@ -121,11 +125,10 @@ def _evaluate(grouped: tuple, values: list, max_power=math.inf) -> list:
     sums = []
     for rows in grouped:
         total = None
-        for term, p, factors in rows:
-            if p <= max_power:
-                for i, n in factors:
-                    term = term * (values[i] if n == 1 else values[i] ** n)
-                total = term if total is None else total + term
+        for term, factors in rows:
+            for i, n in factors:
+                term = term * (values[i] if n == 1 else values[i] ** n)
+            total = term if total is None else total + term
         sums.append(0.0 if total is None else total)
     return sums
 
@@ -135,17 +138,23 @@ class CaseSpec:
     """One catalog entry; see the module docstring for what it declares and derives."""
 
     name: str
-    validity_exponent: int
     default_ics: tuple[float, ...]  # positions, then velocities
     accelerations: tuple[PolynomialRow, ...]  # exponents over the state
     rate_terms: tuple[PolynomialRow, ...]  # exponents over |A_i|^2, or A_i if real
     carrier_terms: tuple[CarrierTerm, ...]
-    real_amplitudes: bool = False
     exact: Optional[Callable] = None  # (t, eps) -> components
 
-    def __post_init__(self):  # the evaluator's grouping, once per case
-        object.__setattr__(self, "_accel_rows", _group_rows(self.accelerations, self.n_components))
-        object.__setattr__(self, "_rate_rows", _group_rows(self.rate_terms, self.n_amplitudes))
+    def __post_init__(self):  # derived once per case, through __dict__ since the class is frozen
+        self.__dict__.update(
+            validity_exponent=1 + max((p for _, _, p, _ in self.rate_terms), default=0),
+            real_amplitudes=all(complex(lam).imag == 0 for *_, lam in self.carrier_terms),
+            _accel_rows=_group_rows(self.accelerations, self.n_components),
+            _rate_rows=_group_rows(self.rate_terms, self.n_amplitudes),
+        )
+
+    def truncated(self, terms: int) -> CaseSpec:
+        """The case with the rate rows of eps power <= terms."""
+        return replace(self, rate_terms=tuple(row for row in self.rate_terms if row[2] <= terms))
 
     @property
     def state_dim(self) -> int:
@@ -174,29 +183,29 @@ class CaseSpec:
         accelerations = _evaluate(self._accel_rows, x)
         return np.array(x[len(accelerations):-1] + accelerations)
 
-    def rate(self, amps, eps, terms=2):
-        """rate_j in dA_j/dt = rate_j A_j, from the rows of eps power <= terms."""
+    def rate(self, amps, eps):
+        """rate_j in dA_j/dt = rate_j A_j."""
         x = list(amps) if self.real_amplitudes else [np.abs(a) ** 2 for a in amps]
-        return tuple(_evaluate(self._rate_rows, x + [eps], terms))
+        return tuple(_evaluate(self._rate_rows, x + [eps]))
 
-    def amplitude_rhs(self, t, amps, eps, terms=2):
+    def amplitude_rhs(self, t, amps, eps):
         """dA/dt = rate(A) A."""
-        return np.asarray(self.rate(amps, eps, terms)) * amps
+        return np.asarray(self.rate(amps, eps)) * amps
 
-    def amplitude_closed_form(self, t, amps0, eps, terms=2):
+    def amplitude_closed_form(self, t, amps0, eps):
         """A0 e^{rate(A0) t} on the grid t, shape (n_t, n_amp)."""
         if not self.rate_conserved:
             raise ValueError(f"case {self.name} has no closed-form amplitudes")
-        rates = np.asarray(self.rate(amps0, eps, terms))
+        rates = np.asarray(self.rate(amps0, eps))
         return amps0[np.newaxis, :] * np.exp(np.multiply.outer(np.asarray(t), rates))
 
     def reconstruct(self, t, amps, eps):
         """Oscillator components from the amplitudes at time t."""
         return self._carrier_sum(t, amps, eps)
 
-    def reconstruct_dt(self, t, amps, eps, terms=2):
+    def reconstruct_dt(self, t, amps, eps):
         """Product rule along the flow: d(A_j^n)/dt = n rate_j A_j^n."""
-        return self._carrier_sum(t, amps, eps, self.rate(amps, eps, terms))
+        return self._carrier_sum(t, amps, eps, self.rate(amps, eps))
 
     def _carrier_sum(self, t, amps, eps, rates=None):
         t = np.asarray(t, dtype=float)
@@ -226,7 +235,7 @@ def coupled_cubic_frequencies(a0: complex, b0: complex, eps: float) -> tuple[flo
     """
     case = catalog("coupled_cubic")
     lams = {powers: lam for _, _, _, powers, lam in case.carrier_terms}
-    rates = case.rate((a0, b0), eps, 2)
+    rates = case.rate((a0, b0), eps)
     return tuple(float(abs(lams[unit].imag + rate.imag))
                  for unit, rate in zip(((1, 0), (0, 1)), rates))
 
@@ -236,7 +245,6 @@ _CATALOG: dict[str, CaseSpec] = {
     for case in (
         CaseSpec(
             name="damped_linear",
-            validity_exponent=3,
             default_ics=(1.0, 0.0),
             # y'' = -y - eps y'; rate = -eps/2 - i eps^2/8
             accelerations=((0, -1.0, 0, (1, 0)), (0, -1.0, 1, (0, 1))),
@@ -246,7 +254,6 @@ _CATALOG: dict[str, CaseSpec] = {
         ),
         CaseSpec(
             name="cubic",
-            validity_exponent=3,
             default_ics=(1.0, 0.0),
             # y'' = -y + eps y^3; rate = -i(3 eps/2)|A|^2 - i(15 eps^2/16)|A|^4
             accelerations=((0, -1.0, 0, (1, 0)), (0, 1.0, 1, (3, 0))),
@@ -256,8 +263,6 @@ _CATALOG: dict[str, CaseSpec] = {
         ),
         CaseSpec(
             name="quadratic_damped",
-            real_amplitudes=True,
-            validity_exponent=3,
             default_ics=(1.0, 1.0),
             # y'' = -y' - eps y^2; rate = (-eps A - 2 eps^2 A^2, 2 eps A + 2 eps^2 A^2)
             accelerations=((0, -1.0, 0, (0, 1)), (0, -1.0, 1, (2, 0))),
@@ -269,7 +274,6 @@ _CATALOG: dict[str, CaseSpec] = {
         ),
         CaseSpec(
             name="coupled_cubic",
-            validity_exponent=2,
             # the eps = 0 state of A = B = 0.3
             default_ics=(1.2, -0.6, 0.0, 0.0),
             # x'' = -2x + y + eps x y^2, y'' = -3y + 2x + eps x^2 y
@@ -301,15 +305,16 @@ def case_names() -> list[str]:
     return sorted(_CATALOG)
 
 
-def _amps_to_real(amps: np.ndarray, real_amplitudes: bool) -> np.ndarray:
-    if real_amplitudes:
+def _amps_to_real(case: CaseSpec, amps: np.ndarray) -> np.ndarray:
+    if case.real_amplitudes:
         return np.asarray(amps, dtype=complex).real.copy()
     a = np.asarray(amps, dtype=complex)
     return np.concatenate([a.real, a.imag])
 
 
-def _real_to_amps(vec: np.ndarray, n: int, real_amplitudes: bool) -> np.ndarray:
-    if real_amplitudes:
+def _real_to_amps(case: CaseSpec, vec: np.ndarray) -> np.ndarray:
+    n = case.n_amplitudes
+    if case.real_amplitudes:
         return np.asarray(vec[:n], dtype=float)
     return vec[:n] + 1j * vec[n : 2 * n]
 
@@ -321,7 +326,6 @@ def integrate_amplitude(
     eps: float,
     rtol: float = 1e-10,
     atol: float = 1e-12,
-    terms: int = 2,
     t_eval=None,
 ) -> Trajectory:
     """Evolve the slow amplitudes; samples are complex with shape (n_t, n_amp).
@@ -334,19 +338,16 @@ def integrate_amplitude(
     amps0 = np.asarray(amps0)
 
     def rhs(t, vec):
-        amps = _real_to_amps(vec, case.n_amplitudes, case.real_amplitudes)
-        return _amps_to_real(case.amplitude_rhs(t, amps, eps, terms), case.real_amplitudes)
+        return _amps_to_real(case, case.amplitude_rhs(t, _real_to_amps(case, vec), eps))
 
-    traj = integrate_reference(
-        rhs, _amps_to_real(amps0, case.real_amplitudes), t_span, rtol, atol, t_eval
-    )
-    samples = _real_to_amps(traj.y.T, case.n_amplitudes, case.real_amplitudes).T
+    traj = integrate_reference(rhs, _amps_to_real(case, amps0), t_span, rtol, atol, t_eval)
+    samples = _real_to_amps(case, traj.y.T).T
     meta = dict(traj.meta)
-    meta.update(eps=eps, case=case.name, terms=terms)
+    meta.update(eps=eps, case=case.name)
     return Trajectory(t=traj.t, y=samples.astype(complex), meta=meta)
 
 
-def fit_initial_amplitudes(case: CaseSpec, ics, eps: float, terms: int = 2) -> np.ndarray:
+def fit_initial_amplitudes(case: CaseSpec, ics, eps: float) -> np.ndarray:
     """Amplitudes whose reconstruction matches the state and its derivative at t=0.
 
     Newton iteration with a finite-difference Jacobian, started from the
@@ -360,9 +361,9 @@ def fit_initial_amplitudes(case: CaseSpec, ics, eps: float, terms: int = 2) -> n
     n_real = case.n_amplitudes if case.real_amplitudes else 2 * case.n_amplitudes
 
     def residual(vec: np.ndarray, e: float) -> np.ndarray:
-        amps = _real_to_amps(vec, case.n_amplitudes, case.real_amplitudes)
+        amps = _real_to_amps(case, vec)
         vals = np.atleast_1d(np.squeeze(case.reconstruct(0.0, amps, e)))
-        ders = np.atleast_1d(np.squeeze(case.reconstruct_dt(0.0, amps, e, terms)))
+        ders = np.atleast_1d(np.squeeze(case.reconstruct_dt(0.0, amps, e)))
         return np.concatenate([vals, ders]) - ics
 
     def fd_jacobian(vec: np.ndarray, e: float) -> np.ndarray:
@@ -384,7 +385,7 @@ def fit_initial_amplitudes(case: CaseSpec, ics, eps: float, terms: int = 2) -> n
         lin[:, j] = residual(unit, 0.0) - base
     vec = np.linalg.solve(lin, -base)
     if eps == 0.0:
-        return _real_to_amps(vec, case.n_amplitudes, case.real_amplitudes)
+        return _real_to_amps(case, vec)
 
     # Damped Newton, continued in eps so the iterate stays on the branch
     # connected to the eps = 0 fit instead of jumping to a spurious root.
@@ -409,7 +410,7 @@ def fit_initial_amplitudes(case: CaseSpec, ics, eps: float, terms: int = 2) -> n
                 lam *= 0.5
             vec = vec + lam * step
             iterations += 1
-    return _real_to_amps(vec, case.n_amplitudes, case.real_amplitudes)
+    return _real_to_amps(case, vec)
 
 
 def naive_damped_expansion(t, eps: float):
@@ -483,8 +484,10 @@ def compare(
 ) -> RunReport:
     """Run the direct and multiscale paths on a shared grid and record errors.
 
-    The horizon is :func:`resolve_horizon`'s; the output grid always holds
-    ``n_samples`` uniform points so error norms are comparable across eps.
+    The horizon is :func:`resolve_horizon`'s, from the full case; the fit,
+    the amplitude flow and the reconstruction use ``case.truncated(terms)``.
+    The output grid always holds ``n_samples`` uniform points so error norms
+    are comparable across eps.
     ``l2_error`` is the RMS of the pointwise euclidean error norm.
     ``stats["trajectories"]`` always holds the compared series, ``y_direct``
     and ``y_multiscale``, each of shape (n_components, n_samples).  When the
@@ -493,18 +496,17 @@ def compare(
     horizon = resolve_horizon(case, eps, horizon_exponent, horizon)
     ics = case.default_ics if ics is None else tuple(ics)
     grid = np.linspace(0.0, horizon, n_samples)
+    flow = case.truncated(terms)
 
     # the fit checks len(ics), so it runs before the costly direct solve
-    amps0 = fit_initial_amplitudes(case, ics, eps, terms=terms)
+    amps0 = fit_initial_amplitudes(flow, ics, eps)
     direct = integrate_reference(
         case.original_rhs, ics, (0.0, horizon), rtol, atol, t_eval=grid, args=(eps,)
     )
     y_direct = direct.y[:, : case.n_components].T
 
-    amp_traj = integrate_amplitude(
-        case, amps0, (0.0, horizon), eps, rtol, atol, terms, t_eval=grid
-    )
-    y_ms = reconstruct_on_grid(case, amp_traj, eps)
+    amp_traj = integrate_amplitude(flow, amps0, (0.0, horizon), eps, rtol, atol, t_eval=grid)
+    y_ms = reconstruct_on_grid(flow, amp_traj, eps)
 
     err = np.abs(y_direct - y_ms)
     stats = {

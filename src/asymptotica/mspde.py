@@ -73,6 +73,7 @@ has no floor above them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -143,14 +144,16 @@ class Dispersion:
         curvature = self.symbol(k) * (s1 + 2.0 * q * s2) - q * s1 * s1
         return curvature / (2.0 * self.omega(k) ** 3)
 
-    def detuning(self, k, h):
-        """D(h) = omega(h k)^2 - h^2 omega(k)^2 = sum_j c_j k^{2j} (h^{2j} - h^2).
+    def detuning_coefficients(self, h) -> list:
+        """D(h) = omega(h k)^2 - h^2 omega(k)^2 as a polynomial in q = k^2:
+        c_j (h^{2j} - h^2) multiplies q^j, and the j = 1 one is exactly 0."""
+        return [c * (h ** (2 * j) - h * h) for j, c in enumerate(self.omega2)]
 
-        The j = 1 term is exactly 0.  D(h) divides the harmonic h of the
-        forcing in :meth:`harmonic_balance`, and a zero of D(h) makes that
-        harmonic resonant (:func:`find_phase_matched`).
-        """
-        return sum(c * k ** (2 * j) * (h ** (2 * j) - h * h) for j, c in enumerate(self.omega2))
+    def detuning(self, k, h):
+        """D(h) at k.  It divides the harmonic h of the forcing in
+        :meth:`harmonic_balance`, and a zero of D(h) makes that harmonic
+        resonant (:func:`find_phase_matched`)."""
+        return horner(self.detuning_coefficients(h), k**2)
 
     def harmonic_balance(self, k: float) -> tuple[float, tuple[tuple, ...]]:
         """(F, carriers) at carrier wavenumber k, by harmonic balance.
@@ -209,35 +212,18 @@ def find_phase_matched(d: Dispersion, n: int, k_range: tuple[float, float]) -> l
     """Phase-matched carriers in k_range: the zeros of the detuning D(n).
 
     D(n) = (omega(n k) - n omega(k)) (omega(n k) + n omega(k)), and the
-    second factor is positive, so D(n) changes sign where omega(n k) - n
-    omega(k) does.  Its sign changes on a 2000-point grid are bisected to
-    1e-12.  A D(n) that is not finite on the grid (k^2 overflows) would hide
-    the roots near it, so it raises ValueError.
+    second factor is positive, so D(n) vanishes where omega(n k) = n
+    omega(k).  D(n) is a polynomial in q = k^2
+    (:meth:`Dispersion.detuning_coefficients`), so its zeros are the real
+    roots q >= 0 of that polynomial, found by ``np.roots``: no grid, no
+    bisection, and every k_range of finite floats is searched whole.
     """
     if n not in (2, 3):
         raise ValueError("harmonic order must be 2 or 3")
     lo, hi = k_range
-    if hi <= lo:
-        return []
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises below
-        ks = np.linspace(lo, hi, 2000)
-        vals = d.detuning(ks, n)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError(f"omega overflows on k_range [{lo}, {hi}]: narrow the range")
-    roots = []
-    for i in np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]:
-        a, b = ks[i], ks[i + 1]
-        fa = vals[i]
-        while b - a > 1e-12:
-            mid = 0.5 * (a + b)
-            fm = d.detuning(mid, n)
-            if fa * fm <= 0:
-                b = mid
-            else:
-                a, fa = mid, fm
-        roots.append(0.5 * (a + b))
-    roots.extend(float(k) for k in ks[vals == 0.0])
-    return sorted(roots)
+    qs = np.roots(d.detuning_coefficients(n)[::-1])
+    ks = {sign * math.sqrt(q.real) for q in qs if q.imag == 0 and q.real >= 0 for sign in (1, -1)}
+    return sorted(k for k in ks if lo <= k <= hi)
 
 
 # --- fields ---------------------------------------------------------------------

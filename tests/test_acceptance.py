@@ -61,7 +61,7 @@ def test_criterion_2_two_term_multiscale_error_and_order(capfd):
             amps0 = msode.fit_initial_amplitudes(case, (1.0, 0.0), eps)
             amp = msode.integrate_amplitude(
                 case, amps0, (0.0, horizon), eps, rtol=1e-10, atol=1e-13,
-                t_eval=grid, terms=2,
+                t_eval=grid,
             )
             y_ms = msode.reconstruct_on_grid(case, amp, eps)[0]
             y_exact = case.exact(grid, eps)[0]

@@ -94,10 +94,6 @@ REJECTED = [
     ("pde", dict(PHASE_MATCH, k_range=[2.0, 0.1])),
     ("pde", dict(PHASE_MATCH, harmonic=4, k_range=[2.0, 0.1])),
     ("pde", dict(PHASE_MATCH, k_range=[1.0, 1.0])),
-    # omega(k)^2 ~ k^4 overflows on most of this range: the residual read
-    # inf - inf = NaN there, so the root at 1/sqrt(3) was missed and the run
-    # exited 0 with no roots and numpy warnings
-    ("pde", {"task": "phase_match", "kind": "fourth_order", "k_range": [0.1, 1e308]}),
     # ran 11 s, then failed on Python's int-to-str limit (test_exact_roots_digit_budget)
     ("roots", dict(ROOTS, family=[[0, "1e300"], [-1], [1]], order=64)),
 ]
@@ -272,6 +268,35 @@ def test_exact_roots_past_the_digit_estimate_name_order_and_digits(tmp_path, cap
     assert code == EXIT_CONFIG, err
     assert "order 8 needs 4305-digit coefficients" in err and "Traceback" not in err
     assert not (tmp_path / "cfg_summary.json").exists()
+
+
+# Exponents inside +-4300 can still combine into group exponents or membership
+# coefficients past Python's int-to-str limit; that limit failed the run with a
+# message that named no key.  10^4299 has 4300 digits and still prints.
+@pytest.mark.parametrize("payload,code,message", [
+    ({"base": "L T", "quantities": {"a": "L^1e4300", "b": "L^3e-4300 T", "c": "T"}},
+     EXIT_CONFIG, "the quantities' group basis needs 8601-digit exponents"),
+    (dict(PENDULUM, membership={"pi_one": {"t": "2e4300", "s": "-1e4300", "g": "1e4300"}}),
+     EXIT_CONFIG, "membership 'pi_one' needs 4301-digit coefficients"),
+    (dict(PENDULUM, membership={"pi_one": {"t": "2e4299", "s": "-1e4299", "g": "1e4299"}}),
+     EXIT_OK, ""),
+])
+def test_pi_past_the_digit_limit_names_the_key(tmp_path, capsys, payload, code, message):
+    got, err = run(tmp_path, "pi", payload, capsys)
+    assert got == code, err
+    assert message in err and "Traceback" not in err
+    assert (tmp_path / "cfg_summary.json").exists() is (code == EXIT_OK)
+
+
+def test_phase_match_searches_the_whole_float_range(tmp_path, capsys):
+    # omega(k)^2 ~ k^4 overflows on most of this range: a search that sampled
+    # D(3) on a grid read inf there and exited 2.  The roots of D(3) as a
+    # polynomial in k^2 need no samples, so the run finds the root at 1/sqrt(3).
+    payload = {"task": "phase_match", "kind": "fourth_order", "k_range": [0.1, 1e308]}
+    code, err = run(tmp_path, "pde", payload, capsys)
+    assert code == EXIT_OK and err == ""
+    summary = json.loads((tmp_path / "cfg_summary.json").read_text())
+    assert summary["result"]["roots"] == [0.5773502691896257]
 
 
 @pytest.mark.parametrize(

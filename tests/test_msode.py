@@ -133,7 +133,7 @@ def test_cubic_amplitude_rhs_preserves_modulus():
     rng = np.random.default_rng(7)
     for _ in range(20):
         a = rng.normal() + 1j * rng.normal()
-        da = case.amplitude_rhs(0.0, np.array([a]), 0.1, 2)[0]
+        da = case.amplitude_rhs(0.0, np.array([a]), 0.1)[0]
         assert abs(np.real(np.conj(a) * da)) < 1e-15 * max(1.0, abs(a) ** 6)
 
 
@@ -240,8 +240,10 @@ def test_reconstruct_dt_matches_finite_difference(name):
     assert errors[1] <= 1e-4
 
 
-RATE_CONSERVED = {"damped_linear": True, "cubic": True, "quadratic_damped": False,
-                  "coupled_cubic": True}
+# (rate_conserved, validity_exponent, real_amplitudes); the last two were
+# declared fields before they were derived, with these values
+DERIVED = {"damped_linear": (True, 3, False), "cubic": (True, 3, False),
+           "quadratic_damped": (False, 3, True), "coupled_cubic": (True, 2, False)}
 
 
 @pytest.mark.parametrize("name", msode.case_names())
@@ -253,7 +255,7 @@ def test_derived_sizes_agree_with_the_declaration(name):
     if case.real_amplitudes:
         amps = amps.real
     assert np.shape(case.reconstruct(0.0, amps, 0.1))[0] == case.n_components
-    assert len(case.rate(amps, 0.1, 2)) == case.n_amplitudes
+    assert len(case.rate(amps, 0.1)) == case.n_amplitudes
     for comp, _, _, powers, _ in case.carrier_terms:
         assert len(powers) == case.n_amplitudes
         assert 0 <= comp < case.n_components
@@ -264,7 +266,9 @@ def test_derived_sizes_agree_with_the_declaration(name):
         for out, _, p, powers in rows:
             assert 0 <= out < n_outputs and p >= 0
             assert len(powers) == n_exponents and min(powers) >= 0
-    assert case.rate_conserved is RATE_CONSERVED[name]
+    derived = (case.rate_conserved, case.validity_exponent, case.real_amplitudes)
+    assert derived == DERIVED[name]
+    assert all(type(value) is type(want) for value, want in zip(derived, DERIVED[name]))
 
 
 # The per-case functions the tables replaced, kept verbatim as the oracle.
@@ -340,14 +344,52 @@ def test_tables_reproduce_the_hand_written_functions(name):
         pairs = [(case.original_rhs(0.0, state, eps), rhs(0.0, state, eps),
                   moduli.original_rhs(0.0, np.abs(state), eps))]
         for terms in (1, 2):
-            pairs.append((np.asarray(case.rate(amps, eps, terms)),
+            pairs.append((np.asarray(case.truncated(terms).rate(amps, eps)),
                           np.asarray(rate(amps, eps, terms)),
-                          np.abs(moduli.rate(np.abs(amps), eps, terms))))
+                          np.abs(moduli.truncated(terms).rate(np.abs(amps), eps))))
         for derived, reference, scale in pairs:
             if name == "coupled_cubic":
                 assert np.all(np.abs(derived - reference) <= 4 * np.spacing(scale))
             else:
                 assert np.array_equal(derived, reference)
+
+
+def _carrier_exponent_faults(case):
+    """The carrier exponents the equation does not fix.  With M0 and C0 read off
+    the eps^0 acceleration rows, so that x'' = M0 x + C0 x' at eps = 0, each
+    amplitude's own exponent lam_j (its unit-power carrier) must be a mode,
+    det(lam_j^2 I - M0 - lam_j C0) = 0, and every carrier's lam must be
+    sum_j n_j lam_j."""
+    n = case.n_components
+    m0, c0 = np.zeros((n, n)), np.zeros((n, n))
+    for comp, coef, p, powers in case.accelerations:
+        if p == 0:  # the eps^0 equation is linear
+            assert sum(powers) == 1
+            (i,) = np.flatnonzero(powers)
+            (m0 if i < n else c0)[comp, i % n] += coef
+    own = {int(np.flatnonzero(powers)[0]): lam
+           for *_, powers, lam in case.carrier_terms if sum(powers) == 1}
+    faults = [lam for lam in own.values()
+              if np.linalg.det(lam**2 * np.eye(n) - m0 - lam * c0) != 0]
+    return faults + [row for row in case.carrier_terms
+                     if row[4] != sum(k * own[j] for j, k in enumerate(row[3]))]
+
+
+@pytest.mark.parametrize("name", msode.case_names())
+def test_carrier_exponents_follow_from_the_equation(name):
+    # real_amplitudes is read from these exponents, so they are pinned here
+    assert _carrier_exponent_faults(catalog(name)) == []
+
+
+@pytest.mark.parametrize("name, typed, meant", [
+    ("cubic", 2j, 3j),  # a correction harmonic that is not 3 times the mode's
+    ("quadratic_damped", -0.5, -1.0),  # a decay rate that is not the mode's
+])
+def test_carrier_exponent_typos_are_caught(name, typed, meant):
+    case = catalog(name)
+    rows = tuple(row[:4] + (typed,) if row[4] == meant else row for row in case.carrier_terms)
+    assert rows != case.carrier_terms
+    assert _carrier_exponent_faults(dataclasses.replace(case, carrier_terms=rows))
 
 
 # quadratic_damped's 2 eps^2 A^2 B does not move the error at t = 1/eps^2:
@@ -369,6 +411,13 @@ def test_dropping_a_rate_row_fails_the_comparison(name, eps):
             continue
         planted = dataclasses.replace(case, rate_terms=case.rate_terms[:k] + case.rate_terms[k + 1:])
         assert compare(planted, eps, 2).max_abs_error >= 2.0 * intact, row
+    # the correction carriers too; the eps^0 ones are the modes themselves,
+    # and without one the initial-amplitude fit is singular
+    for k, row in enumerate(case.carrier_terms):
+        if row[2] >= 1:
+            planted = dataclasses.replace(
+                case, carrier_terms=case.carrier_terms[:k] + case.carrier_terms[k + 1:])
+            assert compare(planted, eps, 2).max_abs_error >= 2.0 * intact, row
 
 
 def test_quadratic_damped_second_order_rates_follow_from_the_equation():

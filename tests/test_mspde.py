@@ -1,5 +1,6 @@
 import json
 import re
+import mpmath
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -134,6 +135,18 @@ def test_find_phase_matched():
         for n in (2, 3):
             assert find_phase_matched(d, n, (1e7, 1e8)) == []
             assert find_phase_matched(d, n, (0.1, 1e80)) == []
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_phase_matched_roots_are_exact(n):
+    # fourth_order: D(n) = (n^4 - n^2) k^4 - (n^2 - 1), so k = +-1/sqrt(n);
+    # a bisection to 1e-12 left 1/sqrt(3) 2.5e-13 off
+    with mpmath.workprec(200):
+        exact = float(1 / mpmath.sqrt(n))
+    for k_range, sign in (((0.1, 2.0), 1), ((-2.0, -0.1), -1), ((0.1, 1e308), 1)):
+        (root,) = find_phase_matched(FOURTH, n, k_range)
+        assert abs(root - sign * exact) <= np.spacing(exact), k_range
+    assert find_phase_matched(FOURTH, n, (-2.0, 2.0)) == [-root, root]
 
 
 def test_field_invariants():
