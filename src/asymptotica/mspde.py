@@ -60,15 +60,19 @@ The half kicks that close one step and open the next are merged into one
 full kick (a kick leaves |A| unchanged); the scheme is still second-order
 Strang.
 
-A packet comparison evolves the envelope on its own grid, not the field's:
-the smallest power of two with two points per carrier wavelength (Nyquist
-wavenumber at least k), capped at the field grid, which at the default 16
-points per wavelength is an eighth of it.  The envelope's wavenumbers are
-<< k by the scale separation the derivation assumes, so band-limited
-resampling (:func:`_resample`: spectral truncation onto the envelope grid,
-zero padding back to the field grid) drops only modes at the roundoff level:
-the Gaussian start is periodic (:func:`gaussian_packet`), so its spectrum
-has no floor above them.
+Packet grids have 2^a, 3 2^a or 5 2^a points (:func:`_grid_size`), sizes
+whose FFTs run at near power-of-two speed: a field grid rounds its points
+per wavelength times wavelengths up to the next such size, not to the next
+power of two, so a packet just past a power of two carries a band about 5/8
+as wide.  A packet comparison evolves the envelope on its own grid, not the
+field's: the smallest such size with two points per carrier wavelength
+(Nyquist wavenumber at least k), capped at the field grid, which at the
+default 16 points per wavelength is an eighth of it.  The envelope's
+wavenumbers are << k by the scale separation the derivation assumes, so
+band-limited resampling (:func:`_resample`: spectral truncation onto the
+envelope grid, zero padding back to the field grid) drops only modes at the
+roundoff level: the Gaussian start is periodic (:func:`gaussian_packet`), so
+its spectrum has no floor above them.
 """
 
 from __future__ import annotations
@@ -228,9 +232,19 @@ def find_phase_matched(d: Dispersion, n: int, k_range: tuple[float, float]) -> l
 
 # --- fields ---------------------------------------------------------------------
 
-def _check_power_of_two(n: int):
-    if n < 2 or n & (n - 1):
-        raise ValueError(f"grid size {n} is not a power of two")
+def _grid_size(n: int) -> int:
+    """The smallest of 2^a, 3 2^a and 5 2^a that is at least n.
+
+    Such sizes run the FFT at near power-of-two speed, and the nearest one
+    is less than a third above n, where the next power of two can be nearly
+    twice n.
+    """
+    return min(f << (-(-n // f) - 1).bit_length() for f in (1, 3, 5))
+
+
+def _check_grid_size(n: int):
+    if n % 2 or _grid_size(n) != n:
+        raise ValueError(f"grid size {n} is not 2^a, 3 2^a or 5 2^a with a >= 1")
 
 
 MAX_GRID = 2**16  # packet grid budget: 1 MiB of complex samples per field
@@ -283,7 +297,7 @@ class WavePacketField:
     kind: str = "klein_gordon"
 
     def __post_init__(self):
-        _check_power_of_two(len(self.values))
+        _check_grid_size(len(self.values))
         object.__setattr__(self, "values", np.asarray(self.values, dtype=complex))
         m = self.k * self.length / (2.0 * np.pi)
         if abs(m - round(m)) > 1e-9:
@@ -309,7 +323,7 @@ class RealField:
     ut: np.ndarray
 
     def __post_init__(self):
-        _check_power_of_two(len(self.u))
+        _check_grid_size(len(self.u))
         if len(self.u) != len(self.ut):
             raise ValueError("u and ut must share the grid")
         object.__setattr__(self, "u", np.asarray(self.u, dtype=float))
@@ -569,7 +583,9 @@ def gaussian_packet(
     + 6 sigma with x_c = 6 sigma).  The envelope is the sum of the
     Gaussian's periodic images j = -1, 0, 1, centred at x_c + j L, so it is
     smooth across the boundary and its spectrum falls to roundoff; the next
-    images are below e^-160 on the domain (L >= 12 sigma).
+    images are below e^-160 on the domain (L >= 12 sigma).  The grid has
+    ``points_per_wavelength`` times the domain's wavelengths rounded up to
+    the next 2^a, 3 2^a or 5 2^a points (:func:`_grid_size`).
     """
     if sigma_wavelengths < 10.0:
         raise ValueError("envelope must span at least 10 carrier wavelengths")
@@ -583,8 +599,7 @@ def gaussian_packet(
     x_c = 6.0 * sigma
     l_min = x_c + abs(dispersion(kind).omega_prime(k)) * t_end + 6.0 * sigma
     m = np.ceil(l_min / wavelength)  # carrier wavelengths on the domain
-    # the budget before the conversions: int() takes no inf, np.log2 no int
-    # beyond the int64 range
+    # the budget before the conversion: int() takes no inf
     if not m <= MAX_GRID or points_per_wavelength * int(m) > MAX_GRID:
         raise ValueError(
             f"the packet needs {points_per_wavelength} grid points on each of {m:.6g} "
@@ -593,7 +608,7 @@ def gaussian_packet(
         )
     m = int(m)
     length = m * wavelength
-    n = 1 << int(np.ceil(np.log2(points_per_wavelength * m)))
+    n = _grid_size(points_per_wavelength * m)
     x = grid_points(length, n)
     # in units of sigma: sigma**2 may overflow, the squares of z = (x - x_c - j L) / sigma
     # cannot (L / sigma <= 6554 within the grid budget)
@@ -629,12 +644,12 @@ def packet_compare(
     ``stats["fields"]`` always holds the compared snapshots themselves: the
     grid ``x`` and, per checkpoint, ``t``, ``direct`` and ``reconstructed``.
     The envelope evolves on its own grid of ``envelope_grid_n`` points: the
-    smallest power of two with two points per carrier wavelength, capped at
-    the field grid's ``grid_n`` (``grid_n / 8`` at 16 points per
-    wavelength).  It is restricted there by spectral truncation, and each
-    checkpoint's envelope is zero padded back to the field grid before
-    reconstruction; ``envelope_l2_drift_rel`` is measured on the envelope
-    grid, where the split step conserves it.
+    smallest 2^a, 3 2^a or 5 2^a (:func:`_grid_size`, as for ``grid_n``) with
+    two points per carrier wavelength, capped at the field grid's ``grid_n``
+    (``grid_n / 8`` at 16 points per wavelength).  It is restricted there by
+    spectral truncation, and each checkpoint's envelope is zero padded back
+    to the field grid before reconstruction; ``envelope_l2_drift_rel`` is
+    measured on the envelope grid, where the split step conserves it.
     The direct solve runs at atol 2e-11 |amplitude| (1e-11 at the default
     0.5), so its work does not grow with the amplitude at fixed eps
     |amplitude|^(p-1), and the envelope at split step ``dt`` 0.02, the value
@@ -702,7 +717,7 @@ def packet_compare(
     direct = _solve_direct(eps, u0, max(checkpoints), kind, rtol, t_eval=checkpoints,
                            atol=2e-11 * abs(amplitude))
     wavelengths = round(k * packet.length / (2.0 * np.pi))
-    envelope_n = min(packet.n, 1 << (2 * wavelengths - 1).bit_length())
+    envelope_n = min(packet.n, _grid_size(2 * wavelengths))
     start = replace(packet, values=_resample(packet.values, envelope_n))
     envelopes = solve_nls(start, max(checkpoints), dt, checkpoints=checkpoints)
 

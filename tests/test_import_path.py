@@ -28,6 +28,7 @@ SHIPPED = [
     ("nonlinear_layer", "blayer", str(CONFIGS / "nonlinear_layer.json")),
     ("coupled_cubic_pilot", "ode", str(CONFIGS / "coupled_cubic_pilot.json")),
     ("coupled_cubic_short", "ode", str(CONFIGS / "coupled_cubic_short.json")),
+    ("kg_packet_long", "pde", str(CONFIGS / "kg_packet_long.json")),
 ]
 
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

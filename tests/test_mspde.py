@@ -158,6 +158,52 @@ def test_field_invariants():
         RealField(10.0, np.zeros(128), np.zeros(64))
 
 
+@pytest.mark.parametrize("n, size", [(2048, 2048), (2049, 2560), (2080, 2560),
+                                     (2561, 3072), (3073, 4096), (65536, 65536)])
+def test_grid_size_rounds_up_to_2a_3x2a_or_5x2a(n, size):
+    assert mspde._grid_size(n) == size
+
+
+@pytest.mark.parametrize("n, ok", [(2560, True), (320, True),
+                                   (2562, False), (3000, False), (2047, False)])
+def test_fields_take_only_2a_3x2a_or_5x2a_grids(n, ok):
+    length = 2.0 * np.pi * 10  # carrier k = 1 is a grid wavenumber
+    make = [lambda: WavePacketField(length, np.zeros(n, complex), 1.0, 0.1),
+            lambda: RealField(length, np.zeros(n), np.zeros(n))]
+    for field in make:
+        if ok:
+            assert field().n == n
+        else:
+            with pytest.raises(ValueError, match="grid size"):
+                field()
+
+
+# the perfbench pde_kg slot (0.08, 1.26, 4.8) on seed 1: 16 x 130 = 2080 points
+CROSSING = dict(eps=0.081461, k=1.246433, t_end=60.709828)
+
+
+def test_packet_just_past_a_power_of_two_takes_5x2a_points():
+    assert gaussian_packet(**CROSSING).n == 2560
+
+
+def test_direct_solve_on_5x2a_grid_matches_the_power_of_two_grid():
+    # the same order-1 start, zero padded from 2560 to 4096 points, solved to
+    # the slot's first checkpoint at packet_compare's tolerances
+    eps, t = CROSSING["eps"], 24.283931
+    u0 = reconstruct_field(gaussian_packet(**CROSSING), 0.0, 1)
+    assert u0.n == 2560
+
+    def padded(values):
+        return np.fft.irfft(np.fft.rfft(values), 4096) * (4096 / 2560)
+
+    wide = RealField(u0.length, padded(u0.u), padded(u0.ut))
+    assert np.max(np.abs(wide.u[::8] - u0.u[::5])) <= 1e-14 * np.max(np.abs(u0.u))
+    runs = [mspde._solve_direct(eps, start, t, rtol=1e-9, atol=1e-11) for start in (u0, wide)]
+    coarse = runs[0].fields[-1].u
+    fine = np.fft.irfft(np.fft.rfft(runs[1].fields[-1].u)[:1281], 2560) * (2560 / 4096)
+    assert np.linalg.norm(coarse - fine) <= 1e-10 * np.linalg.norm(fine)
+
+
 def single_mode_field(length, n, mode, amplitude=1.0):
     x = grid_points(length, n)
     k = 2.0 * np.pi * mode / length
