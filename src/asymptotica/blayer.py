@@ -7,11 +7,16 @@ linear
     eps y'' + y' - y = 0,  y(0) = 1, y(1) = 0.  The multiscale solution in
     the layer variable integrates in closed form,
 
-        y(x) = (1 - e^{2 - 2 eps + 1/eps})^{-1} e^{(1 - eps) x}
-             + (1 - e^{-2 + 2 eps - 1/eps})^{-1} e^{(-1 + eps - 1/eps) x},
+        y(x) = (1 - e^{r_+ - r_-})^{-1} e^{r_+ x}
+             + (1 - e^{r_- - r_+})^{-1} e^{r_- x},
 
-    which is evaluated in an algebraically rewritten form so the huge
-    factor e^{1/eps} is never formed (it overflows doubles near
+    with r_+ and r_- the roots of the characteristic polynomial
+    eps r^2 + r - 1, expanded by :mod:`series` rather than written out:
+    :func:`series.expand_root` from r = 1 gives r_+ = 1 - eps to order eps,
+    and :func:`series.rescale_singular` followed by
+    :func:`series.expand_root` from -1 gives eps r_- = -1 - eps + eps^2 to
+    order eps^2.  It is evaluated in an algebraically rewritten form so the
+    huge factor e^{1/eps} is never formed (it overflows doubles near
     eps ~ 0.0014).
 
 nonlinear
@@ -25,12 +30,15 @@ nonlinear
     shooting: Newton (finite-difference derivative) on
     F(B0) = u(1/eps) - 1/2.
 
-Both problems are eps y'' + y' + f(y) = 0 with f(y) = -y resp. y^2.
-:func:`solve_bvp_fd` provides the independent reference: a second-order
-centered finite-difference discretization, solved by damped Newton.  Each
-Newton step is one tridiagonal solve, :func:`solve_banded`, a pure-Python
-transcription of LAPACK's ``dgtsv`` that gives scipy's bits without loading
-scipy.
+Both problems are eps y'' + y' + f(y) = 0 with f(y) = -y resp. y^2, one
+row each of a kind table holding f's polynomial coefficients and the
+boundary values (y(0), y(1)); the linear exponents and the shooting's
+boundary values are read from it.  :func:`solve_bvp_fd` provides the
+independent reference: a second-order centered finite-difference
+discretization, solved by damped Newton, with f and f' evaluated from the
+coefficients.  Each Newton step is one tridiagonal solve,
+:func:`solve_banded`, a pure-Python transcription of LAPACK's ``dgtsv``
+that gives scipy's bits without loading scipy.
 """
 
 from __future__ import annotations
@@ -42,6 +50,7 @@ import numpy as np
 from . import SolverError
 from .integrator import integrate_reference
 from .msode import catalog
+from .series import PolyFamily, derivative, expand_root, horner, rescale_singular
 
 
 def solve_banded(ab, b) -> np.ndarray:
@@ -87,33 +96,46 @@ def solve_banded(ab, b) -> np.ndarray:
     return np.array(x)
 
 
-# per problem kind: f and f' of eps y'' + y' + f(y) = 0, and (y(0), y(1))
+# per problem kind: the coefficients of f in eps y'' + y' + f(y) = 0, lowest
+# power first, and (y(0), y(1))
 _REACTION = {
-    "linear": (lambda y: -y, lambda y: -1.0, (1.0, 0.0)),
-    "nonlinear": (lambda y: y**2, lambda y: 2.0 * y, (0.0, 0.5)),
+    "linear": ((0, -1), (1.0, 0.0)),
+    "nonlinear": ((0, 0, 1), (0.0, 0.5)),
 }
 
 
 LINEAR_EPS_FLOOR = 1e-6  # the linear closed form's smallest eps
 NONLINEAR_EPS_MAX = 0.17  # the nonlinear shooting's largest eps
 
+# The linear kind's exponents are the roots of eps r^2 + r + f_1 = 0, held as
+# exact Laurent coefficients (c_-1, c_0, c_1) of eps^-1, eps^0, eps^1: the
+# slow root r_+ from r = 1 to order eps, the fast root r_- as eps r_- from -1
+# to order eps^2.  Expanded once, at import, so that no run calls into
+# series (perfbench/tracing.py would time such calls as series work).
+_CHARACTERISTIC = PolyFamily.from_coefficients([[_REACTION["linear"][0][1]], [1], [0, 1]])
+_SLOW = (0, *expand_root(_CHARACTERISTIC, 1, 1).coefficients)
+_FAST = expand_root(rescale_singular(_CHARACTERISTIC, 1), -1, 2).coefficients
+
 
 def linear_blayer_multiscale(x, eps: float):
     """Closed-form multiscale solution of the linear layer problem.
 
-    Written as y = -e^{(1-eps)x - s} / (1 - e^{-s}) + e^{(-1+eps-1/eps)x}
-    / (1 - e^{-s}) with s = 2 - 2 eps + 1/eps > 0, so every exponent is
-    nonpositive on [0, 1]; both boundary values then come out exact.
+    Written as y = (-e^{r_+ x - s} + e^{r_- x}) / (1 - e^{-s}) with the
+    truncated roots r_+ and r_- and s = r_+ - r_- > 0, so every exponent is
+    nonpositive on [0, 1]; both boundary values then come out exact.  Each
+    of the three is evaluated as c_-1 / eps + c_0 + c_1 eps from exact
+    coefficients, s from its own, not as a difference of floats.
     """
     if eps < LINEAR_EPS_FLOOR:
         raise ValueError(f"eps below the overflow-safe floor {LINEAR_EPS_FLOOR}")
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0) or np.any(x > 1.0):
         raise ValueError("x must lie in [0, 1]")
-    s = 2.0 - 2.0 * eps + 1.0 / eps
+    gap = [a - b for a, b in zip(_SLOW, _FAST)]  # s = r_+ - r_-, exact
+    slow, fast, s = (c[0] / eps + horner(c[1:], eps) for c in (_SLOW, _FAST, gap))
     denom = 1.0 - np.exp(-s)
-    grow = -np.exp((1.0 - eps) * x - s)
-    decay = np.exp((-1.0 + eps - 1.0 / eps) * x)
+    grow = -np.exp(slow * x - s)
+    decay = np.exp(fast * x)
     return (grow + decay) / denom
 
 
@@ -136,7 +158,7 @@ def solve_bvp_fd(kind: str, eps: float, n: int) -> tuple[np.ndarray, np.ndarray]
         raise ValueError("eps must lie strictly between 0 and 1")
     if n < 64:
         raise ValueError("need at least 64 grid cells")
-    f, f_prime, (ya, yb) = _REACTION[kind]
+    f, (ya, yb) = _REACTION[kind]
     h = 1.0 / n
     x = np.linspace(0.0, 1.0, n + 1)
 
@@ -146,7 +168,7 @@ def solve_bvp_fd(kind: str, eps: float, n: int) -> tuple[np.ndarray, np.ndarray]
         return (
             eps * (y[2:] - 2.0 * y[1:-1] + y[:-2])
             + 0.5 * h * (y[2:] - y[:-2])
-            + h**2 * f(y[1:-1])
+            + h**2 * horner(f, y[1:-1])
         )
 
     # Layer-profile initial guess from eps u'' + u' = 0 with the same BCs.
@@ -160,7 +182,7 @@ def solve_bvp_fd(kind: str, eps: float, n: int) -> tuple[np.ndarray, np.ndarray]
     for _ in range(100):
         res = residual(y_int)
         norm = np.max(np.abs(res))
-        ab[1, :] = -2.0 * eps + h**2 * f_prime(y_int)
+        ab[1, :] = -2.0 * eps + h**2 * horner(derivative(f), y_int)
         step = solve_banded(ab, -res)
         size = np.max(np.abs(step))
         lam = 1.0  # a step within the tolerance is taken whole
@@ -202,12 +224,14 @@ class ShootingSolution:
 # u'' + u' + eps u^2 = 0 is the quadratically damped oscillator in the
 # layer variable: same amplitude flow, same reconstruction.
 _LAYER = catalog("quadratic_damped")
+_LEFT, _RIGHT = _REACTION["nonlinear"][1]
 
 
 def _inner_profile(eps: float, b0: float, xi: np.ndarray) -> np.ndarray:
     """u at the requested layer coordinates (any order, repeats ok)."""
-    # u is linear in A, so u(0) = 0 fixes A(0) as minus u(0) at A = 0
-    a0 = -_LAYER.reconstruct(0.0, (0.0, b0), eps)[0]
+    # u is linear in A with unit slope, so u(0) = y(0) fixes A(0) as y(0)
+    # minus u(0) at A = 0
+    a0 = _LEFT - _LAYER.reconstruct(0.0, (0.0, b0), eps)[0]
     points, inverse = np.unique(xi, return_inverse=True)
     traj = integrate_reference(
         lambda t, ab: _LAYER.amplitude_rhs(t, ab, eps),
@@ -232,10 +256,9 @@ def nonlinear_blayer_multiscale(eps: float, shoot_tol: float = 1e-10) -> Shootin
     """
     if not 0.0 < eps <= NONLINEAR_EPS_MAX:
         raise ValueError(f"supported range is 0 < eps <= {NONLINEAR_EPS_MAX}")
-    xi_end = 1.0 / eps
 
     def boundary_mismatch(b0: float) -> float:
-        return _inner_profile(eps, b0, np.array([xi_end]))[0] - 0.5
+        return _inner_profile(eps, b0, np.array([1.0 / eps]))[0] - _RIGHT
 
     b0 = -1.0
     for iteration in range(1, 51):

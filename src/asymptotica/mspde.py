@@ -85,15 +85,10 @@ import numpy as np
 
 from .integrator import integrate_reference
 from .msode import RunReport
-from .series import horner
+from .series import derivative, horner
 
 
 # --- models -------------------------------------------------------------------
-
-def _d_dq(coeffs: Sequence[float]) -> list[float]:
-    """Coefficients of the derivative of a polynomial in q."""
-    return [j * c for j, c in enumerate(coeffs)][1:]
-
 
 def _product(a: dict, b: dict) -> dict:
     """Product of two polynomials {(m, n): coefficient of A^m conj(A)^n}."""
@@ -134,7 +129,7 @@ class Dispersion:
 
     def omega_prime(self, k):
         k = np.asarray(k)
-        slope = _d_dq(self.omega2)  # d omega^2 / d(k^2)
+        slope = derivative(self.omega2)  # d omega^2 / d(k^2)
         return k * horner(slope, k**2) / self.omega(k)
 
     def beta(self, k):
@@ -143,8 +138,8 @@ class Dispersion:
         With S(q) = omega^2 at q = k^2, omega'' = (S (S' + 2 q S'') - q S'^2) / omega^3.
         """
         q = np.asarray(k) ** 2
-        slope = _d_dq(self.omega2)
-        s1, s2 = horner(slope, q), horner(_d_dq(slope), q)
+        slope = derivative(self.omega2)
+        s1, s2 = horner(slope, q), horner(derivative(slope), q)
         curvature = self.symbol(k) * (s1 + 2.0 * q * s2) - q * s1 * s1
         return curvature / (2.0 * self.omega(k) ** 3)
 

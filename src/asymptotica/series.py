@@ -56,6 +56,11 @@ def horner(coeffs: Sequence, x):
     return acc
 
 
+def derivative(coeffs: Sequence) -> list:
+    """Coefficients of the derivative of coeffs[0] + coeffs[1] x + ... (lowest power first)."""
+    return [j * c for j, c in enumerate(coeffs)][1:]
+
+
 def _is_exact(x) -> bool:
     if isinstance(x, (int, Fraction)):
         return True
@@ -185,7 +190,7 @@ def expand_root(p: PolyFamily, a0, n_order: int) -> PerturbationSeries:
     exact = all(c.is_exact for c in p.coefficients) and _is_exact(a0)
     c0 = [c[0] for c in p.coefficients]  # the eps = 0 polynomial
     value = horner(c0, a0)
-    deriv = horner([j * c for j, c in enumerate(c0)][1:], a0)
+    deriv = horner(derivative(c0), a0)
     if exact:
         if isinstance(deriv, int):
             deriv = Fraction(deriv)  # int / int would round to a float

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from asymptotica import blayer
 from asymptotica.blayer import (
     layer_half_width,
     linear_blayer_multiscale,
@@ -83,6 +86,44 @@ def test_linear_gap_second_order_in_eps():
         gaps.append(np.max(np.abs(linear_blayer_multiscale(x, eps) - y_fd)))
     slope = np.polyfit(np.log(eps_values), np.log(gaps), 1)[0]
     assert slope >= 2.0
+
+
+def exact_roots(eps):
+    """The two roots of eps r^2 + r - 1 = 0, the slow r_+ and the fast r_-."""
+    root = math.sqrt(1.0 + 4.0 * eps)
+    return 2.0 / (1.0 + root), -(1.0 + root) / (2.0 * eps)
+
+
+def exact_linear_layer(x, eps):
+    """The exact two-root solution, in the multiscale solution's overflow-safe form."""
+    r_plus, r_minus = exact_roots(eps)
+    s = r_plus - r_minus
+    return (-np.exp(r_plus * x - s) + np.exp(r_minus * x)) / (1.0 - np.exp(-s))
+
+
+def test_linear_exponents_truncate_the_exact_roots():
+    # r_+ = 1 - eps + 2 eps^2 - ..., r_- = -1/eps - 1 + eps - 2 eps^2 + ...:
+    # the next terms pin the slow root's order eps and the fast one's eps^2
+    eps = 1e-3
+    r_plus, r_minus = exact_roots(eps)
+    slow, fast = (c[0] / eps + c[1] + c[2] * eps for c in (blayer._SLOW, blayer._FAST))
+    assert (r_plus - slow) / eps**2 == pytest.approx(2.0, rel=0.01)
+    assert (r_minus - fast) / eps**2 == pytest.approx(-2.0, rel=0.01)
+
+
+def test_linear_multiscale_error_is_third_order_against_exact():
+    x = np.linspace(0.0, 1.0, 8193)
+    errors = [
+        np.max(np.abs(linear_blayer_multiscale(x, eps) - exact_linear_layer(x, eps)))
+        for eps in (0.05, 0.025, 0.0125)
+    ]
+    slope = math.log2(errors[1] / errors[2])
+    assert 2.9 <= slope <= 3.1, errors
+
+
+def test_linear_fd_reference_is_close_to_exact():
+    x, y = solve_bvp_fd("linear", 0.05, 8192)
+    assert np.max(np.abs(y - exact_linear_layer(x, 0.05))) <= 5e-7
 
 
 def test_nonlinear_shooting_satisfies_boundaries():

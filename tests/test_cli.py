@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from pathlib import Path
 
@@ -111,6 +112,31 @@ def test_roots_singular_rescale(tmp_path):
         },
     )
     assert main(["roots", "--config", cfg, "--out-dir", str(tmp_path)]) == EXIT_OK
+
+
+def test_roots_float_mode_at_an_irrational_root(tmp_path, capsys):
+    # x^2 + eps x - 2 from sqrt(2): x = sqrt(2) - eps/2 + (sqrt(2)/16) eps^2
+    # - (sqrt(2)/512) eps^4 + ...; exact mode reads the float root as a
+    # Fraction, which is not a root
+    payload = {"family": [[-2], [0, 1], [1]], "root": math.sqrt(2), "order": 4, "mode": "float"}
+    cfg = write_config(tmp_path, "sqrt2.json", payload)
+    assert main(["roots", "--config", cfg, "--out-dir", str(tmp_path)]) == EXIT_OK
+    got = read_summary(tmp_path, "sqrt2")["result"]["coefficients"]
+    want = [math.sqrt(2), -0.5, math.sqrt(2) / 16, 0.0, -math.sqrt(2) / 512]
+    assert got == pytest.approx(want, rel=0, abs=1e-15)
+    cfg = write_config(tmp_path, "sqrt2_exact.json", dict(payload, mode="exact"))
+    assert main(["roots", "--config", cfg, "--out-dir", str(tmp_path)]) == EXIT_CONFIG
+    assert "not a root" in capsys.readouterr().err
+
+
+def test_roots_float_mode_matches_the_exact_golden(tmp_path):
+    shipped = json.loads((ROOT / "scripts" / "configs" / "quadratic_roots.json").read_text())
+    payload = dict(shipped, mode="float", accept={"coefficients": [1.0, -1.0, -1.0, -2.0, -5.0]})
+    cfg = write_config(tmp_path, "quad_float.json", payload)
+    assert main(["roots", "--config", cfg, "--out-dir", str(tmp_path)]) == EXIT_OK
+    result = read_summary(tmp_path, "quad_float")["result"]
+    assert result["coefficients"] == [1.0, -1.0, -1.0, -2.0, -5.0]
+    assert all(type(c) is float for c in result["coefficients"])
 
 
 def test_euler_bound(tmp_path):

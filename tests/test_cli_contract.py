@@ -60,42 +60,47 @@ def run(tmp_path, subcommand, payload, capsys=None, stem="cfg", out_dir=None):
 
 
 # Each of these exited 0, 1 or 3 before the config schema was declared, or,
-# the last three, ran past a 5 s timeout before the step budgets.
+# payloads 22 to 24, ran past a 5 s timeout before the step budgets.  Each
+# row names its own id, so deleting a row renames no other test.
 REJECTED = [
-    ("ode", dict(ODE, accept={"max_abs_eror_le": 1e-30})),
-    ("ode", dict(ODE, accept={"max_abs_error_le": "0.005"})),
-    ("ode", dict(ODE, terms="x")),
-    ("ode", {"case": "cubic", "eps": 0.1, "horizon": -5, "n_samples": 64}),
-    ("ode", dict(ODE, ics=[1.0, 0.0, 0.0])),
-    ("ode", dict(ODE, n_samples=0)),
-    ("ode", dict(ODE, n_samples=1)),
-    ("ode", dict(ODE, use_closed_form="no")),
-    ("roots", dict(ROOTS, root="1/0")),
-    ("roots", dict(ROOTS, mode="exakt")),
-    ("roots", dict(ROOTS, order=-1)),
-    ("pde", dict(PACKET, kind="fourth_order")),
-    ("pde", dict(PACKET, checkpoints=[2.0, 1.0])),
-    ("pde", {"task": "phase_match", "harmonic": 4}),
-    ("pde", {"task": "phase_match", "harmonic": "x"}),
-    ("blayer", dict(LAYER, eps=[0])),
-    ("blayer", dict(LAYER, n_grid=10)),
-    ("blayer", dict(LAYER, accept={"half_width_le_eps_multiple": "5"})),
-    ("pi", {"base": "L T M", "quantities": {"t": "T", "q": "Q"}}),
-    ("pi", dict(PENDULUM, accept={"group_count": "1"})),
-    ("euler", {"eps_values": [0.1], "m_values": ["a"]}),
-    ("euler", {"eps_values": [-0.1], "m_values": [1]}),
-    ("ode", {"case": "damped_linear", "eps": 1e-12, "horizon_exponent": 1}),
-    ("pde", dict(PACKET, dt=1e-9)),
+    pytest.param("ode", dict(ODE, accept={"max_abs_eror_le": 1e-30}), id="ode-payload0"),
+    pytest.param("ode", dict(ODE, accept={"max_abs_error_le": "0.005"}), id="ode-payload1"),
+    pytest.param("ode", dict(ODE, terms="x"), id="ode-payload2"),
+    pytest.param("ode", {"case": "cubic", "eps": 0.1, "horizon": -5, "n_samples": 64},
+                 id="ode-payload3"),
+    pytest.param("ode", dict(ODE, ics=[1.0, 0.0, 0.0]), id="ode-payload4"),
+    pytest.param("ode", dict(ODE, n_samples=0), id="ode-payload5"),
+    pytest.param("ode", dict(ODE, n_samples=1), id="ode-payload6"),
+    pytest.param("ode", dict(ODE, use_closed_form="no"), id="ode-payload7"),
+    pytest.param("roots", dict(ROOTS, root="1/0"), id="roots-payload8"),
+    pytest.param("roots", dict(ROOTS, mode="exakt"), id="roots-payload9"),
+    pytest.param("roots", dict(ROOTS, order=-1), id="roots-payload10"),
+    pytest.param("pde", dict(PACKET, kind="fourth_order"), id="pde-payload11"),
+    pytest.param("pde", dict(PACKET, checkpoints=[2.0, 1.0]), id="pde-payload12"),
+    pytest.param("pde", {"task": "phase_match", "harmonic": 4}, id="pde-payload13"),
+    pytest.param("pde", {"task": "phase_match", "harmonic": "x"}, id="pde-payload14"),
+    pytest.param("blayer", dict(LAYER, eps=[0]), id="blayer-payload15"),
+    pytest.param("blayer", dict(LAYER, n_grid=10), id="blayer-payload16"),
+    pytest.param("blayer", dict(LAYER, accept={"half_width_le_eps_multiple": "5"}),
+                 id="blayer-payload17"),
+    pytest.param("pi", {"base": "L T M", "quantities": {"t": "T", "q": "Q"}}, id="pi-payload18"),
+    pytest.param("pi", dict(PENDULUM, accept={"group_count": "1"}), id="pi-payload19"),
+    pytest.param("euler", {"eps_values": [0.1], "m_values": ["a"]}, id="euler-payload20"),
+    pytest.param("euler", {"eps_values": [-0.1], "m_values": [1]}, id="euler-payload21"),
+    pytest.param("ode", {"case": "damped_linear", "eps": 1e-12, "horizon_exponent": 1},
+                 id="ode-payload22"),
+    pytest.param("pde", dict(PACKET, dt=1e-9), id="pde-payload23"),
     # zero group velocity: the grid stays small however long the horizon
-    ("pde", dict(PACKET, kind="fourth_order", order=0, eps=1e-3, k=2**-0.5,
-                 checkpoints=[2e4])),
+    pytest.param("pde", dict(PACKET, kind="fourth_order", order=0, eps=1e-3, k=2**-0.5,
+                             checkpoints=[2e4]), id="pde-payload24"),
     # an empty k_range found no roots before the harmonic was checked: the
     # first and the last exited 1 (roots [] != expected), the second 0
-    ("pde", dict(PHASE_MATCH, k_range=[2.0, 0.1])),
-    ("pde", dict(PHASE_MATCH, harmonic=4, k_range=[2.0, 0.1])),
-    ("pde", dict(PHASE_MATCH, k_range=[1.0, 1.0])),
+    pytest.param("pde", dict(PHASE_MATCH, k_range=[2.0, 0.1]), id="pde-payload25"),
+    pytest.param("pde", dict(PHASE_MATCH, harmonic=4, k_range=[2.0, 0.1]), id="pde-payload26"),
+    pytest.param("pde", dict(PHASE_MATCH, k_range=[1.0, 1.0]), id="pde-payload27"),
     # ran 11 s, then failed on Python's int-to-str limit (test_exact_roots_digit_budget)
-    ("roots", dict(ROOTS, family=[[0, "1e300"], [-1], [1]], order=64)),
+    pytest.param("roots", dict(ROOTS, family=[[0, "1e300"], [-1], [1]], order=64),
+                 id="roots-payload28"),
 ]
 
 

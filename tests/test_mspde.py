@@ -323,7 +323,7 @@ def test_packet_start_is_band_limited(config):
     assert np.max(np.abs(u0 - projected)) <= 1e-13 * np.max(np.abs(u0))
     # packet_compare's envelope grid: two points per carrier wavelength
     wavelengths = round(k * packet.length / (2.0 * np.pi))
-    envelope_n = min(packet.n, 1 << (2 * wavelengths - 1).bit_length())
+    envelope_n = min(packet.n, mspde._grid_size(2 * wavelengths))
     assert envelope_n < packet.n
     round_trip = mspde._resample(mspde._resample(packet.values, envelope_n), packet.n)
     assert np.max(np.abs(round_trip - packet.values)) <= 1e-14 * np.max(np.abs(packet.values))

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from asymptotica import mspde
+from asymptotica import blayer, mspde
 from asymptotica.cli import EXIT_ACCEPT, EXIT_OK, main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
@@ -32,6 +32,11 @@ def scaled_gamma(factor):
 DEFECTS = [
     ("klein_gordon gamma x 0.8", mspde, "envelope_coefficients", scaled_gamma(0.8),
      "pde", "kg_packet_long.json"),
+    ("fourth_order gamma x 0.8", mspde, "envelope_coefficients", scaled_gamma(0.8),
+     "pde", "fourth_packet.json"),
+    # the fast root r_- cut from order eps to order 1; s = r_+ - r_- follows it
+    ("linear layer r_- cut to -1/eps - 1", blayer, "_FAST", (-1, -1, 0),
+     "blayer", "linear_layer.json"),
 ]
 
 
