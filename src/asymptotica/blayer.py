@@ -21,35 +21,38 @@ linear
 
 nonlinear
     eps y'' + y' + y^2 = 0,  y(0) = 0, y(1) = 1/2.  In the layer variable
-    xi = x/eps the problem becomes u'' + u' + eps u^2 = 0 on [0, 1/eps],
-    whose slow amplitudes satisfy the same system as the quadratically
-    damped oscillator:  A' = -eps A^2 - 2 eps^2 A^3,
-    B' = 2 eps A B + 2 eps^2 A^2 B, with u = A + B e^{-xi}
-    - (eps/2) B^2 e^{-2 xi}.  The left boundary condition fixes
-    A(0) = -B0 + (eps/2) B0^2 in terms of B(0) = B0, and B0 is found by
-    shooting: Newton (finite-difference derivative) on
+    xi = x/eps the problem becomes u'' + u' + eps f(u) = 0 on [0, 1/eps].
+    Its amplitude equations and reconstruction are derived from f by
+    :func:`msode.multiple_scales`, on the modes u = A and u = B e^{-xi} of
+    u'' + u' = 0, to second order; for f = y^2 they are
+    A' = -eps A^2 - 2 eps^2 A^3, B' = 2 eps A B + 2 eps^2 A^2 B, with
+    u = A + B e^{-xi} - (eps/2) B^2 e^{-2 xi}.  The left boundary condition
+    fixes A(0) = -B0 + (eps/2) B0^2 in terms of B(0) = B0, and B0 is found
+    by shooting: Newton (finite-difference derivative) on
     F(B0) = u(1/eps) - 1/2.
 
 Both problems are eps y'' + y' + f(y) = 0 with f(y) = -y resp. y^2, one
 row each of a kind table holding f's polynomial coefficients and the
-boundary values (y(0), y(1)); the linear exponents and the shooting's
-boundary values are read from it.  :func:`solve_bvp_fd` provides the
-independent reference: a second-order centered finite-difference
-discretization, solved by damped Newton, with f and f' evaluated from the
-coefficients.  Each Newton step is one tridiagonal solve,
+boundary values (y(0), y(1)); the linear exponents, the shooting's
+amplitude equations and its boundary values are read from it, so a changed
+row moves the multiscale side and the reference alike.
+:func:`solve_bvp_fd` provides the independent reference: a second-order
+centered finite-difference discretization, solved by damped Newton, with f
+and f' evaluated from the coefficients.  Each Newton step is one tridiagonal solve,
 :func:`solve_banded`, a pure-Python transcription of LAPACK's ``dgtsv``
 that gives scipy's bits without loading scipy.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import SolverError
 from .integrator import integrate_reference
-from .msode import catalog
+from .msode import CaseSpec
 from .series import PolyFamily, derivative, expand_root, horner, rescale_singular
 
 
@@ -221,27 +224,35 @@ class ShootingSolution:
         return self.inner(np.asarray(x, dtype=float) / self.eps)
 
 
-# u'' + u' + eps u^2 = 0 is the quadratically damped oscillator in the
-# layer variable: same amplitude flow, same reconstruction.
-_LAYER = catalog("quadratic_damped")
+@functools.cache
+def _layer_case(f: tuple) -> CaseSpec:
+    """u'' = -u' - eps f(u), the layer problem in xi = x/eps, on the modes
+    u = A + B e^{-xi} of u'' + u' = 0 (halved inside 2 Re(...)), with its
+    amplitude equations and reconstruction derived by multiple scales."""
+    rows = tuple((0, -float(c), 1, (i, 0)) for i, c in enumerate(f) if c)
+    return CaseSpec("nonlinear_layer", (0.0, 0.0), ((0, -1.0, 0, (0, 1)),) + rows,
+                    ((0, 0.5, 0, (1, 0), 0.0), (0, 0.5, 0, (0, 1), -1.0)))
+
+
 _LEFT, _RIGHT = _REACTION["nonlinear"][1]
 
 
 def _inner_profile(eps: float, b0: float, xi: np.ndarray) -> np.ndarray:
     """u at the requested layer coordinates (any order, repeats ok)."""
+    layer = _layer_case(_REACTION["nonlinear"][0])
     # u is linear in A with unit slope, so u(0) = y(0) fixes A(0) as y(0)
     # minus u(0) at A = 0
-    a0 = _LEFT - _LAYER.reconstruct(0.0, (0.0, b0), eps)[0]
+    a0 = _LEFT - layer.reconstruct(0.0, (0.0, b0), eps)[0]
     points, inverse = np.unique(xi, return_inverse=True)
     traj = integrate_reference(
-        lambda t, ab: _LAYER.amplitude_rhs(t, ab, eps),
+        lambda t, ab: layer.amplitude_rhs(t, ab, eps),
         (a0, b0),
         (0.0, float(points[-1]) if points[-1] > 0 else 1.0),
         rtol=1e-10,
         atol=1e-12,
         t_eval=points,
     )
-    return _LAYER.reconstruct(xi, traj.y[inverse].T, eps)[0]
+    return layer.reconstruct(xi, traj.y[inverse].T, eps)[0]
 
 
 def nonlinear_blayer_multiscale(eps: float, shoot_tol: float = 1e-10) -> ShootingSolution:

@@ -1,67 +1,83 @@
 """Multiple-scales treatment of weakly nonlinear oscillators.
 
-Each catalog entry is one :class:`CaseSpec` declaration: three tables of
-polynomial rows and, where one exists, an exact solution.
+Each catalog entry is one :class:`CaseSpec` declaration: the equation, its
+eps^0 modes and the eps order of the rate, plus, where one exists, an exact
+solution.
 
 * ``accelerations``: rows (component, coefficient, eps power p, exponents
   over the state), so x_k'' is the sum over k's rows of
   coefficient eps^p prod_i s_i^{n_i}.  The state is positions, then
-  velocities, so the position rows x' = v follow from the layout.
+  velocities, so the position rows x' = v follow from the layout.  The
+  eps^0 rows are linear: x'' = -K x - C x', with L(lam) = lam^2 I + lam C + K.
+* ``modes``: the eps^0 carrier rows (component, coefficient, 0, unit
+  amplitude powers, carrier exponent lam), each lam a root of det L.
+* ``order``: the eps power the rate is derived through, 2 unless declared.
+
+Derived from them, once per case, by :func:`multiple_scales`:
+
 * ``rate_terms``: rows (amplitude, coefficient, eps power p, exponents over
-  |A_i|^2, or over A_i for real amplitudes) of the amplitude rate; every
-  flow has the form dA_j/dt = rate_j A_j.  :meth:`CaseSpec.truncated`
-  keeps the rows with p <= terms.
-* ``carrier_terms``: rows (component, coefficient, eps power, amplitude
-  powers, carrier exponent lam); the reconstruction is y = 2 Re of their sum.
+  |A_i|^2, or over A_i for real amplitudes) of the amplitude rate, through
+  eps^order; every flow has the form dA_j/dt = rate_j A_j.
+  :meth:`CaseSpec.truncated` keeps the rows with p <= terms.
+* ``carrier_terms``: the modes, then the correction rows (component,
+  coefficient, eps power, amplitude powers, lam) through eps^(order - 1); the
+  reconstruction is y = 2 Re of their sum.
 
-One evaluator reads the first two tables.  It multiplies each row's
-coefficient by eps, p times, then by the powers in index order, and starts
-each sum from its first term; each row's nonzero (index, power) pairs are
-picked out once per case.
+A declaration the derivation cannot serve raises ``ValueError``: a mode
+exponent that is not a root of det L, a resonant term that is not A_j times
+a rate monomial, a resonant term below eps^order of a coupled system, and a
+carrier that holds conj(A).  The catalog declares each case on its first
+lookup, so importing the module derives nothing.
 
-Derived from the declaration, for every case: the sizes (the state
-dimension is ``len(default_ics)``, so half of it is the number of
-oscillator components; the number of amplitudes is the length of a carrier
-term's amplitude powers), the original right hand side (integrated at high
-accuracy as the reference), the rate, the amplitude-equation right hand
-side, the reconstruction map, its time derivative (product rule along the
-amplitude flow) and the initial-amplitude fit (Newton on the
-reconstruction and its time derivative at t=0).  The amplitudes are real
-when every carrier exponent lam is real.  The validity exponent is 1 + the
-highest eps power among the rate rows: rates through eps^N keep the phase
-to t ~ eps^-(N+1), the horizons :func:`resolve_horizon` admits.  The rate
-is conserved along the flow when every amplitude it reads is complex and
-turns at a purely imaginary rate, since then no modulus it reads changes;
-such a case has the closed form A0 e^{rate(A0) t}.
+One evaluator reads the accelerations and the rate rows.  It multiplies each
+row's coefficient by eps, p times, then by the powers in index order, and
+starts each sum from its first term; each row's nonzero (index, power) pairs
+are picked out once per case.
 
-The shipped cases:
+Also derived, for every case: the sizes (the state dimension is
+``len(default_ics)``, so half of it is the number of oscillator components;
+the number of amplitudes is the length of a mode's amplitude powers), the
+original right hand side (integrated at high accuracy as the reference), the
+rate, the amplitude-equation right hand side, the reconstruction map, its
+time derivative (product rule along the amplitude flow) and the
+initial-amplitude fit (Newton on the reconstruction and its time derivative
+at t=0).  The amplitudes are real when every mode's lam is real.  The
+validity exponent is 1 + the highest eps power among the rate rows: rates
+through eps^N keep the phase to t ~ eps^-(N+1), the horizons
+:func:`resolve_horizon` admits.  The rate is conserved along the flow when
+every amplitude it reads is complex and turns at a purely imaginary rate,
+since then no modulus it reads changes; such a case has the closed form
+A0 e^{rate(A0) t}.
+
+The shipped cases, with what the derivation gives them:
 
 ``damped_linear``
-    y'' + eps y' + y = 0.  Amplitude equation dA/dt = -(eps/2) A - i(eps^2/8) A
+    y'' + eps y' + y = 0, order 2.  dA/dt = -(eps/2) A - i(eps^2/8) A
     with reconstruction y = A e^{it} + c.c.; the exact solution through the
     characteristic polynomial is available for error measurements.  The
     textbook *non-uniform* direct expansion (:func:`naive_damped_expansion`)
     is kept alongside to demonstrate its breakdown at t ~ 1/eps.
 
 ``cubic``
-    y'' + y = eps y^3.  dA/dt = -i(3 eps/2)|A|^2 A - i(15 eps^2/16)|A|^4 A,
-    y = A e^{it} - (eps/8) A^3 e^{3it} + c.c.  The modulus of A is conserved.
+    y'' + y = eps y^3, order 2.  dA/dt = -i(3 eps/2)|A|^2 A
+    - i(15 eps^2/16)|A|^4 A, y = A e^{it} - (eps/8) A^3 e^{3it} + c.c.  The
+    modulus of A is conserved.
 
 ``quadratic_damped``
-    y'' + y' + eps y^2 = 0 with two real amplitudes: y = A + B e^{-t}
-    - (eps/2) B^2 e^{-2t}, dA/dt = -eps A^2 - 2 eps^2 A^3,
+    y'' + y' + eps y^2 = 0, order 2, with two real amplitudes:
+    y = A + B e^{-t} - (eps/2) B^2 e^{-2t}, dA/dt = -eps A^2 - 2 eps^2 A^3,
     dB/dt = 2 eps A B + 2 eps^2 A^2 B, i.e. the rate
     (-eps A - 2 eps^2 A^2, 2 eps A + 2 eps^2 A^2), which is not constant
     along the flow, so this case has no closed form.
 
 ``coupled_cubic``
-    x'' + 2x - y = eps x y^2, y'' + 3y - 2x = eps y x^2.  Two complex
-    amplitudes riding carriers e^{-it} and e^{-2it}; the amplitude moduli are
-    conserved, so the amplitude system integrates in closed form and the
-    oscillation frequencies shift with the initial data.  coupled_cubic
-    declares no eps^2 rate row, so its validity exponent is 2, and
-    ``terms=2`` runs the same flow as ``terms=1`` while ``stats`` echo the
-    value asked for.
+    x'' + 2x - y = eps x y^2, y'' + 3y - 2x = eps y x^2, order 1.  Two complex
+    amplitudes riding carriers e^{-it} and e^{-2it}, with rate
+    (i eps (3|A|^2 - 2|B|^2)/2, i eps (3|B|^2 - |A|^2)/2); the amplitude
+    moduli are conserved, so the amplitude system integrates in closed form
+    and the oscillation frequencies shift with the initial data.  Its
+    validity exponent is 2, and ``terms=2`` runs the same flow as
+    ``terms=1`` while ``stats`` echo the value asked for.
 
 The direct solve and the amplitude flows are integrated with
 :func:`integrate_reference`, the library's one adaptive integrator: its own
@@ -73,8 +89,10 @@ every case.
 
 from __future__ import annotations
 
+import copy
+import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -133,6 +151,135 @@ def _evaluate(grouped: tuple, values: list) -> list:
     return sums
 
 
+def _det(m: list):
+    """Determinant by cofactor expansion along the first row; 1 for the empty matrix."""
+    return 1 if not m else sum(
+        (-1) ** j * m[0][j] * _det([r[:j] + r[j + 1:] for r in m[1:]]) for j in range(len(m)))
+
+
+def _adjugate(m: list) -> list:
+    """adj(m), with adj(m) m = det(m) I: the rows of a singular m's
+    adjugate are left null vectors, exact wherever the entries are."""
+    return [[(-1) ** (i + j) * _det([r[:i] + r[i + 1:] for k, r in enumerate(m) if k != j])
+             for j in range(len(m))] for i in range(len(m))]
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def multiple_scales(rows, modes, order, operator, slope):
+    """Rate and carrier rows of x'' = sum of ``rows`` over (x, x', eps), by
+    multiple scales (Nayfeh, *Perturbation Methods*, 1973, ch. 4).
+
+    The field is x = x_0 + eps x_1 + ..., with x_0 the ``modes``, the eps^0
+    carrier rows (component, coefficient, 0, unit amplitude powers, lam), and
+    each x_k a sum of monomials in A_j and conj(A_j), keyed by their powers
+    (of A, then of conj(A), then of eps).  d/dt acts along
+    dA_j/dt = rate_j A_j, rate_j = sum_k eps^k r_jk.  Order k takes the
+    residual R of the equation with x_k and r_jk still zero:
+
+    * a monomial whose exponent is a mode's, lam_j, is resonant; it must be
+      A_j times a rate monomial (a product of |A_i|^2, or of A_i for real
+      amplitudes), else ValueError, and it goes into r_jk as
+      psi R / (psi L'(lam_j) phi_j), with psi a left null vector of L(lam_j)
+      and phi_j the mode's shape;
+    * below eps^order, any other monomial of exponent lam goes into x_k as
+      L(lam)^-1 R, so no carrier above eps^0 holds a resonant term.
+
+    ``operator(key, lam)`` is L for a monomial, ``slope(lam)`` is L'.  Returns
+    the rate rows through eps^order, (amplitude, coefficient, eps power,
+    exponents over |A_i|^2, or over A_i if real), and the carrier rows from
+    eps^1 to eps^(order - 1), (component, coefficient, eps power, powers of
+    A and conj(A), lam), one of each conjugate pair and the self-conjugate
+    ones halved, as inside 2 Re(...).
+    """
+    n, nc = len(modes[0][3]), len(rows[0][3]) // 2
+    real = all(complex(lam).imag == 0 for *_, lam in modes)
+    lams = [next(lam for *_, powers, lam in modes if powers[j]) for j in range(n)]
+    lams += [lam.conjugate() for lam in lams]  # conj(A_j)'s
+    units = [tuple(int(i == j) for i in range(2 * n)) for j in range(n)]
+    rates = [{} for _ in range(n)]
+
+    def conj(key):
+        return key if real else key[n:2 * n] + key[:n] + key[2 * n:]
+
+    def exponent(key):
+        return sum(m * lam for m, lam in zip(key, lams) if m)
+
+    def add(series, key, c):
+        series[key] = series.get(key, 0) + c
+
+    def times(a, b):
+        out = {}
+        for k, c in a.items():
+            for l, d in b.items():
+                add(out, tuple(i + j for i, j in zip(k, l)), c * d)
+        return out
+
+    def ddt(series):
+        out = {key: exponent(key) * c for key, c in series.items()}
+        for i in range(2 * n):  # A_i d/dA_i times rate_i, conj(A_j) reading conj(rate_j)
+            rate = {key: r if i < n else r.conjugate() for key, r in rates[i % n].items()}
+            for key, c in times({k: k[i] * c for k, c in series.items() if k[i]}, rate).items():
+                add(out, key, c)
+        return out
+
+    x = [{} for _ in range(nc)]
+    for comp, coef, _, powers, _ in modes:
+        add(x[comp], tuple(powers) + (0,) * (n + 1), coef)
+        add(x[comp], conj(tuple(powers) + (0,) * (n + 1)), coef.conjugate())
+    for unit, lam in zip(units, lams):
+        if _det(operator(unit, lam)) != 0:
+            raise ValueError(f"carrier exponent {lam} is not a mode of the eps^0 equation")
+    for top in range(1, order + 1):
+        v = [ddt(s) for s in x]
+        terms = [(i, key, -c) for i, s in enumerate(map(ddt, v)) for key, c in s.items()]
+        for out, coef, p, powers in rows:
+            factors = [s for s, m in zip(x + v, powers) for _ in range(m)]
+            term = functools.reduce(times, factors, {(0,) * 2 * n + (p,): coef})
+            terms += [(out, key, c) for key, c in term.items()]
+        residual = {}
+        for i, key, c in terms:
+            if key[-1] == top:
+                residual.setdefault(key[:-1], [0] * nc)[i] += c
+        for key, forcing in [(key, f) for key, f in residual.items() if any(f)]:
+            lam = exponent(key)
+            if lam in lams[:n]:
+                j = lams.index(lam)
+                rest = tuple(m - u for m, u in zip(key, units[j]))
+                if min(rest) < 0 or rest != conj(rest):
+                    raise ValueError(f"resonant term {key} at eps^{top} is not of rate form")
+                if top < order and nc > 1:  # its part off the mode shape is not derived
+                    raise ValueError(f"resonant term {key} below eps^{order} of a coupled system")
+                psi = next(row for row in _adjugate(operator(units[j], lam)) if any(row))
+                shape = [_dot(row, [s.get(units[j] + (0,), 0) for s in x]) for row in slope(lam)]
+                add(rates[j], rest + (top,), _dot(psi, forcing) / _dot(psi, shape))
+            elif top < order and lam not in lams[n:]:  # not the conjugate of a resonant term
+                matrix = operator(key, lam)
+                for i, row in enumerate(_adjugate(matrix)):
+                    add(x[i], key + (top,), _dot(row, forcing) / _det(matrix))
+    return ([(j, c, key[-1], key[:n]) for j, rate in enumerate(rates) for key, c in rate.items()],
+            [(i, c / 2 if key == conj(key) else c, key[-1], key[:-1], exponent(key))
+             for i, s in enumerate(x) for key, c in s.items() if key[-1] and key >= conj(key)])
+
+
+def _operators(accelerations: tuple[PolynomialRow, ...], nc: int) -> tuple[Callable, Callable]:
+    """L(lam) = lam^2 I + lam C + K and L'(lam) = 2 lam I + C of the eps^0
+    equation x'' = -K x - C x', read off the eps^0 acceleration rows."""
+    if any(sum(powers) != 1 for _, _, p, powers in accelerations if p == 0):
+        raise ValueError("the eps^0 acceleration rows must be linear")
+
+    def matrix(diagonal, damping, stiffness):
+        m = [[diagonal * (i == j) for j in range(nc)] for i in range(nc)]
+        for out, coef, _, powers in (row for row in accelerations if row[2] == 0):
+            i = powers.index(1)
+            m[out][i % nc] -= coef * (damping if i >= nc else stiffness)
+        return m
+
+    return (lambda key, lam: matrix(lam * lam, lam, 1)), (lambda lam: matrix(2 * lam, 1, 0))
+
+
 @dataclass(frozen=True)
 class CaseSpec:
     """One catalog entry; see the module docstring for what it declares and derives."""
@@ -140,21 +287,35 @@ class CaseSpec:
     name: str
     default_ics: tuple[float, ...]  # positions, then velocities
     accelerations: tuple[PolynomialRow, ...]  # exponents over the state
-    rate_terms: tuple[PolynomialRow, ...]  # exponents over |A_i|^2, or A_i if real
-    carrier_terms: tuple[CarrierTerm, ...]
+    modes: tuple[CarrierTerm, ...]  # the eps^0 carrier rows
+    order: int = 2  # the eps power the rate is derived through
     exact: Optional[Callable] = None  # (t, eps) -> components
 
     def __post_init__(self):  # derived once per case, through __dict__ since the class is frozen
+        n = self.n_amplitudes
+        rates, carriers = multiple_scales(self.accelerations, self.modes, self.order,
+                                          *_operators(self.accelerations, self.n_components))
+        if any(any(key[n:]) for *_, key, _ in carriers):
+            raise ValueError(f"case {self.name}: a carrier holds conj(A), which the rows cannot")
         self.__dict__.update(
-            validity_exponent=1 + max((p for _, _, p, _ in self.rate_terms), default=0),
-            real_amplitudes=all(complex(lam).imag == 0 for *_, lam in self.carrier_terms),
+            real_amplitudes=all(complex(lam).imag == 0 for *_, lam in self.modes),
             _accel_rows=_group_rows(self.accelerations, self.n_components),
-            _rate_rows=_group_rows(self.rate_terms, self.n_amplitudes),
         )
+        self._set_tables(tuple(rates), self.modes + tuple((i, c, p, key[:n], lam)
+                                                          for i, c, p, key, lam in carriers))
+
+    def _set_tables(self, rate_terms: tuple, carrier_terms: tuple) -> CaseSpec:
+        """Set the rate and carrier rows and what is read off them; returns the case."""
+        self.__dict__.update(rate_terms=rate_terms, carrier_terms=carrier_terms,
+                             validity_exponent=1 + max((row[2] for row in rate_terms), default=0),
+                             _rate_rows=_group_rows(rate_terms, self.n_amplitudes))
+        return self
 
     def truncated(self, terms: int) -> CaseSpec:
-        """The case with the rate rows of eps power <= terms."""
-        return replace(self, rate_terms=tuple(row for row in self.rate_terms if row[2] <= terms))
+        """A copy with the rate rows of eps power <= terms and every carrier;
+        nothing is derived again."""
+        rates = tuple(row for row in self.rate_terms if row[2] <= terms)
+        return copy.copy(self)._set_tables(rates, self.carrier_terms)
 
     @property
     def state_dim(self) -> int:
@@ -166,7 +327,7 @@ class CaseSpec:
 
     @property
     def n_amplitudes(self) -> int:
-        return len(self.carrier_terms[0][3])
+        return len(self.modes[0][3])
 
     @property
     def rate_conserved(self) -> bool:
@@ -234,71 +395,55 @@ def coupled_cubic_frequencies(a0: complex, b0: complex, eps: float) -> tuple[flo
     Omega_1 = 1 + eps(|B0|^2 - 3|A0|^2/2), Omega_2 = 2 + eps(|A0|^2/2 - 3|B0|^2/2).
     """
     case = catalog("coupled_cubic")
-    lams = {powers: lam for _, _, _, powers, lam in case.carrier_terms}
     rates = case.rate((a0, b0), eps)
-    return tuple(float(abs(lams[unit].imag + rate.imag))
-                 for unit, rate in zip(((1, 0), (0, 1)), rates))
+    return tuple(float(abs(lam.imag + rates[powers.index(1)].imag))
+                 for powers, lam in {powers: lam for *_, powers, lam in case.modes}.items())
 
 
-_CATALOG: dict[str, CaseSpec] = {
-    case.name: case
-    for case in (
-        CaseSpec(
-            name="damped_linear",
-            default_ics=(1.0, 0.0),
-            # y'' = -y - eps y'; rate = -eps/2 - i eps^2/8
-            accelerations=((0, -1.0, 0, (1, 0)), (0, -1.0, 1, (0, 1))),
-            rate_terms=((0, -0.5, 1, (0,)), (0, -0.125j, 2, (0,))),
-            carrier_terms=((0, 1.0, 0, (1,), 1j),),  # y = A e^{it} + c.c.
-            exact=_damped_linear_exact,
-        ),
-        CaseSpec(
-            name="cubic",
-            default_ics=(1.0, 0.0),
-            # y'' = -y + eps y^3; rate = -i(3 eps/2)|A|^2 - i(15 eps^2/16)|A|^4
-            accelerations=((0, -1.0, 0, (1, 0)), (0, 1.0, 1, (3, 0))),
-            rate_terms=((0, -1.5j, 1, (1,)), (0, -0.9375j, 2, (2,))),
-            # y = A e^{it} - (eps/8) A^3 e^{3it} + c.c.
-            carrier_terms=((0, 1.0, 0, (1,), 1j), (0, -0.125, 1, (3,), 3j)),
-        ),
-        CaseSpec(
-            name="quadratic_damped",
-            default_ics=(1.0, 1.0),
-            # y'' = -y' - eps y^2; rate = (-eps A - 2 eps^2 A^2, 2 eps A + 2 eps^2 A^2)
-            accelerations=((0, -1.0, 0, (0, 1)), (0, -1.0, 1, (2, 0))),
-            rate_terms=((0, -1.0, 1, (1, 0)), (0, -2.0, 2, (2, 0)),
-                        (1, 2.0, 1, (1, 0)), (1, 2.0, 2, (2, 0))),
-            # y = A + B e^{-t} - (eps/2) B^2 e^{-2t}, halved inside 2 Re(...)
-            carrier_terms=((0, 0.5, 0, (1, 0), 0.0), (0, 0.5, 0, (0, 1), -1.0),
-                           (0, -0.25, 1, (0, 2), -2.0)),
-        ),
-        CaseSpec(
-            name="coupled_cubic",
-            # the eps = 0 state of A = B = 0.3
-            default_ics=(1.2, -0.6, 0.0, 0.0),
-            # x'' = -2x + y + eps x y^2, y'' = -3y + 2x + eps x^2 y
-            accelerations=((0, -2.0, 0, (1, 0, 0, 0)), (0, 1.0, 0, (0, 1, 0, 0)),
-                           (0, 1.0, 1, (1, 2, 0, 0)), (1, -3.0, 0, (0, 1, 0, 0)),
-                           (1, 2.0, 0, (1, 0, 0, 0)), (1, 1.0, 1, (2, 1, 0, 0))),
-            # rate = (i eps (3|A|^2 - 2|B|^2)/2, i eps (3|B|^2 - |A|^2)/2)
-            rate_terms=((0, 1.5j, 1, (1, 0)), (0, -1j, 1, (0, 1)),
-                        (1, 1.5j, 1, (0, 1)), (1, -0.5j, 1, (1, 0))),
-            # x = A e^{-it} + B e^{-2it} + c.c., y = A e^{-it} - 2B e^{-2it} + c.c.
-            carrier_terms=((0, 1.0, 0, (1, 0), -1j), (0, 1.0, 0, (0, 1), -2j),
-                           (1, 1.0, 0, (1, 0), -1j), (1, -2.0, 0, (0, 1), -2j)),
-        ),
-    )
+# Each case's CaseSpec fields after its name.  catalog() declares a case on
+# its first lookup, so importing the module derives nothing.
+_CATALOG: dict[str, dict] = {
+    "damped_linear": dict(
+        default_ics=(1.0, 0.0),
+        # y'' = -y - eps y'
+        accelerations=((0, -1.0, 0, (1, 0)), (0, -1.0, 1, (0, 1))),
+        modes=((0, 1.0, 0, (1,), 1j),),  # y = A e^{it} + c.c.
+        exact=_damped_linear_exact,
+    ),
+    "cubic": dict(
+        default_ics=(1.0, 0.0),
+        # y'' = -y + eps y^3
+        accelerations=((0, -1.0, 0, (1, 0)), (0, 1.0, 1, (3, 0))),
+        modes=((0, 1.0, 0, (1,), 1j),),
+    ),
+    "quadratic_damped": dict(
+        default_ics=(1.0, 1.0),
+        # y'' = -y' - eps y^2
+        accelerations=((0, -1.0, 0, (0, 1)), (0, -1.0, 1, (2, 0))),
+        # y = A + B e^{-t}, halved inside 2 Re(...)
+        modes=((0, 0.5, 0, (1, 0), 0.0), (0, 0.5, 0, (0, 1), -1.0)),
+    ),
+    "coupled_cubic": dict(
+        # the eps = 0 state of A = B = 0.3
+        default_ics=(1.2, -0.6, 0.0, 0.0),
+        # x'' = -2x + y + eps x y^2, y'' = -3y + 2x + eps x^2 y
+        accelerations=((0, -2.0, 0, (1, 0, 0, 0)), (0, 1.0, 0, (0, 1, 0, 0)),
+                       (0, 1.0, 1, (1, 2, 0, 0)), (1, -3.0, 0, (0, 1, 0, 0)),
+                       (1, 2.0, 0, (1, 0, 0, 0)), (1, 1.0, 1, (2, 1, 0, 0))),
+        # x = A e^{-it} + B e^{-2it} + c.c., y = A e^{-it} - 2B e^{-2it} + c.c.
+        modes=((0, 1.0, 0, (1, 0), -1j), (0, 1.0, 0, (0, 1), -2j),
+               (1, 1.0, 0, (1, 0), -1j), (1, -2.0, 0, (0, 1), -2j)),
+        order=1,
+    ),
 }
 
 
+@functools.cache
 def catalog(name: str) -> CaseSpec:
     """Look up a registered case; raises KeyError listing known names."""
-    try:
-        return _CATALOG[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown case {name!r}; known cases: {sorted(_CATALOG)}"
-        ) from None
+    if name not in _CATALOG:
+        raise KeyError(f"unknown case {name!r}; known cases: {sorted(_CATALOG)}")
+    return CaseSpec(name, **_CATALOG[name])
 
 
 def case_names() -> list[str]:

@@ -4,7 +4,9 @@ A model is one :class:`Dispersion` declaration: the coefficients of
 omega^2 as a polynomial in k^2 and the nonlinearity power p (2 or 3).
 Derived from it are the direct-solve symbol, omega, omega' =
 (omega^2)'/(2 omega), the conserved energy and the dealiased band
-K = (n - 1) // (p + 1), and, by harmonic balance at the carrier wavenumber k
+K = (n - 1) // (p + 1), and, at the carrier wavenumber k, by the
+multiple-scales derivation of the ODE catalog (:func:`msode.multiple_scales`)
+with the detuning D(h) in place of the ODE's L
 (:meth:`Dispersion.harmonic_balance`), the packet's envelope equation
 
     A_t = -omega' A_x + i beta A_xx + i gamma |A|^2 A,   beta = omega''(k)/2,
@@ -84,20 +86,11 @@ from typing import Sequence
 import numpy as np
 
 from .integrator import integrate_reference
-from .msode import RunReport
+from .msode import RunReport, multiple_scales
 from .series import derivative, horner
 
 
 # --- models -------------------------------------------------------------------
-
-def _product(a: dict, b: dict) -> dict:
-    """Product of two polynomials {(m, n): coefficient of A^m conj(A)^n}."""
-    out = {}
-    for (m, n), c in a.items():
-        for (i, j), e in b.items():
-            out[m + i, n + j] = out.get((m + i, n + j), 0.0) + c * e
-    return out
-
 
 @dataclass(frozen=True)
 class Dispersion:
@@ -155,33 +148,28 @@ class Dispersion:
         return horner(self.detuning_coefficients(h), k**2)
 
     def harmonic_balance(self, k: float) -> tuple[float, tuple[tuple, ...]]:
-        """(F, carriers) at carrier wavenumber k, by harmonic balance.
+        """(F, carriers) at carrier wavenumber k, by the multiple-scales
+        derivation the ODE catalog uses (:func:`msode.multiple_scales`).
 
-        u0 = A e^{i theta} + c.c. is held as {(m, n): coefficient of
-        A^m conj(A)^n}, of harmonic h = m - n.  F is the coefficient of the
-        |A|^2 A e^{i theta} forcing, so gamma = eps^(max_order + 1) F / (2 omega):
-        from u0^p for odd p; from p u0^{p-1} u1 for even p, where u0^p holds
-        only even, so non-resonant, harmonics and u1 is u0^p with each term
-        divided by the detuning D(h) (:meth:`detuning`).
-        The carriers (coefficient, eps power, m, n, h) are the terms of u0
-        and u1 with h >= 0, the h = 0 term halved inside u = 2 Re(...),
-        with theta = k x - omega t.
+        Its one mode is u0 = A e^{i theta} + c.c., theta = k x - omega t, and
+        the detuning D(h) (:meth:`detuning`) stands in for L: it divides each
+        non-resonant term A^m conj(A)^n, of harmonic h = m - n, into a
+        carrier.  F is the coefficient of the resonant |A|^2 A e^{i theta}
+        forcing, so gamma = eps^(max_order + 1) F / (2 omega); the derivation
+        runs with L' = 1 in place of -2 i omega, so its one rate row holds F.
+        For odd p, F comes from u0^p; for even p, u0^p holds only even, so
+        non-resonant, harmonics, and F comes from p u0^{p-1} u1.  So no rate
+        below the top order feeds back into the derivation, and the stand-in
+        L' changes nothing but the scale of the top one.  The
+        carriers (coefficient, eps power, m, n, h) are those of u0 and u1
+        with h >= 0, the h = 0 term halved inside u = 2 Re(...).
         """
-        u0 = {(1, 0): 1.0, (0, 1): 1.0}
-        lower = u0  # u0^(p - 1)
-        for _ in range(self.power - 2):
-            lower = _product(lower, u0)
-        forcing = _product(lower, u0)
-        orders = [u0]
-        if self.max_order:  # even p
-            orders.append({(m, n): c / self.detuning(k, m - n) for (m, n), c in forcing.items()})
-            forcing = {mn: self.power * c for mn, c in _product(lower, orders[1]).items()}
-        carriers = sorted(
-            ((c / 2.0 if m == n else c, order, m, n, m - n)
-             for order, terms in enumerate(orders) for (m, n), c in terms.items() if m >= n),
-            key=lambda carrier: (carrier[1], carrier[4]),
-        )
-        return forcing[2, 1], tuple(carriers)
+        mode = (0, 1.0, 0, (1,), complex(0.0, -float(self.omega(k))))
+        (rate,), rows = multiple_scales(
+            ((0, 1.0, 1, (self.power, 0)),), (mode,), self.max_order + 1,
+            lambda key, lam: [[self.detuning(k, key[0] - key[1])]], lambda lam: [[1.0]])
+        rows = sorted(rows, key=lambda row: (row[2], row[3][0] - row[3][1]))  # by order, then h
+        return rate[1], ((1.0, 0, 1, 0, 1), *((c, p, m, n, m - n) for _, c, p, (m, n), _ in rows))
 
 
 _DISPERSIONS = {

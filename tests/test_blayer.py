@@ -143,6 +143,20 @@ def test_nonlinear_gap_shrinks_with_eps():
     assert gaps[0.01] < gaps[0.1]
 
 
+def test_planted_reaction_moves_both_sides_of_the_nonlinear_comparison(monkeypatch):
+    # f = 1.1 y^2 in the nonlinear row: the FD reference and the shooting's
+    # amplitude equations both follow it, so the gap stays asymptotic (about
+    # 0.023, 0.0035 and 0.00087); multiscale equations of f = y^2 against
+    # the planted reference stall near 0.1
+    boundary = blayer._REACTION["nonlinear"][1]
+    monkeypatch.setitem(blayer._REACTION, "nonlinear", ((0, 0, 1.1), boundary))
+    gaps = []
+    for eps in (0.05, 0.02, 0.01):
+        x, y_fd = solve_bvp_fd("nonlinear", eps, 8192)
+        gaps.append(np.max(np.abs(nonlinear_blayer_multiscale(eps)(x) - y_fd)))
+    assert gaps[0] > gaps[1] > gaps[2] and gaps[2] < 0.002, gaps
+
+
 def test_nonlinear_eps_range_enforced():
     # the two-term ansatz loses its shooting root near eps = 0.1716
     for eps in (0.3, 0.2, 0.0):

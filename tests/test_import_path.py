@@ -1,6 +1,6 @@
 """Runs load only what they compute with: pi, roots and euler runs load no
 numpy, ode, blayer and pde runs load no dimsys, and no run loads scipy or
-sympy, which only the tests use.  A
+sympy, nor any of their submodules, which only the tests use.  A
 CLI process gives numpy's BLAS one thread unless its caller set a thread
 count."""
 
@@ -35,24 +35,27 @@ THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 
 # Runs each config through cli.main in one fresh interpreter and prints, after
 # the import and after each labelled run, whether numpy is loaded, which scipy
-# modules are, which of a few other modules are, the process's thread count
-# (None without /proc/self/task) and its *_NUM_THREADS variables.  With "block",
-# any scipy or sympy import raises ImportError.
+# and which sympy modules are, which of a few other modules are, the process's
+# thread count (None without /proc/self/task) and its *_NUM_THREADS variables.
+# With "block", any scipy or sympy import raises ImportError.
 _PROBE = """
 import json, os, sys
 if sys.argv[3] == "block":
     sys.modules["scipy"] = sys.modules["sympy"] = None
 import asymptotica.cli as cli
 
-WATCHED = ("asymptotica.dimsys", "asymptotica.series", "dataclasses", "sympy")
+WATCHED = ("asymptotica.dimsys", "asymptotica.series", "dataclasses")
 TASKS = "/proc/self/task"
 
+def package(name):
+    return sorted(m for m in sys.modules
+                  if (m == name or m.startswith(name + ".")) and sys.modules[m] is not None)
+
 def loaded():
-    scipy = sorted(m for m in sys.modules
-                   if (m == "scipy" or m.startswith("scipy.")) and sys.modules[m] is not None)
     return {
         "numpy": "numpy" in sys.modules,
-        "scipy": scipy,
+        "scipy": package("scipy"),
+        "sympy": package("sympy"),
         "modules": [m for m in WATCHED if sys.modules.get(m) is not None],
         "threads": len(os.listdir(TASKS)) if os.path.isdir(TASKS) else None,
         "env": {v: os.environ[v] for v in sorted(os.environ) if v.endswith("_NUM_THREADS")},
@@ -90,7 +93,7 @@ def test_light_runs_load_no_scipy(tmp_path):
         assert not loaded[stage]["numpy"] and loaded[stage]["scipy"] == [], (stage, loaded[stage])
     # the pi, roots and euler runners load dimsys and series themselves
     assert loaded["import"]["modules"] == [], loaded["import"]
-    assert all("sympy" not in seen["modules"] for seen in loaded.values()), loaded
+    assert all(seen["sympy"] == [] for seen in loaded.values()), loaded
     # the linear layer's FD reference solves its tridiagonal systems in house
     for stage in ("pde", "blayer"):
         assert loaded[stage]["scipy"] == [], (stage, loaded[stage])
@@ -118,7 +121,14 @@ def test_integrating_runs_load_no_scipy_integrate(integrating_runs):
 def test_solver_runs_load_no_dimsys(integrating_runs):
     for stage in INTEGRATING:
         assert "asymptotica.dimsys" not in integrating_runs[stage]["modules"], stage
-        assert "sympy" not in integrating_runs[stage]["modules"], stage
+
+
+def test_derived_amplitude_equations_load_no_sympy(integrating_runs):
+    # the ode cases', the nonlinear layer's and the packets' amplitude
+    # equations come from msode.multiple_scales, in floats; sympy derives
+    # them only as the tests' oracle
+    for stage in INTEGRATING:
+        assert integrating_runs[stage]["sympy"] == [], (stage, integrating_runs[stage])
 
 
 def test_numeric_runs_hold_one_thread(integrating_runs):

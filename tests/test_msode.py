@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 import sympy
 
 import asymptotica
-from asymptotica import msode
+from asymptotica import blayer, msode
 from asymptotica.msode import (
     RunReport,
     SolverError,
@@ -256,6 +257,9 @@ def test_derived_sizes_agree_with_the_declaration(name):
         amps = amps.real
     assert np.shape(case.reconstruct(0.0, amps, 0.1))[0] == case.n_components
     assert len(case.rate(amps, 0.1)) == case.n_amplitudes
+    # the declared modes are the eps^0 carrier rows, each of one amplitude
+    assert case.carrier_terms[:len(case.modes)] == case.modes
+    assert all(p == 0 and sum(powers) == 1 for _, _, p, powers, _ in case.modes)
     for comp, _, _, powers, _ in case.carrier_terms:
         assert len(powers) == case.n_amplitudes
         assert 0 <= comp < case.n_components
@@ -269,6 +273,13 @@ def test_derived_sizes_agree_with_the_declaration(name):
     derived = (case.rate_conserved, case.validity_exponent, case.real_amplitudes)
     assert derived == DERIVED[name]
     assert all(type(value) is type(want) for value, want in zip(derived, DERIVED[name]))
+
+
+def planted(case, rate_terms=None, carrier_terms=None):
+    """A copy of the case with the given rows in place of its derived ones."""
+    return copy.copy(case)._set_tables(
+        case.rate_terms if rate_terms is None else rate_terms,
+        case.carrier_terms if carrier_terms is None else carrier_terms)
 
 
 # The per-case functions the tables replaced, kept verbatim as the oracle.
@@ -322,18 +333,23 @@ ORACLES = {
 }
 
 
+def _moduli_rhs(case, state, eps):
+    """original_rhs with every coefficient and state entry replaced by its modulus."""
+    rows = tuple((k, abs(c), p, n) for k, c, p, n in case.accelerations)
+    x = list(np.abs(state)) + [eps]
+    return np.array(x[case.n_components:-1]
+                    + msode._evaluate(msode._group_rows(rows, case.n_components), x))
+
+
 @pytest.mark.parametrize("name", sorted(ORACLES))
 def test_tables_reproduce_the_hand_written_functions(name):
-    # bit for bit where the rows multiply in the functions' order; coupled_cubic
-    # factors its rate as 0.5i eps (3|A|^2 - 2|B|^2) and multiplies eps y x^2,
-    # so there the gap is held to a few ulp of the sum of the terms' moduli
+    # the derived rate rows against the functions they replaced, bit for bit
+    # where the rows multiply in the functions' order; coupled_cubic factors
+    # its rate as 0.5i eps (3|A|^2 - 2|B|^2) and multiplies eps y x^2, so there
+    # the gap is held to a few ulp of the sum of the terms' moduli
     case = catalog(name)
     rhs, rate = ORACLES[name]
-    moduli = dataclasses.replace(
-        case,
-        accelerations=tuple((k, abs(c), p, n) for k, c, p, n in case.accelerations),
-        rate_terms=tuple((k, abs(c), p, n) for k, c, p, n in case.rate_terms),
-    )
+    moduli = planted(case, rate_terms=tuple((k, abs(c), p, n) for k, c, p, n in case.rate_terms))
     rng = np.random.default_rng(11)
     for _ in range(2000):
         eps = rng.uniform(0.0, 0.3)
@@ -342,7 +358,7 @@ def test_tables_reproduce_the_hand_written_functions(name):
         if not case.real_amplitudes:
             amps = amps + 1j * rng.normal(size=case.n_amplitudes)
         pairs = [(case.original_rhs(0.0, state, eps), rhs(0.0, state, eps),
-                  moduli.original_rhs(0.0, np.abs(state), eps))]
+                  _moduli_rhs(case, state, eps))]
         for terms in (1, 2):
             pairs.append((np.asarray(case.truncated(terms).rate(amps, eps)),
                           np.asarray(rate(amps, eps, terms)),
@@ -386,15 +402,21 @@ def test_carrier_exponents_follow_from_the_equation(name):
     ("quadratic_damped", -0.5, -1.0),  # a decay rate that is not the mode's
 ])
 def test_carrier_exponent_typos_are_caught(name, typed, meant):
+    # planted into the carrier rows; a typo in a declared mode does not
+    # declare at all, since the derivation finds no mode there
     case = catalog(name)
     rows = tuple(row[:4] + (typed,) if row[4] == meant else row for row in case.carrier_terms)
     assert rows != case.carrier_terms
-    assert _carrier_exponent_faults(dataclasses.replace(case, carrier_terms=rows))
+    assert _carrier_exponent_faults(planted(case, carrier_terms=rows))
+    modes = rows[:len(case.modes)]
+    if modes != case.modes:
+        with pytest.raises(ValueError, match="not a mode"):
+            dataclasses.replace(case, modes=modes)
 
 
 # quadratic_damped's 2 eps^2 A^2 B does not move the error at t = 1/eps^2:
 # dropping it gives 0.7 times the intact error, so
-# test_quadratic_damped_second_order_rates_follow_from_the_equation pins it.
+# test_amplitude_equations_follow_from_the_equation pins it.
 INVISIBLE_RATE_ROWS = {("quadratic_damped", (1, 2.0, 2, (2, 0)))}
 
 
@@ -409,44 +431,180 @@ def test_dropping_a_rate_row_fails_the_comparison(name, eps):
     for k, row in enumerate(case.rate_terms):
         if (name, row) in INVISIBLE_RATE_ROWS:
             continue
-        planted = dataclasses.replace(case, rate_terms=case.rate_terms[:k] + case.rate_terms[k + 1:])
-        assert compare(planted, eps, 2).max_abs_error >= 2.0 * intact, row
+        flow = planted(case, rate_terms=case.rate_terms[:k] + case.rate_terms[k + 1:])
+        assert compare(flow, eps, 2).max_abs_error >= 2.0 * intact, row
     # the correction carriers too; the eps^0 ones are the modes themselves,
     # and without one the initial-amplitude fit is singular
     for k, row in enumerate(case.carrier_terms):
         if row[2] >= 1:
-            planted = dataclasses.replace(
-                case, carrier_terms=case.carrier_terms[:k] + case.carrier_terms[k + 1:])
-            assert compare(planted, eps, 2).max_abs_error >= 2.0 * intact, row
+            flow = planted(case, carrier_terms=case.carrier_terms[:k] + case.carrier_terms[k + 1:])
+            assert compare(flow, eps, 2).max_abs_error >= 2.0 * intact, row
 
 
-def test_quadratic_damped_second_order_rates_follow_from_the_equation():
-    # Multiple scales for y'' + y' + eps y^2 = 0 with E = e^{-t}: d/dt acts as
-    # -E d/dE + eps (F1 d/dA + G1 d/dB) + eps^2 (F2 d/dA + G2 d/dB), where
-    # F1, G1 and the reconstruction come from the declaration.  D^2 + D
-    # annihilates the E^0 and E^1 terms, so at eps^2 those fix F2 and G2.
-    case = catalog("quadratic_damped")
-    amp_a, amp_b, e, eps, f2, g2 = sympy.symbols("A B E eps F2 G2")
+EPS, Z = sympy.symbols("eps z")
 
-    def flow(j, p):  # dA_j/dt at eps^p, from the rate rows
-        rate = sum(sympy.Rational(c) * amp_a**n[0] * amp_b**n[1]
-                   for out, c, q, n in case.rate_terms if out == j and q == p)
-        return rate * (amp_a, amp_b)[j]
 
-    y = sum(2 * sympy.Rational(c) * eps**p * amp_a**n[0] * amp_b**n[1] * e**int(-lam)
-            for _, c, p, n, lam in case.carrier_terms)
+def sympy_multiple_scales(accel, shapes, steps, mu, order, lin, slope, real):
+    """Multiple scales for x'' = accel(x, x', eps), derived in sympy.
+
+    Amplitude j rides z^steps[j], with z = e^{mu t}, and its mode shape is
+    shapes[j], the field's coefficient of A_j; a complex amplitude's
+    conjugate is B_j.  lin(h) and slope(h) are L and L' at the exponent
+    h mu.  Each order takes the residual of the equation with the carrier
+    and the rate of that order still zero: a power z^h of a mode goes into
+    that mode's rate, through the left null vector of L, its conjugate
+    power is left to the conjugate rate, and any other power goes into the
+    carrier through L^-1.  Returns the rates (dA_j/dt = rate_j A_j) through
+    eps^order, the field through eps^(order - 1) and, per order and mode,
+    the resonant forcing over A_j, before the division by L'.
+    """
+    n, nc = len(shapes), len(shapes[0])
+    amps, bars = sympy.symbols(f"A0:{n}"), sympy.symbols(f"B0:{n}")
+    swap = {**dict(zip(amps, bars)), **dict(zip(bars, amps)), Z: 1 / Z, sympy.I: -sympy.I}
+
+    def conj(expr):
+        return expr if real else expr.xreplace(swap)
+
+    rates = [sympy.Integer(0)] * n
 
     def ddt(f):
-        return (-e * f.diff(e) + eps * (flow(0, 1) * f.diff(amp_a) + flow(1, 1) * f.diff(amp_b))
-                + eps**2 * (f2 * f.diff(amp_a) + g2 * f.diff(amp_b)))
+        out = mu * Z * f.diff(Z)
+        for j in range(n):
+            out += rates[j] * amps[j] * f.diff(amps[j])
+            if not real:
+                out += conj(rates[j]) * bars[j] * f.diff(bars[j])
+        return out
 
-    residual = sympy.expand(ddt(ddt(y)) + ddt(y) + eps * y**2)
-    assert residual.coeff(eps, 1) == 0
-    second = residual.coeff(eps, 2)
-    solved = sympy.solve([second.coeff(e, 0), second.coeff(e, 1)], [f2, g2])
-    assert solved == {f2: -2 * amp_a**3, g2: 2 * amp_a**2 * amp_b}
-    assert sympy.expand(solved[f2] - flow(0, 2)) == 0
-    assert sympy.expand(solved[g2] - flow(1, 2)) == 0
+    x = [sum(shape[i] * a * Z**s for shape, a, s in zip(shapes, amps, steps)) for i in range(nc)]
+    x = [xi + conj(xi) for xi in x] if not real else x
+    forcing = {}
+    for top in range(1, order + 1):
+        v = [ddt(xi) for xi in x]
+        residual = [sympy.expand(a - ddt(vi)).coeff(EPS, top)
+                    for a, vi in zip(accel(x, v, EPS), v)]
+        harmonics = {}
+        for i, r in enumerate(residual):
+            for term in sympy.Add.make_args(r):
+                c, h = term.as_coeff_exponent(Z)
+                harmonics.setdefault(h, [0] * nc)[i] += c
+        new_rates, correction = [0] * n, [0] * nc
+        for h, vec in harmonics.items():
+            vec = sympy.Matrix(vec)
+            if vec.is_zero_matrix or (not real and -h in steps):
+                continue
+            if h in steps:
+                j = steps.index(h)
+                psi = lin(h).T.nullspace()[0].T
+                shape = sympy.Matrix(shapes[j])
+                forcing[top, j] = sympy.expand(sympy.cancel((psi * vec)[0] / (psi * shape)[0] / amps[j]))
+                new_rates[j] = forcing[top, j] * (psi * shape)[0] / (psi * slope(h) * shape)[0]
+            elif top < order:
+                carrier = lin(h).LUsolve(vec)
+                correction = [c + carrier[i] * Z**h for i, c in enumerate(correction)]
+        rates = [r + EPS**top * sympy.expand(q) for r, q in zip(rates, new_rates)]
+        x = [xi + EPS**top * c for xi, c in zip(x, correction)]
+    return rates, [sympy.expand(xi) for xi in x], forcing
+
+
+def _exact(c):
+    c = complex(c)
+    return sympy.Rational(c.real) + sympy.I * sympy.Rational(c.imag)
+
+
+def _ode_oracle(case, accel):
+    """The oracle's rates and field for ``case`` and the catalog's, as sympy
+    expressions in eps, z = e^{mu t}, A_j and B_j = conj(A_j)."""
+    n, nc = case.n_amplitudes, case.n_components
+    lams = {powers.index(1): complex(lam) for *_, powers, lam in case.modes}
+    mu = next(_exact(lam) for lam in lams.values() if lam)
+    steps = [int(sympy.nsimplify(_exact(lams[j]) / mu)) for j in range(n)]
+    shapes = [[0] * nc for _ in range(n)]
+    for comp, coef, _, powers, _ in case.modes:
+        shapes[powers.index(1)][comp] += _exact(coef) * (2 if case.real_amplitudes else 1)
+    xs, vs = sympy.symbols(f"x0:{nc}"), sympy.symbols(f"v0:{nc}")
+    at_rest = {**dict.fromkeys(xs + vs, 0), EPS: 0}
+    linear = accel(xs, vs, EPS)
+    k = -sympy.Matrix(linear).jacobian(xs).subs(at_rest)
+    c = -sympy.Matrix(linear).jacobian(vs).subs(at_rest)
+    eye = sympy.eye(nc)
+    rates, field, _ = sympy_multiple_scales(
+        accel, shapes, steps, mu, case.order, lambda h: (h * mu) ** 2 * eye + h * mu * c + k,
+        lambda h: 2 * h * mu * eye + c, case.real_amplitudes)
+    amps, bars = sympy.symbols(f"A0:{n}"), sympy.symbols(f"B0:{n}")
+    reads = amps if case.real_amplitudes else [a * b for a, b in zip(amps, bars)]
+    declared = [sympy.expand(sum(_exact(coef) * EPS**p * sympy.prod(r**m for r, m in zip(reads, powers))
+                                 for out, coef, p, powers in case.rate_terms if out == j))
+                for j in range(n)]
+    half = [0] * nc
+    for comp, coef, p, powers, lam in case.carrier_terms:
+        h = int(sympy.nsimplify(_exact(lam) / mu))
+        half[comp] += _exact(coef) * EPS**p * sympy.prod(a**m for a, m in zip(amps, powers)) * Z**h
+    conj = {**dict(zip(amps, bars)), Z: 1 / Z, sympy.I: -sympy.I}
+    carried = [sympy.expand(2 * s if case.real_amplitudes else s + s.xreplace(conj)) for s in half]
+    return (rates, field), (declared, carried)
+
+
+def _accel_of_rows(rows):
+    def accel(x, v, eps):
+        state = list(x) + list(v)
+        out = [0] * (len(state) // 2)
+        for comp, coef, p, powers in rows:
+            out[comp] += _exact(coef) * eps**p * sympy.prod(s**m for s, m in zip(state, powers))
+        return out
+    return accel
+
+
+@pytest.mark.parametrize("name", msode.case_names() + ["nonlinear_layer"])
+def test_amplitude_equations_follow_from_the_equation(name):
+    # the rates through eps^order and the carriers through eps^(order - 1),
+    # derived here in sympy from the equation alone, against the rows the
+    # catalog derives in floats; every value is dyadic, so they agree exactly.
+    # The nonlinear layer's equation comes from its f row, u'' = -u' - eps f(u).
+    if name == "nonlinear_layer":
+        f = blayer._REACTION["nonlinear"][0]
+        case = blayer._layer_case(f)
+
+        def accel(x, v, eps):
+            return [-v[0] - eps * sum(sympy.Rational(c) * x[0] ** i for i, c in enumerate(f))]
+    else:
+        case = catalog(name)
+        accel = _accel_of_rows(case.accelerations)
+    (rates, field), (declared, carried) = _ode_oracle(case, accel)
+    assert [sympy.expand(r - d) for r, d in zip(rates, declared)] == [0] * case.n_amplitudes
+    assert [sympy.expand(f - c) for f, c in zip(field, carried)] == [0] * case.n_components
+
+
+VAN_DER_POL = msode.CaseSpec(
+    name="van_der_pol",
+    default_ics=(1.0, 0.0),
+    # y'' = -y + eps y' - eps y^2 y'
+    accelerations=((0, -1.0, 0, (1, 0)), (0, 1.0, 1, (0, 1)), (0, -1.0, 1, (2, 1))),
+    modes=((0, 1.0, 0, (1,), 1j),),
+    order=2,
+)
+
+
+def test_van_der_pol_rates_are_derived_from_its_declaration():
+    # y'' + y = eps (1 - y^2) y': dA/dt = (eps/2)(1 - |A|^2) A, so the limit
+    # cycle has |A| = 1, amplitude 2; at eps^2 the rate there is the known
+    # frequency shift -i/16 (Nayfeh, Perturbation Methods, 1973, ch. 4)
+    rows = VAN_DER_POL.rate_terms
+    assert [row for row in rows if row[2] == 1] == [(0, 0.5, 1, (0,)), (0, -0.5, 1, (1,))]
+    second = [complex(c) for _, c, p, _ in rows if p == 2]
+    assert sum(second) == -1j / 16
+    assert all(c.real == 0 for c in second)
+    (oracle, _), (declared, _) = _ode_oracle(VAN_DER_POL, _accel_of_rows(VAN_DER_POL.accelerations))
+    assert sympy.expand(oracle[0] - declared[0]) == 0
+
+
+def test_resonance_off_the_rate_form_is_refused():
+    # x'' + x = eps y^2, y'' + y/4 = 0: y's carrier e^{it/2} squared is x's
+    # own e^{it}, so B^2 forces x's mode, and B^2 is not A times a rate
+    with pytest.raises(ValueError, match="not of rate form"):
+        msode.CaseSpec("one_to_two", (1.0, 1.0, 0.0, 0.0),
+                       ((0, -1.0, 0, (1, 0, 0, 0)), (0, 1.0, 1, (0, 2, 0, 0)),
+                        (1, -0.25, 0, (0, 1, 0, 0))),
+                       modes=((0, 1.0, 0, (1, 0), 1j), (1, 1.0, 0, (0, 1), 0.5j)), order=1)
 
 
 def test_fit_coupled_roundtrip():

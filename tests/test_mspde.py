@@ -1,13 +1,16 @@
 import json
+import math
 import re
 import mpmath
 import numpy as np
 import pytest
+import sympy
 from dataclasses import replace
 from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_integrator_oracle import recorded_call
+from test_msode import EPS, Z, sympy_multiple_scales
 
 from asymptotica import mspde
 from asymptotica.integrator import integrate_reference
@@ -83,6 +86,54 @@ def test_harmonic_balance_reproduces_the_hand_derived_models(k):
     assert FOURTH.harmonic_balance(k)[1] == ((1.0, 0, 1, 0, 1),)
     assert FOURTH.max_order == 0
     assert FOURTH.beta(1.0) == 2.0
+
+
+def _same_float(value, exact):
+    """value is exact when exact is dyadic, and within one ulp of it otherwise."""
+    if exact.q & (exact.q - 1) == 0:
+        return sympy.Rational(value) == exact
+    return abs(sympy.Rational(value) - exact) <= sympy.Rational(math.ulp(value))
+
+
+def _coefficients(expr, symbols):
+    """{powers of symbols: coefficient} of an expanded Laurent polynomial."""
+    out = {}
+    for term in sympy.Add.make_args(sympy.expand(expr)):
+        coef, monomial = term.as_coeff_Mul()
+        powers = monomial.as_powers_dict()
+        out[tuple(int(powers.get(s, 0)) for s in symbols)] = coef
+    return out
+
+
+@pytest.mark.parametrize("k", [0.75, 0.9, 1.0, 1.17])
+@pytest.mark.parametrize("kind", mspde.dispersion_kinds())
+def test_harmonic_balance_follows_from_the_equation(kind, k):
+    # F and the carriers, derived in sympy from u_tt + omega(-d_x^2)^2 u =
+    # eps u^p with omega^2 exact at the float k: a harmonic z^h of
+    # z = e^{i theta} sees L = omega(h k)^2 - h^2 omega(k)^2, and F is the
+    # resonant forcing of |A|^2 A z
+    d = dispersion(kind)
+    q = sympy.Rational(k) ** 2
+
+    def square(h):  # omega(h k)^2
+        return sum(sympy.Rational(c) * (h * h * q) ** j for j, c in enumerate(d.omega2))
+
+    mu = -sympy.I * sympy.sqrt(square(1))
+    order = d.max_order + 1
+    _, (field,), forcing = sympy_multiple_scales(
+        lambda x, v, eps: [eps * x[0] ** d.power], [[1]], [1], mu, order,
+        lambda h: sympy.Matrix([[square(h) + (h * mu) ** 2]]),
+        lambda h: sympy.Matrix([[2 * h * mu]]), real=False)
+    a, b = sympy.symbols("A0 B0")
+    f, carriers = d.harmonic_balance(k)
+    assert _same_float(f, forcing[order, 0].coeff(a * b)), (f, forcing)
+    derived = _coefficients(field, (EPS, a, b, Z))
+    declared = {}
+    for c, p, m, n, h in carriers:
+        declared[p, m, n, h] = declared.get((p, m, n, h), 0.0) + c
+        declared[p, n, m, -h] = declared.get((p, n, m, -h), 0.0) + c
+    assert declared.keys() == derived.keys()
+    assert all(_same_float(c, derived[key]) for key, c in declared.items()), (declared, derived)
 
 
 def test_dispersion_rejects_powers_without_a_cubic_envelope():
