@@ -1,7 +1,10 @@
-"""The library's one adaptive integrator, :func:`integrate_reference`.
+"""The library's Runge-Kutta integrator, :func:`integrate_reference`.
 
-Every direct solve, amplitude flow, shooting integration and pseudospectral
-PDE solve steps with it.  It is its own error-controlled Dormand-Prince
+The ``msode`` amplitude flows, the ``blayer`` shooting and the ``mspde``
+pseudospectral direct solve step with it; the ODE catalog's direct solve
+steps by Taylor series instead (:func:`msode.integrate_taylor`), which takes
+its input checks (:func:`checked_problem`) and its smallest step
+(:func:`min_step`) from here.  It is its own error-controlled Dormand-Prince
 8(5,3) stepper with dense output, which reproduces scipy's DOP853 bit for bit
 without importing scipy.  ``msode`` re-exports it; ``blayer`` and ``mspde``
 import it from here.
@@ -224,8 +227,8 @@ _SAFETY = 0.9  # multiplies the step the error asymptotics propose
 _MIN_FACTOR = 0.2  # smallest step decrease
 _MAX_FACTOR = 10  # largest step increase
 _ERROR_EXPONENT = -1 / 8  # the error estimate is of order 7
-_RTOL_FLOOR = 100 * np.finfo(float).eps
-_STEP_TOO_SMALL = "Required step size is less than spacing between numbers."
+RTOL_FLOOR = 100 * np.finfo(float).eps
+STEP_TOO_SMALL = "Required step size is less than spacing between numbers."
 
 
 def _rms(x):
@@ -252,42 +255,21 @@ def _initial_step(fun, t0, y0, t_bound, f0, rtol, atol):
     return min(100 * h0, h1, interval_length)
 
 
-def integrate_reference(
-    rhs: Callable,
-    y0,
-    t_span: tuple[float, float],
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-    t_eval=None,
-    args: tuple = (),
-) -> Trajectory:
-    """High-accuracy reference integration with the Dormand-Prince 8(5,3) pair.
+def checked_problem(y0, t_span, rtol, atol, t_eval):
+    """(y0, (t0, t_bound), t_eval, rtol used) of an initial value problem, as
+    float arrays and floats; ``t_eval`` None means ``[t_bound]``.
 
-    The library's one adaptive integrator: every direct solve, amplitude
-    flow, shooting integration and pseudospectral PDE solve runs through it.
-    Steps forward from ``t_span[0]`` to ``t_span[1]`` under error control
-    (DOP853, see the comment above) and samples the solution through the
-    dense output at ``t_eval``, which defaults to ``[t_span[1]]``: a run
-    without ``t_eval`` returns the end state alone.  The samples are
-    interpolated in one pass after the last step (see the module docstring).
-    Deterministic for fixed inputs.  ``meta`` records the right-hand side
-    evaluations (``nfev``), the accepted and rejected steps (``n_steps``,
-    ``n_rejected``), the steps that built dense output (``n_dense``, each
-    costing 3 evaluations, so ``nfev == 2 + 12 * (n_steps + n_rejected) +
-    3 * n_dense``; at least 1 whenever ``t_eval`` is not empty, the default
-    included, since the last step reaches ``t_span[1]``) and the tolerances.
-    A non-finite ``t_span`` or ``t_eval`` raises ValueError before the first
-    evaluation.  Raises :class:`SolverError` when the step size falls under
-    ten times the spacing of doubles at t ("Required step size is less than
-    spacing between numbers"), as it does at a finite-time blow-up; the
-    message names that t.
+    Raises ValueError on a tolerance that is not positive, a non-finite or
+    decreasing ``t_span``, a ``y0`` that is empty, not 1-dimensional or not
+    finite, and a ``t_eval`` that is not finite, not inside ``t_span`` or not
+    strictly increasing.  An rtol below 100 machine epsilons warns and is
+    raised to that floor.
     """
     if rtol <= 0 or atol <= 0:
         raise ValueError("rtol and atol must be positive")
-    rtol_used = rtol
-    if rtol < _RTOL_FLOOR:
-        warnings.warn(f"rtol {rtol} is too small; using {_RTOL_FLOOR}", stacklevel=2)
-        rtol_used = _RTOL_FLOOR
+    if rtol < RTOL_FLOOR:
+        warnings.warn(f"rtol {rtol} is too small; using {RTOL_FLOOR}", stacklevel=3)
+        rtol = RTOL_FLOOR
     t0, t_bound = map(float, t_span)
     if not (math.isfinite(t0) and math.isfinite(t_bound)):
         raise ValueError("t_span must be finite")
@@ -307,6 +289,46 @@ def integrate_reference(
         raise ValueError("values in t_eval are not within t_span")
     if np.any(np.diff(t_eval) <= 0):
         raise ValueError("values in t_eval must strictly increase")
+    return y, (t0, t_bound), t_eval, rtol
+
+
+def min_step(t: float) -> float:
+    """The smallest step an integrator takes at t: ten times the spacing of
+    doubles there.  A smaller one ends the solve with :class:`SolverError`."""
+    return 10 * abs(math.nextafter(t, math.inf) - t)
+
+
+def integrate_reference(
+    rhs: Callable,
+    y0,
+    t_span: tuple[float, float],
+    rtol: float = 1e-10,
+    atol: float = 1e-12,
+    t_eval=None,
+    args: tuple = (),
+) -> Trajectory:
+    """High-accuracy reference integration with the Dormand-Prince 8(5,3) pair.
+
+    The amplitude flows, the shooting and the pseudospectral PDE solve run
+    through it (see the module docstring).  Steps forward from ``t_span[0]``
+    to ``t_span[1]`` under error control (DOP853, see the comment above) and
+    samples the solution through the dense output at ``t_eval``, which
+    defaults to ``[t_span[1]]``: a run without ``t_eval`` returns the end
+    state alone.  The samples are
+    interpolated in one pass after the last step (see the module docstring).
+    Deterministic for fixed inputs.  ``meta`` records the right-hand side
+    evaluations (``nfev``), the accepted and rejected steps (``n_steps``,
+    ``n_rejected``), the steps that built dense output (``n_dense``, each
+    costing 3 evaluations, so ``nfev == 2 + 12 * (n_steps + n_rejected) +
+    3 * n_dense``; at least 1 whenever ``t_eval`` is not empty, the default
+    included, since the last step reaches ``t_span[1]``) and the tolerances.
+    Inputs are checked by :func:`checked_problem` before the first
+    evaluation.  Raises :class:`SolverError` when the step size falls under
+    ten times the spacing of doubles at t ("Required step size is less than
+    spacing between numbers"), as it does at a finite-time blow-up; the
+    message names that t.
+    """
+    y, (t0, t_bound), t_eval, rtol_used = checked_problem(y0, t_span, rtol, atol, t_eval)
     t_list = t_eval.tolist()
     n_eval = 0  # t_eval points covered so far
     dense = []  # per step that covers samples: (their number, t_old, t, y_old, F)
@@ -324,14 +346,14 @@ def integrate_reference(
     K = np.empty((16, n))  # 13 stages of a step, then the 3 dense-output stages
     KT = [K[:s].T for s in range(16)]
     while t < t_bound:
-        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
-        if h_abs < min_step:
-            h_abs = min_step
+        h_min = min_step(t)
+        if h_abs < h_min:
+            h_abs = h_min
         rejected = False
         while True:
-            if h_abs < min_step:
+            if h_abs < h_min:
                 raise SolverError(
-                    f"reference integration failed at t={t}: {_STEP_TOO_SMALL} (nfev={nfev})"
+                    f"reference integration failed at t={t}: {STEP_TOO_SMALL} (nfev={nfev})"
                 )
             t_new = min(t + h_abs, t_bound)
             h = t_new - t

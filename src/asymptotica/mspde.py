@@ -79,6 +79,7 @@ its spectrum has no floor above them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -147,6 +148,7 @@ class Dispersion:
         resonant (:func:`find_phase_matched`)."""
         return horner(self.detuning_coefficients(h), k**2)
 
+    @functools.cache  # per (model, k): the model is frozen and the result a tuple
     def harmonic_balance(self, k: float) -> tuple[float, tuple[tuple, ...]]:
         """(F, carriers) at carrier wavenumber k, by the multiple-scales
         derivation the ODE catalog uses (:func:`msode.multiple_scales`).
@@ -162,7 +164,8 @@ class Dispersion:
         below the top order feeds back into the derivation, and the stand-in
         L' changes nothing but the scale of the top one.  The
         carriers (coefficient, eps power, m, n, h) are those of u0 and u1
-        with h >= 0, the h = 0 term halved inside u = 2 Re(...).
+        with h >= 0, the h = 0 term halved inside u = 2 Re(...).  Derived once
+        per model and k.
         """
         mode = (0, 1.0, 0, (1,), complex(0.0, -float(self.omega(k))))
         (rate,), rows = multiple_scales(

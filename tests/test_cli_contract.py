@@ -326,6 +326,14 @@ def test_exceptions_map_to_exit_codes(tmp_path, capsys, monkeypatch, error, code
     assert not (tmp_path / "cfg_summary.json").exists()
 
 
+def test_ode_blow_up_exits_as_a_solver_error(tmp_path, capsys):
+    payload = {"case": "cubic", "eps": 0.15, "ics": [3.0, 0.0], "horizon": 20.0}
+    code, err = run(tmp_path, "ode", payload, capsys)
+    assert code == EXIT_SOLVER
+    assert err.startswith("solver error: ") and "t=2.2379" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_nan_error_fails_a_predicate():
     accept = {"l2_error_le": cli.Accept(cli._positive, "l2_error", "le")}
     assert cli._failures(accept, {"l2_error_le": 0.1}, [{"l2_error": float("nan")}])

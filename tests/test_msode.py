@@ -17,6 +17,7 @@ from asymptotica.msode import (
     fit_initial_amplitudes,
     integrate_amplitude,
     integrate_reference,
+    integrate_taylor,
     naive_damped_expansion,
     reconstruct_on_grid,
 )
@@ -654,6 +655,57 @@ def test_compare_damped_linear_vs_exact():
     assert errs[0.01] / errs[0.005] >= 6.0
 
 
+def test_direct_solve_is_far_below_the_gap_it_checks():
+    # at eps 0.005 over t <= eps^-2 the DOP853 reference was off by 1.09e-9,
+    # more than the asymptotic error of 7.0e-10 it was meant to expose
+    report = compare(catalog("damped_linear"), 0.005, 2)
+    stats = report.stats
+    assert stats["max_abs_error_direct_vs_exact"] <= 0.05 * stats["max_abs_error_vs_exact"]
+
+
+# the workload horizons: eps^-2 or eps^-3, or one explicit horizon per sweep
+@pytest.mark.parametrize("name, eps, horizon_exponent, horizon, ics", [
+    ("damped_linear", 0.035, 2, None, None),
+    ("damped_linear", 0.05, None, 25.0, None),
+    ("cubic", 0.15, 3, None, None),
+    ("cubic", 0.1, None, 20.0, None),
+    ("coupled_cubic", 0.095, 2, None, None),
+    ("coupled_cubic", 0.05, 2, None, None),
+    ("quadratic_damped", 0.002, None, 300.0, (1.0, 0.0)),
+    ("quadratic_damped", 0.05, None, 300.0, (1.0, 0.0)),
+])
+def test_taylor_direct_solve_matches_a_tight_dop853(name, eps, horizon_exponent, horizon, ics):
+    case = catalog(name)
+    report = compare(case, eps, horizon_exponent, ics=ics, horizon=horizon)
+    tight = integrate_reference(case.original_rhs, ics or case.default_ics,
+                                (0.0, report.horizon), 1e-13, 1e-15, t_eval=report.t, args=(eps,))
+    y_direct = report.stats["trajectories"]["y_direct"]
+    assert np.max(np.abs(y_direct - tight.y[:, :case.n_components].T)) <= 1e-9
+    again = compare(case, eps, horizon_exponent, ics=ics, horizon=horizon)
+    assert again.stats["direct_steps"] == report.stats["direct_steps"] > 0
+    assert np.array_equal(again.stats["trajectories"]["y_direct"], y_direct)
+
+
+def test_direct_solve_blow_up_is_a_solver_error():
+    # y'' + y = 0.15 y^3 from y = 3 lies past the potential's crest and blows
+    # up near t = 2.238, where DOP853 stops too
+    with pytest.raises(SolverError, match=r"t=2\.2379"):
+        compare(catalog("cubic"), 0.15, ics=[3.0, 0.0], horizon=20.0)
+
+
+def test_taylor_coefficient_overflow_is_a_solver_error():
+    # y^3 overflows in the order-0 coefficient, before any step
+    with pytest.raises(SolverError, match="not finite"):
+        integrate_taylor(catalog("cubic"), [1e110, 0.0], (0.0, 1.0), 0.1)
+
+
+def test_taylor_plan_forms_each_product_once():
+    # x y^2 and x^2 y share no prefix; x y^2 needs x y first
+    products, terms = catalog("coupled_cubic")._taylor_plan
+    assert products == ((0, 1), (5, 1), (0, 0), (7, 1))
+    assert [m for _, _, m in terms[0]] == [0, 1, 6]
+
+
 def test_compare_cubic_term_ordering():
     # two-term expansion at horizon eps^-2 beats one-term at horizon eps^-3
     case = catalog("cubic")
@@ -735,7 +787,7 @@ def test_compare_checks_arguments_before_the_direct_solve(monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("the direct solve ran")
 
-    monkeypatch.setattr(msode, "integrate_reference", no_solve)
+    monkeypatch.setattr(msode, "integrate_taylor", no_solve)
     case = msode.catalog("cubic")
     with pytest.raises(ValueError, match="initial values"):
         msode.compare(case, 0.1, 1, ics=[1.0, 0.0, 0.0])
