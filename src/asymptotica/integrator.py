@@ -1,21 +1,25 @@
-"""The library's Runge-Kutta integrator, :func:`integrate_reference`.
+"""The library's Runge-Kutta integrator, :func:`integrate_reference`, and
+the rules its two Taylor-series solves share.
 
-The ``msode`` amplitude flows, the ``blayer`` shooting and the ``mspde``
-pseudospectral direct solve step with it; the ODE catalog's direct solve
-steps by Taylor series instead (:func:`msode.integrate_taylor`), which takes
-its input checks (:func:`checked_problem`) and its smallest step
-(:func:`min_step`) from here.  It is its own error-controlled Dormand-Prince
-8(5,3) stepper with dense output, which reproduces scipy's DOP853 bit for bit
-without importing scipy.  ``msode`` re-exports it; ``blayer`` and ``mspde``
-import it from here.
+The ``msode`` amplitude flows and the ``blayer`` shooting step with
+:func:`integrate_reference`.  The two direct solves step by Taylor series
+instead: the ODE catalog's (:func:`msode.integrate_taylor`) and the
+``mspde`` pseudospectral packet solve (:func:`mspde._solve_direct`).  Both
+take their input checks (:func:`checked_problem`), their smallest step
+(:func:`min_step`), their order (:func:`taylor_order`) and their step size
+(:func:`taylor_step`) from here.  :func:`integrate_reference` is its own
+error-controlled Dormand-Prince 8(5,3) stepper with dense output, which
+reproduces scipy's DOP853 bit for bit without importing scipy.  ``msode``
+re-exports it; ``blayer`` imports it from here.
 
-Every run samples through the dense output, at ``t_eval`` or, when that is
-None, at the end point ``t_span[1]`` alone; there is no accepted-step output.
-Sampling is deferred.  A step that covers requested times evaluates its 3
-dense-output stages at once (the next step overwrites the stages) and keeps
-the 7 interpolant coefficients; after the last step one alternating Horner
-pass evaluates every sample.  The interpolant is elementwise in the samples,
-so the batch gives the bits that one evaluation per step gives.
+Every :func:`integrate_reference` run samples through the dense output, at
+``t_eval`` or, when that is None, at the end point ``t_span[1]`` alone; there
+is no accepted-step output.  Sampling is deferred.  A step that covers
+requested times evaluates its 3 dense-output stages at once (the next step
+overwrites the stages) and keeps the 7 interpolant coefficients; after the
+last step one alternating Horner pass evaluates every sample.  The
+interpolant is elementwise in the samples, so the batch gives the bits that
+one evaluation per step gives.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import math
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -298,6 +302,38 @@ def min_step(t: float) -> float:
     return 10 * abs(math.nextafter(t, math.inf) - t)
 
 
+def taylor_order(tol: float) -> int:
+    """Order N of a Taylor step at tolerance ``tol``: ceil(-ln(tol)/2) + 2,
+    tol floored at ``RTOL_FLOOR``, so N <= 18, and N >= 4.
+
+    That is one above Jorba & Zou's order: at about the same cost (the steps
+    grow with N), it kept the ODE catalog's direct error at or below DOP853's
+    on the shipped and benchmark configs.  Below order 4 the step outruns the
+    series at tolerances near 1.
+    """
+    return max(4, math.ceil(-0.5 * math.log(max(tol, RTOL_FLOOR))) + 2)
+
+
+def taylor_step(tops: Sequence[float], order: int, tol: float, rtol: float) -> float:
+    """The step of a Taylor series of order N from its last two coefficients.
+
+    ``tops`` are the largest components |c_k| of the coefficients k = N - 1
+    and N; ``tol`` is atol + rtol max|y| at the step's start.  The step is
+    s_k (tol / |c_k|)^(1/k), least over the two k, with safety factor
+    s_k = min(0.9, 0.35 rtol^(-1/k)).  The second caps the step at 0.35 of
+    the radius estimate ((atol / rtol + max|y|) / |c_k|)^(1/k), so at
+    tolerances near 1 the step stays inside the series' radius.  It is the
+    smaller only where rtol > (0.35/0.9)^k, and that does not depend on
+    max|y|, so a decayed solution in the atol regime keeps the plain
+    0.9 step.  A zero coefficient sets no limit: inf when both are zero.
+    """
+    h = math.inf
+    for k, top in zip((order - 1, order), tops):
+        if top:
+            h = min(h, min(0.9, 0.35 * rtol ** (-1 / k)) * (tol / top) ** (1 / k))
+    return h
+
+
 def integrate_reference(
     rhs: Callable,
     y0,
@@ -309,8 +345,8 @@ def integrate_reference(
 ) -> Trajectory:
     """High-accuracy reference integration with the Dormand-Prince 8(5,3) pair.
 
-    The amplitude flows, the shooting and the pseudospectral PDE solve run
-    through it (see the module docstring).  Steps forward from ``t_span[0]``
+    The amplitude flows and the shooting run through it (see the module
+    docstring).  Steps forward from ``t_span[0]``
     to ``t_span[1]`` under error control (DOP853, see the comment above) and
     samples the solution through the dense output at ``t_eval``, which
     defaults to ``[t_span[1]]``: a run without ``t_eval`` returns the end

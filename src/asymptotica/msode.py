@@ -102,8 +102,8 @@ import numpy as np
 
 from . import SolverError  # re-exported: callers catch it as msode.SolverError
 # Trajectory and integrate_reference are re-exported
-from .integrator import (RTOL_FLOOR, STEP_TOO_SMALL, Trajectory, checked_problem,
-                         integrate_reference, min_step)
+from .integrator import (STEP_TOO_SMALL, Trajectory, checked_problem, integrate_reference,
+                         min_step, taylor_order, taylor_step)
 
 
 @dataclass(frozen=True)
@@ -535,18 +535,17 @@ def integrate_taylor(
     """The direct solve of the case's equation, stepped by Taylor series
     (Corliss & Chang, ACM TOMS 8, 1982; Jorba & Zou, Exp. Math. 14, 2005).
 
-    Each step expands the state about its start to order
-    N = ceil(-ln(tol)/2) + 2, tol = min(rtol, atol) but at least 100 machine
-    epsilons, so N <= 18.  That is one above Jorba & Zou's order: at about
-    the same cost (the steps grow with N), it keeps the direct error at or
-    below DOP853's on the shipped and benchmark configs.  The coefficients
-    come order by order from x_{k+1} = v_k / (k + 1), v_{k+1} = a_k / (k + 1),
-    with a_k read off the acceleration rows through the case's Cauchy
-    products, in flat lists.  The step is 0.9 min over k in {N - 1, N} of
+    Each step expands the state about its start to the order
+    :func:`integrator.taylor_order` gives at min(rtol, atol).  The
+    coefficients come order by order from x_{k+1} = v_k / (k + 1),
+    v_{k+1} = a_k / (k + 1), with a_k read off the acceleration rows through
+    the case's Cauchy products, in flat lists.  The step is
+    :func:`integrator.taylor_step`'s: 0.9 min over k in {N - 1, N} of
     (tol_y / |c_k|)^(1/k), with tol_y = atol + rtol max|y| and |c_k| the
-    largest component of the k-th coefficient.  Samples at ``t_eval``
-    (default ``[t_span[1]]``) come after the last step from one Horner pass
-    over the steps that cover them.
+    largest component of the k-th coefficient, capped inside the series'
+    radius at tolerances near 1.  Samples at ``t_eval`` (default
+    ``[t_span[1]]``) come after the last step from one Horner pass over the
+    steps that cover them.
 
     Inputs are checked as :func:`integrate_reference` checks them.  ``meta``
     records the steps (``n_steps``), those that cover samples (``n_dense``),
@@ -555,7 +554,7 @@ def integrate_taylor(
     spacing of doubles at t, as it does at a finite-time blow-up.
     """
     y, (t, t_bound), t_eval, rtol_used = checked_problem(y0, t_span, rtol, atol, t_eval)
-    order = max(2, math.ceil(-0.5 * math.log(max(min(rtol, atol), RTOL_FLOOR))) + 2)
+    order = taylor_order(min(rtol, atol))
     products, terms = case._taylor_plan
     n, nc = case.state_dim, case.n_components
     # the series lists live across steps; each step refills them from order 0
@@ -581,15 +580,12 @@ def integrate_taylor(
                 x.append(v[k] / (k + 1))
             for v, rows in acceleration:
                 v.append(sum([c * s[k] for c, s in rows]) / (k + 1))
-        tol = atol + rtol_used * max(map(abs, y))
-        h = math.inf
-        for k in (order - 1, order):
-            tops = [abs(s[k]) for s in state]
-            if not math.isfinite(sum(tops)):
-                raise SolverError(f"direct solve failed at t={t}: a Taylor coefficient "
-                                  f"is not finite (steps={n_steps})")
-            if max(tops):
-                h = min(h, 0.9 * (tol / max(tops)) ** (1 / k))
+        tops = [[abs(s[k]) for s in state] for k in (order - 1, order)]
+        if not math.isfinite(sum(map(sum, tops))):
+            raise SolverError(f"direct solve failed at t={t}: a Taylor coefficient "
+                              f"is not finite (steps={n_steps})")
+        h = taylor_step(list(map(max, tops)), order, atol + rtol_used * max(map(abs, y)),
+                        rtol_used)
         if h < min_step(t):
             raise SolverError(f"direct solve failed at t={t}: {STEP_TOO_SMALL} (steps={n_steps})")
         t_old, t = t, min(t + h, t_bound)

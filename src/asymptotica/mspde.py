@@ -48,14 +48,16 @@ cubic_klein_gordon
     never resonates: omega(3k)^2 - 9 omega(k)^2 = -8.
 
 Direct reference solutions come from a Fourier pseudospectral first-order
-system in transform space, stepped by :func:`integrator.integrate_reference` (the
-library's one adaptive integrator, its own Dormand-Prince 8(5,3) stepper, so
-packet runs load no scipy).  The state is the dealiased band itself, the
-rfft modes 0..K of u and u_t with (p + 1) K < n, so the products u^p taken on
-the n-point grid are exactly alias-free (the 2/3 rule for quadratic terms,
-the 1/2 rule for cubic ones), and the modes above K, which no product
-forces and the periodic start leaves at roundoff, are not stepped at their
-high frequencies.
+system in transform space, stepped by Taylor series (:func:`_solve_direct`,
+as :func:`msode.integrate_taylor` steps the ODE catalog, with the order and
+step rule of :mod:`integrator`).  The state is the dealiased band itself,
+the rfft modes 0..K of u and u_t with (p + 1) K < n, so the products u^p
+taken on the n-point grid are exactly alias-free (the 2/3 rule for quadratic
+terms, the 1/2 rule for cubic ones), and the modes above K, which no
+product forces and the periodic start leaves at roundoff, are not stepped
+at their high frequencies.  Each order of a step costs one irfft of u's
+coefficient, the Cauchy products of u^p pointwise on the grid against the
+stored coefficients, and one rfft back to the band.
 The envelope equation is integrated by Strang-split steps whose linear part
 is exact in transform space and whose pointwise nonlinear part is exact.
 The half kicks that close one step and open the next are merged into one
@@ -79,6 +81,7 @@ its spectrum has no floor above them.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass, field, replace
@@ -86,7 +89,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .integrator import integrate_reference
+from . import SolverError
+from .integrator import STEP_TOO_SMALL, checked_problem, min_step, taylor_order, taylor_step
 from .msode import RunReport, multiple_scales
 from .series import derivative, horner
 
@@ -397,6 +401,39 @@ def energy(fld: RealField, eps: float, kind: str) -> float:
     return float(np.sum(density) * fld.length / fld.n)
 
 
+def _taylor_coefficients(z: np.ndarray, order: int, eps: float, symbol: np.ndarray,
+                         n: int, power: int) -> np.ndarray:
+    """Taylor coefficients to ``order`` of the band flow about the state z.
+
+    z is [u_hat, v_hat], the band of u and v = u_t (K + 1 modes each) as
+    interleaved real and imaginary parts, and ``symbol`` is omega^2 on the
+    band.  Row k of the result is z's k-th coefficient, from
+    u_hat_{k+1} = v_hat_k / (k + 1) and
+    v_hat_{k+1} = (eps N_k - symbol u_hat_k) / (k + 1), where N_k is the band
+    of (u^p)_k.  Per order, one irfft gives u's coefficient U_k on the n-point
+    grid; the Cauchy products (u^j)_k = sum_i (u^(j-1))_i U_(k-i), j = 2..p,
+    are taken pointwise against the stored U_0..U_k and (u^(j-1))_0..k; one
+    rfft truncated to the band gives N_k.  The products are band-limited to
+    p K < n, so N_k is exactly alias-free (see :func:`_solve_direct`).
+    """
+    parts = 2 * len(symbol)  # the floats of one band
+    symbol = np.repeat(symbol, 2)
+    c = np.empty((order + 1, 2 * parts))
+    c[0] = z
+    u_hat, v_hat = c[:, :parts], c[:, parts:]
+    powers = np.empty((power - 1, order, n))  # the coefficients of u, ..., u^(p-1)
+    for k in range(order):
+        powers[0, k] = np.fft.irfft(u_hat[k].view(complex), n)
+        back = powers[0, k::-1]  # U_k, ..., U_0
+        for j in range(1, power - 1):
+            powers[j, k] = np.einsum("ij,ij->j", powers[j - 1, : k + 1], back)
+        product = np.einsum("ij,ij->j", powers[-1, : k + 1], back)
+        nonlinear = np.fft.rfft(product)[: parts // 2].view(float)
+        u_hat[k + 1] = v_hat[k] / (k + 1)
+        v_hat[k + 1] = (eps * nonlinear - symbol * u_hat[k]) / (k + 1)
+    return c
+
+
 def _solve_direct(
     eps: float,
     u0: RealField,
@@ -414,28 +451,60 @@ def _solve_direct(
     quadratic terms, the 1/2 rule for cubic ones).  The modes above K are
     never forced, so they are not carried: the solve starts from the band
     projection of u0, which differs from u0 at roundoff for the periodic
-    :func:`gaussian_packet` start.  Snapshots at ``t_eval``, by default
-    ``[t_end]`` as in :func:`integrate_reference`.
+    :func:`gaussian_packet` start.
+
+    Each step expands the state about its start by
+    :func:`_taylor_coefficients` to the order :func:`integrator.taylor_order`
+    gives at min(rtol, atol / max|u0|): atol counts relative to the starting
+    field, so the order does not change with the amplitude when atol scales
+    with it, as :func:`packet_compare`'s does, and a loose rtol alone does
+    not lower it.  The step is :func:`integrator.taylor_step`'s, with |c_k|
+    the largest real or imaginary part in the k-th coefficient and
+    tol_y = atol + rtol max|y| over the state's parts.  The snapshots at
+    ``t_eval``, by default ``[t_end]``, are Horner sums of the steps that
+    cover them.  Inputs are checked as
+    :func:`integrator.integrate_reference` checks them.  ``meta`` records ``nfev``, the nonlinear-term evaluations (an irfft and
+    an rfft each, so steps times order), the steps (``n_steps``), those that
+    cover snapshots (``n_dense``), the order and the tolerances.  Raises
+    :class:`SolverError` naming t when a coefficient is not finite or the
+    step falls under ten times the spacing of doubles at t.
     """
     d = dispersion(kind)
     n = u0.n
     band = _direct_band(n, d.power)
     symbol = d.symbol(_wavenumbers_rfft(u0.length, n)[:band])
-
-    # the state is [u_hat, v_hat] on the band, v = u_t, complex interleaved
-    def rhs(t, z):
-        u_hat = z[: 2 * band].view(complex)
-        nonlinear = np.fft.rfft(_power(np.fft.irfft(u_hat, n), d.power))[:band]
-        v_t = eps * nonlinear - symbol * u_hat
-        return np.concatenate([z[2 * band :], v_t.view(float)])  # u_hat_t = v_hat
+    z0 = np.concatenate([np.fft.rfft(u0.u)[:band], np.fft.rfft(u0.ut)[:band]]).view(float)
+    y, (t, t_bound), t_eval, rtol_used = checked_problem(z0, (0.0, t_end), rtol, atol, t_eval)
+    size = float(np.max(np.abs(u0.u)))
+    order = taylor_order(min(rtol, atol / size) if size else rtol)
+    t_list = t_eval.tolist()
+    samples = np.zeros((len(t_list), len(y)))
+    n_eval = n_steps = n_dense = 0
+    while t < t_bound:
+        c = list(_taylor_coefficients(y, order, eps, symbol, n, d.power))
+        y_max, *tops = [float(np.max(np.abs(c[k]))) for k in (0, order - 1, order)]
+        if not math.isfinite(sum(tops)):
+            raise SolverError(f"direct solve failed at t={t}: a Taylor coefficient "
+                              f"is not finite (steps={n_steps})")
+        h = taylor_step(tops, order, atol + rtol_used * y_max, rtol_used)
+        if h < min_step(t):
+            raise SolverError(f"direct solve failed at t={t}: {STEP_TOO_SMALL} (steps={n_steps})")
+        t_old, t = t, min(t + h, t_bound)
+        y = horner(c, t - t_old)
+        n_steps += 1
+        n_new = bisect.bisect_right(t_list, t, n_eval)
+        if n_new > n_eval:
+            s = t_eval[n_eval:n_new] - t_old
+            samples[n_eval:n_new] = horner(c, s[:, None])
+            n_eval, n_dense = n_new, n_dense + 1
+    meta = {"nfev": n_steps * order, "n_steps": n_steps, "n_dense": n_dense, "order": order,
+            "rtol": rtol, "atol": atol}
 
     def field_of(z):
         c = z.view(complex)
         return RealField(u0.length, np.fft.irfft(c[:band], n), np.fft.irfft(c[band:], n))
 
-    z0 = np.concatenate([np.fft.rfft(u0.u)[:band], np.fft.rfft(u0.ut)[:band]]).view(float)
-    traj = integrate_reference(rhs, z0, (0.0, t_end), rtol, atol, t_eval=t_eval)
-    return DirectRun(t=traj.t, fields=[field_of(z) for z in traj.y], meta=traj.meta)
+    return DirectRun(t=t_eval.copy(), fields=[field_of(z) for z in samples], meta=meta)
 
 
 # --- envelope solvers -----------------------------------------------------------
@@ -624,8 +693,9 @@ def packet_compare(
     ``max(1/eps, max(checkpoints))``, the last checkpoint alone when eps <= 0.
     ``l2_error`` is the relative L2 error at the final checkpoint;
     ``error`` holds the per-checkpoint relative L2 errors; ``stats`` records
-    the grid, the direct run's energy drift (from u0),
-    RHS evaluations ``nfev_direct`` and band size ``direct_modes`` = K + 1,
+    the grid, the direct run's energy drift (from u0), its nonlinear-term
+    evaluations ``nfev_direct`` (one irfft-rfft pair each; Taylor steps
+    times order) and band size ``direct_modes`` = K + 1,
     the envelope's L2 drift, and
     ``stats["fields"]`` always holds the compared snapshots themselves: the
     grid ``x`` and, per checkpoint, ``t``, ``direct`` and ``reconstructed``.

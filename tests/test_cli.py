@@ -178,6 +178,18 @@ def test_ode_damped_linear_table(tmp_path):
     assert (tmp_path / "damped_naive.csv").exists()
 
 
+def test_ode_at_tolerances_near_one_runs(tmp_path):
+    # the Taylor direct solve at rtol = atol = 1 is order 4 with its step
+    # capped inside the series' radius; uncapped at order 2 it blew up at t = 7.8
+    cfg = write_config(
+        tmp_path,
+        "loose.json",
+        {"case": "cubic", "eps": 0.1, "horizon": 10.0, "rtol": 1.0, "atol": 1.0},
+    )
+    assert main(["ode", "--config", cfg, "--out-dir", str(tmp_path)]) == EXIT_OK
+    assert read_summary(tmp_path, "loose")["result"]["runs"][0]["max_abs_error"] <= 0.1
+
+
 def test_ode_requires_one_horizon(tmp_path):
     cfg = write_config(tmp_path, "nohor.json", {"case": "cubic", "eps": 0.1})
     assert main(["ode", "--config", cfg, "--out-dir", str(tmp_path)]) == EXIT_CONFIG

@@ -9,10 +9,10 @@ from dataclasses import replace
 from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_integrator_oracle import recorded_call
+from test_integrator_oracle import band_problem
 from test_msode import EPS, Z, sympy_multiple_scales
 
-from asymptotica import mspde
+from asymptotica import SolverError, mspde
 from asymptotica.integrator import integrate_reference
 from asymptotica.mspde import (
     RealField,
@@ -285,6 +285,14 @@ def test_direct_energy_conservation(kind):
     assert abs(e1 - e0) / abs(e0) <= 100 * rtol
 
 
+def test_direct_coefficient_overflow_is_a_solver_error():
+    # u^3 overflows in the order-0 product, before any step
+    _, u0 = single_mode_field(16.0 * np.pi, 32, mode=2, amplitude=1e110)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SolverError, match="t=0.0: a Taylor coefficient is not finite"):
+            mspde._solve_direct(0.1, u0, 1.0, "fourth_order")
+
+
 def test_direct_resolution_independence():
     # doubling the spatial resolution leaves a smooth packet's solution alone
     eps, k = 0.1, 1.0
@@ -299,17 +307,22 @@ def test_direct_resolution_independence():
 # its coefficient): cos^2 = 1/2 + cos(2Kx)/2, cos^3 = 3/4 cos(Kx) + cos(3Kx)/4
 @pytest.mark.parametrize("kind, top, mode, coef",
                          [("klein_gordon", 10, 0, 0.5), ("fourth_order", 7, 7, 0.75)])
-def test_direct_products_are_exactly_alias_free(monkeypatch, kind, top, mode, coef):
+def test_direct_products_are_exactly_alias_free(kind, top, mode, coef):
     n = 32
-    _, u0 = single_mode_field(64.0 * np.pi, n, mode=top)
+    length = 64.0 * np.pi
+    _, u0 = single_mode_field(length, n, mode=top)
+    d = dispersion(kind)
+    band = mspde._direct_band(n, d.power)
+    assert band == top + 1
+    symbol = d.symbol(mspde._wavenumbers_rfft(length, n)[:band])
+    z = np.concatenate([np.fft.rfft(u0.u)[:band], np.fft.rfft(u0.ut)[:band]]).view(float)
 
-    def v_block(eps):
-        rhs, y0, *_ = recorded_call(
-            monkeypatch, mspde, lambda: mspde._solve_direct(eps, u0, 1e-3, kind))
-        assert len(y0) == 4 * (top + 1)
-        return rhs(0.0, y0)[2 * (top + 1):].view(complex)
+    def v_1(eps):
+        # the order-1 coefficient of v_hat, eps N_0 - omega^2 u_hat_0
+        c = mspde._taylor_coefficients(z, 1, eps, symbol, n, d.power)
+        return c[1, 2 * band :].view(complex)
 
-    nonlinear = v_block(1.0) - v_block(0.0)
+    nonlinear = v_1(1.0) - v_1(0.0)
     # rfft coefficients of u^p = sum_j c_j cos(j x): n c_0 at mode 0, n c_j / 2 above
     want = np.zeros(top + 1, complex)
     want[mode] = coef * n / (1 if mode == 0 else 2)
@@ -341,12 +354,13 @@ def full_spectrum_solve(eps, u0, t_end, kind, rtol, t_eval, atol):
     return [np.fft.irfft(spectrum(z, 0), n) for z in traj.y]
 
 
-# (kind, order, checkpoints, the band solve's RHS evaluations, 920 and 2003
-# when written, with 4% headroom); the fourth_order row is
+# (kind, order, checkpoints, the band solve's nonlinear-term evaluations,
+# 300, 660 and 360 when written, with 4% headroom); the fourth_order row is
 # scripts/configs/fourth_packet.json
 @pytest.mark.parametrize("kind, order, checkpoints, max_nfev", [
-    ("klein_gordon", 1, [2.0, 10.0], 960),
-    ("fourth_order", 0, [2.0, 5.0, 10.0], 2080),
+    pytest.param("klein_gordon", 1, [2.0, 10.0], 312, id="klein_gordon"),
+    pytest.param("fourth_order", 0, [2.0, 5.0, 10.0], 686, id="fourth_order"),
+    pytest.param("cubic_klein_gordon", 0, [2.0, 10.0], 374, id="cubic_klein_gordon"),
 ])
 def test_band_solve_matches_full_spectrum_solve(kind, order, checkpoints, max_nfev):
     eps, rtol, atol = 0.1, 1e-9, 1e-11  # packet_compare's settings
@@ -356,7 +370,47 @@ def test_band_solve_matches_full_spectrum_solve(kind, order, checkpoints, max_nf
     full = full_spectrum_solve(eps, u0, checkpoints[-1], kind, rtol, checkpoints, atol)
     for snap, want in zip(band.fields, full):
         assert np.max(np.abs(snap.u - want)) <= 1e-10 * np.max(np.abs(want))
-    assert band.meta["nfev"] <= max_nfev
+    # one irfft-rfft pair per order of each step
+    assert band.meta["nfev"] == band.meta["n_steps"] * band.meta["order"] <= max_nfev
+
+
+SHIPPED_PACKETS = ["kg_packet", "kg_packet_long", "fourth_packet"]
+
+
+def shipped_packet(config, **changes):
+    """packet_compare's keyword arguments from a shipped config, with ``changes``."""
+    cfg = json.loads((CONFIGS / f"{config}.json").read_text())
+    kwargs = {key: value for key, value in cfg.items() if key not in ("task", "accept")}
+    return {**kwargs, **changes}
+
+
+@pytest.mark.parametrize("config", SHIPPED_PACKETS)
+def test_direct_solve_matches_a_tight_dop853(config):
+    # the Taylor solve against integrate_reference on the same band flow at
+    # rtol 1e-13 and atol 1e-14, at every checkpoint
+    kwargs = shipped_packet(config)
+    report = packet_compare(**kwargs)
+    kind = kwargs.get("kind", "klein_gordon")
+    eps, checkpoints = kwargs["eps"], kwargs["checkpoints"]
+    packet = gaussian_packet(eps, kwargs["k"], kwargs.get("amplitude", 0.5),
+                             t_end=max(1.0 / eps, *checkpoints), kind=kind)
+    u0 = reconstruct_field(packet, 0.0, kwargs["order"])
+    rhs, z0 = band_problem(eps, u0, kind)
+    tight = integrate_reference(rhs, z0, (0.0, checkpoints[-1]), 1e-13, 1e-14, t_eval=checkpoints)
+    band = len(z0) // 4
+    for snap, z in zip(report.stats["fields"]["snapshots"], tight.y):
+        want = np.fft.irfft(z.view(complex)[:band], u0.n)
+        assert np.linalg.norm(snap["direct"] - want) <= 5e-11 * np.linalg.norm(want)
+    assert report.stats["energy_drift_rel"] <= 1e-11
+
+
+@pytest.mark.parametrize("rtol", [0.1, 1.0])
+def test_loose_tolerance_keeps_the_packet_gaps(rtol):
+    # at tolerances near 1 the step is capped inside the series' radius, and
+    # packet_compare's atol keeps the order up, so the gaps hold
+    tight = packet_compare(**shipped_packet("kg_packet")).stats["relative_l2_per_checkpoint"]
+    loose = packet_compare(**shipped_packet("kg_packet", rtol=rtol))
+    assert loose.stats["relative_l2_per_checkpoint"] == pytest.approx(tight, rel=1e-4)
 
 
 @pytest.mark.parametrize("config", ["kg_packet", "fourth_packet"])
@@ -656,11 +710,15 @@ def test_packet_amplitude_limits(kind, power):
 
 
 def test_direct_solve_work_does_not_grow_with_the_amplitude():
-    # at fixed eps amplitude the field scales with the amplitude, and so does
-    # the direct solve's atol
-    nfev = [packet_compare(eps, 1.0, amplitude=a, checkpoints=[1.0]).stats["nfev_direct"]
-            for eps, a in [(-0.1, 1.0), (-1e-3, 100.0), (-1e-5, 1e4), (-1e-9, 1e8)]]
-    assert nfev == [nfev[0]] * 4
+    # at fixed eps amplitude^(p-1) the field scales with the amplitude, and so
+    # does the direct solve's atol
+    for kind, order, runs in [
+        ("klein_gordon", 1, [(-0.1, 1.0), (-1e-3, 100.0), (-1e-5, 1e4), (-1e-9, 1e8)]),
+        ("fourth_order", 0, [(-0.1, 1.0), (-1e-3, 10.0), (-1e-5, 100.0), (-1e-9, 1e4)]),
+    ]:
+        nfev = [packet_compare(eps, 1.0, amplitude=a, checkpoints=[1.0], kind=kind,
+                               order=order).stats["nfev_direct"] for eps, a in runs]
+        assert nfev == [nfev[0]] * 4
 
 @pytest.mark.parametrize("kind, order", [("klein_gordon", 1), ("fourth_order", 0)])
 def test_packet_at_the_overflow_limit_overflows_nothing(kind, order):
