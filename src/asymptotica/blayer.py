@@ -29,7 +29,9 @@ nonlinear
     u = A + B e^{-xi} - (eps/2) B^2 e^{-2 xi}.  The left boundary condition
     fixes A(0) = -B0 + (eps/2) B0^2 in terms of B(0) = B0, and B0 is found
     by shooting: Newton (finite-difference derivative) on
-    F(B0) = u(1/eps) - 1/2.
+    F(B0) = u(1/eps) - 1/2, each F one Taylor-series solve of the amplitude
+    flow (:meth:`msode.CaseSpec.amplitude_expansion` stepped by
+    :func:`integrator.integrate_reference`, the library's one integrator).
 
 Both problems are eps y'' + y' + f(y) = 0 with f(y) = -y resp. y^2, one
 row each of a kind table holding f's polynomial coefficients and the
@@ -245,7 +247,7 @@ def _inner_profile(eps: float, b0: float, xi: np.ndarray) -> np.ndarray:
     a0 = _LEFT - layer.reconstruct(0.0, (0.0, b0), eps)[0]
     points, inverse = np.unique(xi, return_inverse=True)
     traj = integrate_reference(
-        lambda t, ab: layer.amplitude_rhs(t, ab, eps),
+        layer.amplitude_expansion(eps),
         (a0, b0),
         (0.0, float(points[-1]) if points[-1] > 0 else 1.0),
         rtol=1e-10,

@@ -79,18 +79,18 @@ The shipped cases, with what the derivation gives them:
     validity exponent is 2, and ``terms=2`` runs the same flow as
     ``terms=1`` while ``stats`` echo the value asked for.
 
-The direct solve steps by Taylor series read from the acceleration rows
-(:func:`integrate_taylor`): one plan per case lists the distinct products the
-rows form, and each order's coefficients come from Cauchy products.  The
-amplitude flows are integrated with :func:`integrate_reference`, the
-library's Dormand-Prince 8(5,3) stepper with dense output, which reproduces
-scipy's DOP853 bit for bit without importing scipy.  Complex amplitudes are
-evolved as pairs of reals so one real-valued integrator serves every case.
+The direct solve and the amplitude flows both step by Taylor series with
+:func:`integrate_reference`, the library's one integrator.  Each flow is a
+polynomial system y' = P(y), and one plan (:func:`_taylor_plan`) lists the
+distinct products P's rows form, so each order's coefficients come from
+Cauchy products (:func:`_expansion`).  The direct solve's rows are x' = v
+and the accelerations.  An amplitude flow's rows are each rate row times
+A_j; complex amplitudes are expanded over the series of A and conj(A) and
+handed to the integrator as pairs of reals.
 """
 
 from __future__ import annotations
 
-import bisect
 import copy
 import functools
 import math
@@ -101,9 +101,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import SolverError  # re-exported: callers catch it as msode.SolverError
-# Trajectory and integrate_reference are re-exported
-from .integrator import (STEP_TOO_SMALL, Trajectory, checked_problem, integrate_reference,
-                         min_step, taylor_order, taylor_step)
+# Trajectory is re-exported; integrate_reference is called through this
+# module's global, so replacing the attribute intercepts every solve
+from .integrator import Trajectory, integrate_reference
 
 
 @dataclass(frozen=True)
@@ -156,14 +156,16 @@ def _evaluate(grouped: tuple, values: list) -> list:
     return sums
 
 
-def _taylor_plan(grouped: tuple, n_state: int) -> tuple:
-    """The Cauchy products the Taylor solve forms, read off the grouped rows.
+def _taylor_plan(grouped: tuple) -> tuple:
+    """The Cauchy products a Taylor solve of y' = P(y) forms, read off P's
+    grouped rows, one group per component of y.
 
-    Series 0 .. n_state - 1 are the state's and series n_state is the
-    constant 1.  Each product after them is (series a, state series b), one
-    per distinct product: y y, then (y y) y.  Returns (products, terms), with
-    terms per output its rows as (coefficient, eps power, series).
+    Series 0 .. n - 1 are y's and series n is the constant 1.  Each product
+    after them is (series a, state series b), one per distinct product: y y,
+    then (y y) y.  Returns (products, terms), with terms per component its
+    rows as (coefficient, eps power, series).
     """
+    n_state = len(grouped)
     index = {(i,): i for i in range(n_state)}
     index[()] = n_state
     products, terms = [], []
@@ -178,6 +180,45 @@ def _taylor_plan(grouped: tuple, n_state: int) -> tuple:
             out.append((coef, sum(n for i, n in factors if i < 0), index[key]))
         terms.append(tuple(out))
     return tuple(products), tuple(terms)
+
+
+def _expansion(plan: tuple, eps: float, pairs: bool = False) -> Callable:
+    """``expand(y, order)`` of y' = P(y) for :func:`integrate_reference`.
+
+    ``plan`` is P's :func:`_taylor_plan`.  The coefficients come order by
+    order from y_{k+1} = P(y)_k / (k + 1), with P(y)_k read off the rows
+    through the plan's Cauchy products, in flat lists that live across steps.
+    With ``pairs`` the series are those of the complex A and conj(A), while y
+    holds (Re A, Im A) and the coefficients returned are y's.
+    """
+    products, terms = plan
+    n = len(terms)
+    series = [[] for _ in range(n + 1 + len(products))]
+    cauchy = [(series[slot], series[a], series[b]) for slot, (a, b) in enumerate(products, n + 1)]
+    flows = [(s, [(coef * eps**p, series[m]) for coef, p, m in rows])
+             for s, rows in zip(series, terms)]
+
+    def expand(y, order):
+        start = y.tolist()
+        if pairs:
+            start = [complex(re, im) for re, im in zip(start[:n // 2], start[n // 2:])]
+            start += [a.conjugate() for a in start]
+        for s, c in zip(series, start + [1.0]):
+            s[:] = [c]
+        series[n] += [0.0] * order
+        for s in series[n + 1:]:
+            s.clear()
+        for k in range(order):
+            for out, a, b in cauchy:
+                out.append(sum(map(operator.mul, a, reversed(b))))
+            for s, rows in flows:
+                s.append(sum([c * t[k] for c, t in rows]) / (k + 1))
+        if not pairs:
+            return np.array(series[:n]).T
+        c = np.array(series[:n // 2]).T
+        return np.concatenate([c.real, c.imag], axis=1)
+
+    return expand
 
 
 def _det(m: list):
@@ -326,20 +367,37 @@ class CaseSpec:
                                           *_operators(self.accelerations, self.n_components))
         if any(any(key[n:]) for *_, key, _ in carriers):
             raise ValueError(f"case {self.name}: a carrier holds conj(A), which the rows cannot")
-        accel_rows = _group_rows(self.accelerations, self.n_components)
+        nc, dim = self.n_components, self.state_dim
+        # x' = v, then the accelerations, as rows of the first-order system
+        velocities = tuple((i, 1.0, 0, tuple(int(j == nc + i) for j in range(dim)))
+                           for i in range(nc))
+        direct_rows = _group_rows(velocities + tuple((nc + out, coef, p, powers) for out, coef, p,
+                                                     powers in self.accelerations), dim)
         self.__dict__.update(
             real_amplitudes=all(complex(lam).imag == 0 for *_, lam in self.modes),
-            _accel_rows=accel_rows,
-            _taylor_plan=_taylor_plan(accel_rows, self.state_dim),
+            _direct_rows=direct_rows,
+            _direct_plan=_taylor_plan(direct_rows),
         )
         self._set_tables(tuple(rates), self.modes + tuple((i, c, p, key[:n], lam)
                                                           for i, c, p, key, lam in carriers))
 
     def _set_tables(self, rate_terms: tuple, carrier_terms: tuple) -> CaseSpec:
         """Set the rate and carrier rows and what is read off them; returns the case."""
+        n = self.n_amplitudes
+        # dA_j/dt = rate_j A_j over the series of A, and for complex
+        # amplitudes over those of conj(A) after them, with conjugate rows
+        flow = []
+        for j, coef, p, powers in rate_terms:
+            own = tuple(e + (i == j) for i, e in enumerate(powers))
+            if self.real_amplitudes:
+                flow.append((j, coef, p, own))
+            else:
+                flow += [(j, coef, p, own + powers), (n + j, coef.conjugate(), p, powers + own)]
         self.__dict__.update(rate_terms=rate_terms, carrier_terms=carrier_terms,
                              validity_exponent=1 + max((row[2] for row in rate_terms), default=0),
-                             _rate_rows=_group_rows(rate_terms, self.n_amplitudes))
+                             _rate_rows=_group_rows(rate_terms, n),
+                             _amplitude_plan=_taylor_plan(_group_rows(
+                                 flow, n if self.real_amplitudes else 2 * n)))
         return self
 
     def truncated(self, terms: int) -> CaseSpec:
@@ -371,9 +429,18 @@ class CaseSpec:
 
     def original_rhs(self, t, state, eps):
         """(positions, velocities)' = (velocities, accelerations)."""
-        x = np.asarray(state).tolist() + [eps]
-        accelerations = _evaluate(self._accel_rows, x)
-        return np.array(x[len(accelerations):-1] + accelerations)
+        return np.array(_evaluate(self._direct_rows, np.asarray(state).tolist() + [eps]))
+
+    def direct_expansion(self, eps) -> Callable:
+        """``expand`` of the case's equation, over (positions, velocities),
+        for :func:`integrate_reference`."""
+        return _expansion(self._direct_plan, eps)
+
+    def amplitude_expansion(self, eps) -> Callable:
+        """``expand`` of the amplitude flow dA/dt = rate(A) A, over the
+        amplitudes as reals (real and imaginary parts of complex ones), for
+        :func:`integrate_reference`."""
+        return _expansion(self._amplitude_plan, eps, pairs=not self.real_amplitudes)
 
     def rate(self, amps, eps):
         """rate_j in dA_j/dt = rate_j A_j."""
@@ -506,113 +573,19 @@ def integrate_amplitude(
 ) -> Trajectory:
     """Evolve the slow amplitudes; samples are complex with shape (n_t, n_amp).
 
+    Stepped by :func:`integrate_reference` on
+    :meth:`CaseSpec.amplitude_expansion`, at the order min(rtol, atol) gives.
     Samples at ``t_eval``, by default ``[t_span[1]]`` as in
     :func:`integrate_reference`.  Where the rate is constant along the flow,
     :meth:`CaseSpec.amplitude_closed_form` gives the same path in closed form,
     a reference for checks of this one.
     """
-    amps0 = np.asarray(amps0)
-
-    def rhs(t, vec):
-        return _amps_to_real(case, case.amplitude_rhs(t, _real_to_amps(case, vec), eps))
-
-    traj = integrate_reference(rhs, _amps_to_real(case, amps0), t_span, rtol, atol, t_eval)
+    traj = integrate_reference(case.amplitude_expansion(eps), _amps_to_real(case, amps0),
+                               t_span, rtol, atol, t_eval)
     samples = _real_to_amps(case, traj.y.T).T
     meta = dict(traj.meta)
     meta.update(eps=eps, case=case.name)
     return Trajectory(t=traj.t, y=samples.astype(complex), meta=meta)
-
-
-def integrate_taylor(
-    case: CaseSpec,
-    y0,
-    t_span: tuple[float, float],
-    eps: float,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-    t_eval=None,
-) -> Trajectory:
-    """The direct solve of the case's equation, stepped by Taylor series
-    (Corliss & Chang, ACM TOMS 8, 1982; Jorba & Zou, Exp. Math. 14, 2005).
-
-    Each step expands the state about its start to the order
-    :func:`integrator.taylor_order` gives at min(rtol, atol).  The
-    coefficients come order by order from x_{k+1} = v_k / (k + 1),
-    v_{k+1} = a_k / (k + 1), with a_k read off the acceleration rows through
-    the case's Cauchy products, in flat lists.  The step is
-    :func:`integrator.taylor_step`'s: 0.9 min over k in {N - 1, N} of
-    (tol_y / |c_k|)^(1/k), with tol_y = atol + rtol max|y| and |c_k| the
-    largest component of the k-th coefficient, capped inside the series'
-    radius at tolerances near 1.  Samples at ``t_eval`` (default
-    ``[t_span[1]]``) come after the last step from one Horner pass over the
-    steps that cover them.
-
-    Inputs are checked as :func:`integrate_reference` checks them.  ``meta``
-    records the steps (``n_steps``), those that cover samples (``n_dense``),
-    the order and the tolerances.  Raises :class:`SolverError` naming t when
-    a coefficient is not finite or the step falls under ten times the
-    spacing of doubles at t, as it does at a finite-time blow-up.
-    """
-    y, (t, t_bound), t_eval, rtol_used = checked_problem(y0, t_span, rtol, atol, t_eval)
-    order = taylor_order(min(rtol, atol))
-    products, terms = case._taylor_plan
-    n, nc = case.state_dim, case.n_components
-    # the series lists live across steps; each step refills them from order 0
-    series = [[] for _ in range(n)] + [[1.0] + [0.0] * order] + [[] for _ in products]
-    state, fill = series[:n], series[:n] + series[n + 1:]
-    cauchy = [(series[slot], series[a], series[b]) for slot, (a, b) in enumerate(products, n + 1)]
-    velocity = list(zip(state[:nc], state[nc:]))
-    acceleration = [(v, [(coef * eps**p, series[m]) for coef, p, m in rows])
-                    for v, rows in zip(state[nc:], terms)]
-    t_list = t_eval.tolist()
-    y = y.tolist()
-    n_eval = n_steps = 0
-    dense = []  # per step that covers samples: (their number, t_old, coefficients)
-    while t < t_bound:
-        for s in fill:
-            s.clear()
-        for s, c in zip(state, y):
-            s.append(c)
-        for k in range(order):
-            for out, a, b in cauchy:
-                out.append(sum(map(operator.mul, a, reversed(b))))
-            for x, v in velocity:
-                x.append(v[k] / (k + 1))
-            for v, rows in acceleration:
-                v.append(sum([c * s[k] for c, s in rows]) / (k + 1))
-        tops = [[abs(s[k]) for s in state] for k in (order - 1, order)]
-        if not math.isfinite(sum(map(sum, tops))):
-            raise SolverError(f"direct solve failed at t={t}: a Taylor coefficient "
-                              f"is not finite (steps={n_steps})")
-        h = taylor_step(list(map(max, tops)), order, atol + rtol_used * max(map(abs, y)),
-                        rtol_used)
-        if h < min_step(t):
-            raise SolverError(f"direct solve failed at t={t}: {STEP_TOO_SMALL} (steps={n_steps})")
-        t_old, t = t, min(t + h, t_bound)
-        h = t - t_old
-        y = []
-        for s in state:
-            acc = s[order]
-            for c in s[order - 1::-1]:
-                acc = acc * h + c
-            y.append(acc)
-        n_steps += 1
-        n_new = bisect.bisect_right(t_list, t, n_eval)
-        if n_new > n_eval:
-            dense.append((n_new - n_eval, t_old, [list(s) for s in state]))
-            n_eval = n_new
-    meta = {"n_steps": n_steps, "n_dense": len(dense), "order": order,
-            "rtol": rtol, "atol": atol}
-    samples = np.zeros((len(t_eval), n))
-    if dense:
-        counts, t_olds, coefs = zip(*dense)
-        step = np.repeat(np.arange(len(dense)), counts)  # the step that covers each sample
-        s = (t_eval - np.asarray(t_olds)[step])[:, None]
-        coefs = np.asarray(coefs).transpose(2, 0, 1)  # (order + 1, steps, n)
-        samples = coefs[order][step]
-        for c in coefs[order - 1::-1]:
-            samples = samples * s + c[step]
-    return Trajectory(t=t_eval.copy(), y=samples, meta=meta)
 
 
 def fit_initial_amplitudes(case: CaseSpec, ics, eps: float) -> np.ndarray:
@@ -752,10 +725,11 @@ def compare(
 ) -> RunReport:
     """Run the direct and multiscale paths on a shared grid and record errors.
 
-    The direct path is :func:`integrate_taylor` on the full case, and
-    ``stats["direct_steps"]`` counts its steps.  The horizon is
-    :func:`resolve_horizon`'s, from the full case; the fit, the amplitude
-    flow and the reconstruction use ``case.truncated(terms)``.
+    The direct path is :func:`integrate_reference` on the full case's
+    :meth:`CaseSpec.direct_expansion`, and ``stats["direct_steps"]`` counts
+    its steps; ``stats["amplitude_steps"]`` counts the amplitude flow's.
+    The horizon is :func:`resolve_horizon`'s, from the full case; the fit,
+    the amplitude flow and the reconstruction use ``case.truncated(terms)``.
     The output grid always holds ``n_samples`` uniform points so error norms
     are comparable across eps.
     ``l2_error`` is the RMS of the pointwise euclidean error norm.
@@ -770,7 +744,8 @@ def compare(
 
     # the fit checks len(ics), so it runs before the costly direct solve
     amps0 = fit_initial_amplitudes(flow, ics, eps)
-    direct = integrate_taylor(case, ics, (0.0, horizon), eps, rtol, atol, t_eval=grid)
+    direct = integrate_reference(case.direct_expansion(eps), ics, (0.0, horizon), rtol, atol,
+                                 t_eval=grid)
     y_direct = direct.y[:, : case.n_components].T
 
     amp_traj = integrate_amplitude(flow, amps0, (0.0, horizon), eps, rtol, atol, t_eval=grid)
@@ -779,7 +754,7 @@ def compare(
     err = np.abs(y_direct - y_ms)
     stats = {
         "direct_steps": direct.meta["n_steps"],
-        "nfev_amplitude": amp_traj.meta.get("nfev"),
+        "amplitude_steps": amp_traj.meta["n_steps"],
         "terms": terms,
         "rtol": rtol,
         "atol": atol,

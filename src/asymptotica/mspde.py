@@ -49,8 +49,8 @@ cubic_klein_gordon
 
 Direct reference solutions come from a Fourier pseudospectral first-order
 system in transform space, stepped by Taylor series (:func:`_solve_direct`,
-as :func:`msode.integrate_taylor` steps the ODE catalog, with the order and
-step rule of :mod:`integrator`).  The state is the dealiased band itself,
+through :func:`integrator.integrate_reference`, the stepper of every ODE
+solve as well).  The state is the dealiased band itself,
 the rfft modes 0..K of u and u_t with (p + 1) K < n, so the products u^p
 taken on the n-point grid are exactly alias-free (the 2/3 rule for quadratic
 terms, the 1/2 rule for cubic ones), and the modes above K, which no
@@ -81,7 +81,6 @@ its spectrum has no floor above them.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass, field, replace
@@ -89,8 +88,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import SolverError
-from .integrator import STEP_TOO_SMALL, checked_problem, min_step, taylor_order, taylor_step
+from .integrator import integrate_reference, taylor_order
 from .msode import RunReport, multiple_scales
 from .series import derivative, horner
 
@@ -453,58 +451,34 @@ def _solve_direct(
     projection of u0, which differs from u0 at roundoff for the periodic
     :func:`gaussian_packet` start.
 
-    Each step expands the state about its start by
-    :func:`_taylor_coefficients` to the order :func:`integrator.taylor_order`
-    gives at min(rtol, atol / max|u0|): atol counts relative to the starting
-    field, so the order does not change with the amplitude when atol scales
-    with it, as :func:`packet_compare`'s does, and a loose rtol alone does
-    not lower it.  The step is :func:`integrator.taylor_step`'s, with |c_k|
-    the largest real or imaginary part in the k-th coefficient and
-    tol_y = atol + rtol max|y| over the state's parts.  The snapshots at
-    ``t_eval``, by default ``[t_end]``, are Horner sums of the steps that
-    cover them.  Inputs are checked as
-    :func:`integrator.integrate_reference` checks them.  ``meta`` records ``nfev``, the nonlinear-term evaluations (an irfft and
-    an rfft each, so steps times order), the steps (``n_steps``), those that
-    cover snapshots (``n_dense``), the order and the tolerances.  Raises
-    :class:`SolverError` naming t when a coefficient is not finite or the
-    step falls under ten times the spacing of doubles at t.
+    The band flow is stepped by :func:`integrator.integrate_reference`,
+    expanded about each step's start by :func:`_taylor_coefficients`, to the
+    order :func:`integrator.taylor_order` gives at min(rtol, atol / max|u0|):
+    atol counts relative to the starting field, so the order does not change
+    with the amplitude when atol scales with it, as :func:`packet_compare`'s
+    does, and a loose rtol alone does not lower it.  |c_k| and max|y| are
+    taken over the real and imaginary parts.  ``meta`` is the driver's:
+    ``nfev`` counts the nonlinear-term evaluations (an irfft and an rfft
+    each, so steps times order), then ``n_steps``, ``n_dense``, the order and
+    the tolerances.  Raises :class:`asymptotica.SolverError` as the driver
+    does.
     """
     d = dispersion(kind)
     n = u0.n
     band = _direct_band(n, d.power)
     symbol = d.symbol(_wavenumbers_rfft(u0.length, n)[:band])
     z0 = np.concatenate([np.fft.rfft(u0.u)[:band], np.fft.rfft(u0.ut)[:band]]).view(float)
-    y, (t, t_bound), t_eval, rtol_used = checked_problem(z0, (0.0, t_end), rtol, atol, t_eval)
     size = float(np.max(np.abs(u0.u)))
-    order = taylor_order(min(rtol, atol / size) if size else rtol)
-    t_list = t_eval.tolist()
-    samples = np.zeros((len(t_list), len(y)))
-    n_eval = n_steps = n_dense = 0
-    while t < t_bound:
-        c = list(_taylor_coefficients(y, order, eps, symbol, n, d.power))
-        y_max, *tops = [float(np.max(np.abs(c[k]))) for k in (0, order - 1, order)]
-        if not math.isfinite(sum(tops)):
-            raise SolverError(f"direct solve failed at t={t}: a Taylor coefficient "
-                              f"is not finite (steps={n_steps})")
-        h = taylor_step(tops, order, atol + rtol_used * y_max, rtol_used)
-        if h < min_step(t):
-            raise SolverError(f"direct solve failed at t={t}: {STEP_TOO_SMALL} (steps={n_steps})")
-        t_old, t = t, min(t + h, t_bound)
-        y = horner(c, t - t_old)
-        n_steps += 1
-        n_new = bisect.bisect_right(t_list, t, n_eval)
-        if n_new > n_eval:
-            s = t_eval[n_eval:n_new] - t_old
-            samples[n_eval:n_new] = horner(c, s[:, None])
-            n_eval, n_dense = n_new, n_dense + 1
-    meta = {"nfev": n_steps * order, "n_steps": n_steps, "n_dense": n_dense, "order": order,
-            "rtol": rtol, "atol": atol}
+    traj = integrate_reference(
+        functools.partial(_taylor_coefficients, eps=eps, symbol=symbol, n=n, power=d.power),
+        z0, (0.0, t_end), rtol, atol, t_eval,
+        order=taylor_order(min(rtol, atol / size) if size else rtol))
 
     def field_of(z):
         c = z.view(complex)
         return RealField(u0.length, np.fft.irfft(c[:band], n), np.fft.irfft(c[band:], n))
 
-    return DirectRun(t=t_eval.copy(), fields=[field_of(z) for z in samples], meta=meta)
+    return DirectRun(t=traj.t, fields=[field_of(z) for z in traj.y], meta=traj.meta)
 
 
 # --- envelope solvers -----------------------------------------------------------

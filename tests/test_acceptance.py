@@ -39,8 +39,8 @@ def test_criterion_1_damped_oscillator_table(capfd):
         case = msode.catalog("damped_linear")
         times = np.array([4.0, 40.0, 400.0])
         traj = msode.integrate_reference(
-            case.original_rhs, (1.0, 0.0), (0.0, 400.0), 1e-8, 1e-10,
-            t_eval=times, args=(0.01,),
+            case.direct_expansion(0.01), (1.0, 0.0), (0.0, 400.0), 1e-8, 1e-10,
+            t_eval=times,
         )
         direct = traj.y[:, 0]
         naive = msode.naive_damped_expansion(times, 0.01)

@@ -170,3 +170,18 @@ def test_shooting_solution_outer_variable():
     sol = nonlinear_blayer_multiscale(0.1)
     x = np.linspace(0.0, 1.0, 7)
     assert sol(x) == pytest.approx(sol.inner(x / 0.1))
+
+
+# the iterations and b0 of the shooting at eps 0.01, 0.05, 0.1 and 0.17 as
+# measured before its amplitude flow moved from a Runge-Kutta stepper to the
+# Taylor one; the flow's move shifts b0 by at most 5.2e-10
+@pytest.mark.parametrize("eps, iterations, b0", [
+    (0.01, 4, -1.0090473589465392),
+    (0.05, 4, -1.049329131557429),
+    (0.1, 5, -1.1125894615957452),
+    (0.17, 7, -1.5626481051436654),
+])
+def test_shooting_keeps_its_iterations_and_root(eps, iterations, b0):
+    sol = blayer.nonlinear_blayer_multiscale(eps)
+    assert sol.iterations == iterations
+    assert abs(sol.b0 - b0) <= 1e-9

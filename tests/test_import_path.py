@@ -112,9 +112,9 @@ INTEGRATING = [label for label, _, _ in SHIPPED[5:]]
 
 
 def test_integrating_runs_load_no_scipy_integrate(integrating_runs):
-    # the ODE and packet direct solves step by the library's own Taylor
-    # series, the amplitude flows and the shooting with its own DOP853; the
-    # nonlinear layer's FD reference does not load scipy either
+    # the ODE and packet direct solves, the amplitude flows and the shooting
+    # all step by the library's own Taylor series; the nonlinear layer's FD
+    # reference does not load scipy either
     for stage in INTEGRATING:
         assert integrating_runs[stage]["scipy"] == [], (stage, integrating_runs[stage])
 
