@@ -233,7 +233,7 @@ def _layer_case(f: tuple) -> CaseSpec:
     amplitude equations and reconstruction derived by multiple scales."""
     rows = tuple((0, -float(c), 1, (i, 0)) for i, c in enumerate(f) if c)
     return CaseSpec("nonlinear_layer", (0.0, 0.0), ((0, -1.0, 0, (0, 1)),) + rows,
-                    ((0, 0.5, 0, (1, 0), 0.0), (0, 0.5, 0, (0, 1), -1.0)))
+                    ((0, 0.5, 0, (1, 0, 0, 0), 0.0), (0, 0.5, 0, (0, 1, 0, 0), -1.0)))
 
 
 _LEFT, _RIGHT = _REACTION["nonlinear"][1]

@@ -9,8 +9,8 @@ solution.
   coefficient eps^p prod_i s_i^{n_i}.  The state is positions, then
   velocities, so the position rows x' = v follow from the layout.  The
   eps^0 rows are linear: x'' = -K x - C x', with L(lam) = lam^2 I + lam C + K.
-* ``modes``: the eps^0 carrier rows (component, coefficient, 0, unit
-  amplitude powers, carrier exponent lam), each lam a root of det L.
+* ``modes``: the eps^0 carrier rows (:data:`CarrierTerm`), each of one
+  unit power of one A_j and no conj(A) power, each lam a root of det L.
 * ``order``: the eps power the rate is derived through, 2 unless declared.
 
 Derived from them, once per case, by :func:`multiple_scales`:
@@ -19,15 +19,15 @@ Derived from them, once per case, by :func:`multiple_scales`:
   |A_i|^2, or over A_i for real amplitudes) of the amplitude rate, through
   eps^order; every flow has the form dA_j/dt = rate_j A_j.
   :meth:`CaseSpec.truncated` keeps the rows with p <= terms.
-* ``carrier_terms``: the modes, then the correction rows (component,
-  coefficient, eps power, amplitude powers, lam) through eps^(order - 1); the
-  reconstruction is y = 2 Re of their sum.
+* ``carrier_terms``: the modes, then the correction rows through
+  eps^(order - 1), all :data:`CarrierTerm` rows as the derivation returns
+  them; the reconstruction is y = 2 Re of their sum.
 
-A declaration the derivation cannot serve raises ``ValueError``: a mode
-exponent that is not a root of det L, a resonant term that is not A_j times
-a rate monomial, a resonant term below eps^order of a coupled system, and a
-carrier that holds conj(A).  The catalog declares each case on its first
-lookup, so importing the module derives nothing.
+A declaration the derivation cannot serve raises ``ValueError`` naming the
+case: a mode exponent that is not a root of det L, a resonant term that is
+not A_j times a rate monomial, and a resonant term below eps^order of a
+coupled system.  The catalog declares each case on its first lookup, so
+importing the module derives nothing.
 
 One evaluator reads the accelerations and the rate rows.  It multiplies each
 row's coefficient by eps, p times, then by the powers in index order, and
@@ -36,10 +36,11 @@ are picked out once per case.
 
 Also derived, for every case: the sizes (the state dimension is
 ``len(default_ics)``, so half of it is the number of oscillator components;
-the number of amplitudes is the length of a mode's amplitude powers), the
+the number of amplitudes is half the length of a mode's powers), the
 original right hand side, the
 rate, the amplitude-equation right hand side, the reconstruction map, its
-time derivative (product rule along the amplitude flow) and the
+time derivative (product rule along the amplitude flow, with
+d conj(A_j)/dt = conj(rate_j) conj(A_j)) and the
 initial-amplitude fit (Newton on the reconstruction and its time derivative
 at t=0).  The amplitudes are real when every mode's lam is real.  The
 validity exponent is 1 + the highest eps power among the rate rows: rates
@@ -127,9 +128,12 @@ class RunReport:
 # (output, coefficient, eps power p, exponents n): adds coefficient eps^p
 # prod_i x_i^{n_i} to the output, an acceleration or an amplitude's rate.
 PolynomialRow = tuple[int, complex, int, tuple[int, ...]]
-# (component, coefficient, eps power p, amplitude powers n, carrier exponent
-# lam): adds coefficient eps^p prod_j A_j^{n_j} e^{lam t} inside 2 Re(...).
-CarrierTerm = tuple[int, float, int, tuple[int, ...], complex]
+# The library's one carrier row, for the ODE catalog and the packets alike:
+# (component, coefficient, eps power p, powers n over A_1..A_N then over
+# conj(A_1)..conj(A_N), carrier exponent lam) adds
+# coefficient eps^p prod_j A_j^{n_j} conj(A_j)^{n_{N+j}} e^{lam t} inside
+# 2 Re(...), and lam is sum_j (n_j lam_j + n_{N+j} conj(lam_j)).
+CarrierTerm = tuple[int, complex, int, tuple[int, ...], complex]
 
 
 def _group_rows(rows: tuple[PolynomialRow, ...], n_outputs: int) -> tuple:
@@ -243,7 +247,7 @@ def multiple_scales(rows, modes, order, operator, slope):
     multiple scales (Nayfeh, *Perturbation Methods*, 1973, ch. 4).
 
     The field is x = x_0 + eps x_1 + ..., with x_0 the ``modes``, the eps^0
-    carrier rows (component, coefficient, 0, unit amplitude powers, lam), and
+    carrier rows (:data:`CarrierTerm`, one unit power of A_j each), and
     each x_k a sum of monomials in A_j and conj(A_j), keyed by their powers
     (of A, then of conj(A), then of eps).  d/dt acts along
     dA_j/dt = rate_j A_j, rate_j = sum_k eps^k r_jk.  Order k takes the
@@ -260,11 +264,10 @@ def multiple_scales(rows, modes, order, operator, slope):
     ``operator(key, lam)`` is L for a monomial, ``slope(lam)`` is L'.  Returns
     the rate rows through eps^order, (amplitude, coefficient, eps power,
     exponents over |A_i|^2, or over A_i if real), and the carrier rows from
-    eps^1 to eps^(order - 1), (component, coefficient, eps power, powers of
-    A and conj(A), lam), one of each conjugate pair and the self-conjugate
-    ones halved, as inside 2 Re(...).
+    eps^1 to eps^(order - 1) as :data:`CarrierTerm` rows, one of each
+    conjugate pair and the self-conjugate ones halved, as inside 2 Re(...).
     """
-    n, nc = len(modes[0][3]), len(rows[0][3]) // 2
+    n, nc = len(modes[0][3]) // 2, len(rows[0][3]) // 2
     real = all(complex(lam).imag == 0 for *_, lam in modes)
     lams = [next(lam for *_, powers, lam in modes if powers[j]) for j in range(n)]
     lams += [lam.conjugate() for lam in lams]  # conj(A_j)'s
@@ -297,8 +300,8 @@ def multiple_scales(rows, modes, order, operator, slope):
 
     x = [{} for _ in range(nc)]
     for comp, coef, _, powers, _ in modes:
-        add(x[comp], tuple(powers) + (0,) * (n + 1), coef)
-        add(x[comp], conj(tuple(powers) + (0,) * (n + 1)), coef.conjugate())
+        add(x[comp], tuple(powers) + (0,), coef)
+        add(x[comp], conj(tuple(powers) + (0,)), coef.conjugate())
     for unit, lam in zip(units, lams):
         if _det(operator(unit, lam)) != 0:
             raise ValueError(f"carrier exponent {lam} is not a mode of the eps^0 equation")
@@ -362,11 +365,11 @@ class CaseSpec:
     exact: Optional[Callable] = None  # (t, eps) -> components
 
     def __post_init__(self):  # derived once per case, through __dict__ since the class is frozen
-        n = self.n_amplitudes
-        rates, carriers = multiple_scales(self.accelerations, self.modes, self.order,
-                                          *_operators(self.accelerations, self.n_components))
-        if any(any(key[n:]) for *_, key, _ in carriers):
-            raise ValueError(f"case {self.name}: a carrier holds conj(A), which the rows cannot")
+        try:
+            rates, carriers = multiple_scales(self.accelerations, self.modes, self.order,
+                                              *_operators(self.accelerations, self.n_components))
+        except ValueError as error:
+            raise ValueError(f"case {self.name}: {error}") from None
         nc, dim = self.n_components, self.state_dim
         # x' = v, then the accelerations, as rows of the first-order system
         velocities = tuple((i, 1.0, 0, tuple(int(j == nc + i) for j in range(dim)))
@@ -378,8 +381,7 @@ class CaseSpec:
             _direct_rows=direct_rows,
             _direct_plan=_taylor_plan(direct_rows),
         )
-        self._set_tables(tuple(rates), self.modes + tuple((i, c, p, key[:n], lam)
-                                                          for i, c, p, key, lam in carriers))
+        self._set_tables(tuple(rates), self.modes + tuple(carriers))
 
     def _set_tables(self, rate_terms: tuple, carrier_terms: tuple) -> CaseSpec:
         """Set the rate and carrier rows and what is read off them; returns the case."""
@@ -416,7 +418,7 @@ class CaseSpec:
 
     @property
     def n_amplitudes(self) -> int:
-        return len(self.modes[0][3])
+        return len(self.modes[0][3]) // 2
 
     @property
     def rate_conserved(self) -> bool:
@@ -463,12 +465,15 @@ class CaseSpec:
         return self._carrier_sum(t, amps, eps)
 
     def reconstruct_dt(self, t, amps, eps):
-        """Product rule along the flow: d(A_j^n)/dt = n rate_j A_j^n."""
+        """Product rule along the flow: d(A_j^n)/dt = n rate_j A_j^n, and
+        d(conj(A_j)^n)/dt = n conj(rate_j) conj(A_j)^n."""
         return self._carrier_sum(t, amps, eps, self.rate(amps, eps))
 
     def _carrier_sum(self, t, amps, eps, rates=None):
         t = np.asarray(t, dtype=float)
         sums = [0.0] * self.n_components
+        amps = [*amps, *(a.conjugate() for a in amps)]
+        rates = None if rates is None else [*rates, *(r.conjugate() for r in rates)]
         for comp, coef, p, powers, lam in self.carrier_terms:
             monomial = math.prod(a**n for a, n in zip(amps, powers) if n)
             term = coef * eps**p * np.exp(lam * t) * monomial
@@ -505,21 +510,21 @@ _CATALOG: dict[str, dict] = {
         default_ics=(1.0, 0.0),
         # y'' = -y - eps y'
         accelerations=((0, -1.0, 0, (1, 0)), (0, -1.0, 1, (0, 1))),
-        modes=((0, 1.0, 0, (1,), 1j),),  # y = A e^{it} + c.c.
+        modes=((0, 1.0, 0, (1, 0), 1j),),  # y = A e^{it} + c.c.
         exact=_damped_linear_exact,
     ),
     "cubic": dict(
         default_ics=(1.0, 0.0),
         # y'' = -y + eps y^3
         accelerations=((0, -1.0, 0, (1, 0)), (0, 1.0, 1, (3, 0))),
-        modes=((0, 1.0, 0, (1,), 1j),),
+        modes=((0, 1.0, 0, (1, 0), 1j),),
     ),
     "quadratic_damped": dict(
         default_ics=(1.0, 1.0),
         # y'' = -y' - eps y^2
         accelerations=((0, -1.0, 0, (0, 1)), (0, -1.0, 1, (2, 0))),
         # y = A + B e^{-t}, halved inside 2 Re(...)
-        modes=((0, 0.5, 0, (1, 0), 0.0), (0, 0.5, 0, (0, 1), -1.0)),
+        modes=((0, 0.5, 0, (1, 0, 0, 0), 0.0), (0, 0.5, 0, (0, 1, 0, 0), -1.0)),
     ),
     "coupled_cubic": dict(
         # the eps = 0 state of A = B = 0.3
@@ -529,8 +534,8 @@ _CATALOG: dict[str, dict] = {
                        (0, 1.0, 1, (1, 2, 0, 0)), (1, -3.0, 0, (0, 1, 0, 0)),
                        (1, 2.0, 0, (1, 0, 0, 0)), (1, 1.0, 1, (2, 1, 0, 0))),
         # x = A e^{-it} + B e^{-2it} + c.c., y = A e^{-it} - 2B e^{-2it} + c.c.
-        modes=((0, 1.0, 0, (1, 0), -1j), (0, 1.0, 0, (0, 1), -2j),
-               (1, 1.0, 0, (1, 0), -1j), (1, -2.0, 0, (0, 1), -2j)),
+        modes=((0, 1.0, 0, (1, 0, 0, 0), -1j), (0, 1.0, 0, (0, 1, 0, 0), -2j),
+               (1, 1.0, 0, (1, 0, 0, 0), -1j), (1, -2.0, 0, (0, 1, 0, 0), -2j)),
         order=1,
     ),
 }
@@ -619,11 +624,7 @@ def fit_initial_amplitudes(case: CaseSpec, ics, eps: float) -> np.ndarray:
     # eps = 0: the reconstruction is linear, so one Newton step is exact
     vec = np.zeros(n_real)
     base = residual(vec, 0.0)
-    lin = np.empty((case.state_dim, n_real))
-    for j in range(n_real):
-        unit = np.zeros(n_real)
-        unit[j] = 1.0
-        lin[:, j] = residual(unit, 0.0) - base
+    lin = np.stack([residual(unit, 0.0) - base for unit in np.eye(n_real)], axis=1)
     vec = np.linalg.solve(lin, -base)
     if eps == 0.0:
         return _real_to_amps(case, vec)
@@ -685,8 +686,10 @@ def resolve_horizon(
 
     Raises ValueError unless exactly one is given, when eps = 0 meets a
     nonzero exponent, when the exponent exceeds the case's validity exponent
-    + 1 or an explicit horizon exceeds eps^-(validity_exponent+1), and when
-    the horizon is above ``MAX_HORIZON``.  Nothing is computed, so callers
+    + 1 or an explicit horizon exceeds eps^-(validity_exponent+1), when the
+    horizon is not positive (an explicit one, or eps**(-horizon_exponent) of
+    a negative eps to an odd power or underflowed to 0), and when it is
+    above ``MAX_HORIZON``.  Nothing is computed, so callers
     can check a whole eps sweep before running any of it.
     """
     if (horizon is None) == (horizon_exponent is None):
@@ -707,6 +710,8 @@ def resolve_horizon(
         raise ValueError(
             f"horizon {horizon} exceeds eps^-(validity_exponent+1) = {limit}"
         )
+    if not horizon > 0:
+        raise ValueError(f"horizon {horizon} at eps {eps} is not positive")
     if horizon > MAX_HORIZON:
         raise ValueError(f"horizon {horizon} is above the budget of {MAX_HORIZON}")
     return horizon

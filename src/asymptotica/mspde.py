@@ -11,9 +11,11 @@ with the detuning D(h) in place of the ODE's L
 
     A_t = -omega' A_x + i beta A_xx + i gamma |A|^2 A,   beta = omega''(k)/2,
 
-and its carrier terms (coefficient, eps power, powers of A and conj(A),
-harmonic h): the field is u = 2 Re of their sum, the highest eps power is
-the highest reconstruction order, and u_t follows by the product rule.
+and its carrier rows, the ODE catalog's rows (:data:`msode.CarrierTerm`)
+with one component: a row of powers (m, n) over A and conj(A) carries the
+harmonic e^{i h theta}, h = m - n, and its exponent is h times the mode's
+-i omega.  The field is u = 2 Re of their sum, the highest eps power is the
+highest reconstruction order, and u_t follows by the product rule.
 For odd p, u0^p with u0 = A e^{i theta} + c.c. forces e^{i theta} at first
 order, so gamma = eps F/(2 omega) with F the coefficient of |A|^2 A there,
 and the field is u0.  For even p, u0^p has only non-resonant harmonics; each
@@ -165,16 +167,17 @@ class Dispersion:
         non-resonant, harmonics, and F comes from p u0^{p-1} u1.  So no rate
         below the top order feeds back into the derivation, and the stand-in
         L' changes nothing but the scale of the top one.  The
-        carriers (coefficient, eps power, m, n, h) are those of u0 and u1
-        with h >= 0, the h = 0 term halved inside u = 2 Re(...).  Derived once
+        carriers are the mode, then the derivation's rows
+        (:data:`msode.CarrierTerm`), those of u1, with h = m - n >= 0, the
+        h = 0 term halved inside u = 2 Re(...), sorted by eps power and then h,
+        which fixes the order the reconstruction sums them in.  Derived once
         per model and k.
         """
-        mode = (0, 1.0, 0, (1,), complex(0.0, -float(self.omega(k))))
+        mode = (0, 1.0, 0, (1, 0), complex(0.0, -float(self.omega(k))))
         (rate,), rows = multiple_scales(
             ((0, 1.0, 1, (self.power, 0)),), (mode,), self.max_order + 1,
             lambda key, lam: [[self.detuning(k, key[0] - key[1])]], lambda lam: [[1.0]])
-        rows = sorted(rows, key=lambda row: (row[2], row[3][0] - row[3][1]))  # by order, then h
-        return rate[1], ((1.0, 0, 1, 0, 1), *((c, p, m, n, m - n) for _, c, p, (m, n), _ in rows))
+        return rate[1], (mode, *sorted(rows, key=lambda row: (row[2], row[3][0] - row[3][1])))
 
 
 _DISPERSIONS = {
@@ -265,7 +268,7 @@ def _amplitude_limits(d: Dispersion, eps: float, k: float) -> tuple[float, float
     """
     with np.errstate(divide="ignore", over="ignore"):  # eps 0 or subnormal: no limit
         weak = float(np.float64(abs(eps)) ** (-1.0 / (d.power - 1)))
-    field_bound = 2.0 * sum(abs(carrier[0]) for carrier in d.harmonic_balance(k)[1])
+    field_bound = 2.0 * sum(abs(carrier[1]) for carrier in d.harmonic_balance(k)[1])
     finite = (np.finfo(float).max / MAX_GRID) ** (1.0 / (d.power + 1)) / field_bound
     return weak, finite
 
@@ -571,8 +574,10 @@ def reconstruct_field(fld: WavePacketField, t: float, order: int) -> RealField:
     """Real field and its exact time derivative from the envelope at time t.
 
     u = 2 Re of the sum of the carriers (:meth:`Dispersion.harmonic_balance`)
-    whose eps power is at most ``order``; u_t by the product rule, with A_t
-    from the envelope equation and d/dt e^{i h theta} = -i h omega e^{i h theta}.
+    whose eps power is at most ``order``, each row's harmonic h = m - n read
+    off its powers (m, n) of A and conj(A); u_t by the product rule, with A_t
+    from the envelope equation and d/dt e^{i h theta} = lam e^{i h theta},
+    lam = -i h omega the row's exponent.
     """
     d = dispersion(fld.kind)
     if order not in range(d.max_order + 1):
@@ -582,15 +587,15 @@ def reconstruct_field(fld: WavePacketField, t: float, order: int) -> RealField:
     a_bar, a_bar_t = np.conj(a), np.conj(a_t)
     phase = np.exp(1j * (fld.k * fld.x - omega * t))
     u = u_t = 0.0
-    for coef, p, m, n, h in d.harmonic_balance(fld.k)[1]:
+    for _, coef, p, (m, n), lam in d.harmonic_balance(fld.k)[1]:
         if p > order:
             continue
-        c = coef * fld.eps**p * phase**h
+        c = coef * fld.eps**p * phase ** (m - n)
         mono = a**m * a_bar**n
         mono_t = (m * a ** max(m - 1, 0) * a_bar**n * a_t
                   + n * a**m * a_bar ** max(n - 1, 0) * a_bar_t)
         u = u + c * mono
-        u_t = u_t + c * (mono_t - 1j * h * omega * mono)
+        u_t = u_t + c * (mono_t + lam * mono)
     return RealField(fld.length, 2.0 * np.real(u), 2.0 * np.real(u_t))
 
 

@@ -121,12 +121,17 @@ def test_malformed_config_is_a_config_error(tmp_path, capsys, subcommand, payloa
         ("blayer", {"kind": "nonlinear", "eps": [0.1, 0.05, 0.18]}),
         ("blayer", {"kind": "linear", "eps": [0.1, 1e-7]}),
         ("ode", {"case": "damped_linear", "eps": [0.1, 0.0], "horizon_exponent": 1}),
+        # eps**-horizon_exponent is negative, then 0: each exited 2 in the
+        # solver after the first member had written its CSV
+        ("ode", {"case": "damped_linear", "eps": [0.5, -0.1], "horizon_exponent": 1}),
+        ("ode", {"case": "damped_linear", "eps": [0.5, 0.1], "horizon_exponent": -400}),
     ],
 )
 def test_bad_sweep_member_fails_before_any_run(tmp_path, capsys, subcommand, payload):
     out = tmp_path / "out"
     code, err = run(tmp_path, subcommand, payload, capsys, out_dir=out)
     assert code == EXIT_CONFIG, err
+    assert err.startswith("error: ") and "Traceback" not in err
     assert list(out.iterdir()) == []
 
 

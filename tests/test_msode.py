@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -268,11 +269,14 @@ def test_derived_sizes_agree_with_the_declaration(name):
         amps = amps.real
     assert np.shape(case.reconstruct(0.0, amps, 0.1))[0] == case.n_components
     assert len(case.rate(amps, 0.1)) == case.n_amplitudes
-    # the declared modes are the eps^0 carrier rows, each of one amplitude
+    # the declared modes are the eps^0 carrier rows, each of one amplitude;
+    # every carrier holds powers over A, then over conj(A)
     assert case.carrier_terms[:len(case.modes)] == case.modes
-    assert all(p == 0 and sum(powers) == 1 for _, _, p, powers, _ in case.modes)
+    n = case.n_amplitudes
+    assert all(p == 0 and sum(powers[:n]) == 1 and not any(powers[n:])
+               for _, _, p, powers, _ in case.modes)
     for comp, _, _, powers, _ in case.carrier_terms:
-        assert len(powers) == case.n_amplitudes
+        assert len(powers) == 2 * n and min(powers) >= 0
         assert 0 <= comp < case.n_components
     for rows, n_outputs, n_exponents in (
         (case.accelerations, case.n_components, case.state_dim),
@@ -386,7 +390,7 @@ def _carrier_exponent_faults(case):
     the eps^0 acceleration rows, so that x'' = M0 x + C0 x' at eps = 0, each
     amplitude's own exponent lam_j (its unit-power carrier) must be a mode,
     det(lam_j^2 I - M0 - lam_j C0) = 0, and every carrier's lam must be
-    sum_j n_j lam_j."""
+    sum_j n_j lam_j over the powers of A, then of conj(A) at conj(lam_j)."""
     n = case.n_components
     m0, c0 = np.zeros((n, n)), np.zeros((n, n))
     for comp, coef, p, powers in case.accelerations:
@@ -398,8 +402,10 @@ def _carrier_exponent_faults(case):
            for *_, powers, lam in case.carrier_terms if sum(powers) == 1}
     faults = [lam for lam in own.values()
               if np.linalg.det(lam**2 * np.eye(n) - m0 - lam * c0) != 0]
+    lams = [own[j] for j in range(case.n_amplitudes)]
+    lams += [np.conj(lam) for lam in lams]
     return faults + [row for row in case.carrier_terms
-                     if row[4] != sum(k * own[j] for j, k in enumerate(row[3]))]
+                     if row[4] != sum(k * lam for k, lam in zip(row[3], lams))]
 
 
 @pytest.mark.parametrize("name", msode.case_names())
@@ -421,7 +427,7 @@ def test_carrier_exponent_typos_are_caught(name, typed, meant):
     assert _carrier_exponent_faults(planted(case, carrier_terms=rows))
     modes = rows[:len(case.modes)]
     if modes != case.modes:
-        with pytest.raises(ValueError, match="not a mode"):
+        with pytest.raises(ValueError, match=f"case {name}: carrier exponent .* is not a mode"):
             dataclasses.replace(case, modes=modes)
 
 
@@ -547,10 +553,11 @@ def _ode_oracle(case, accel):
                                  for out, coef, p, powers in case.rate_terms if out == j))
                 for j in range(n)]
     half = [0] * nc
-    for comp, coef, p, powers, lam in case.carrier_terms:
+    for comp, coef, p, powers, lam in case.carrier_terms:  # powers over A, then conj(A)
         h = int(sympy.nsimplify(_exact(lam) / mu))
-        half[comp] += _exact(coef) * EPS**p * sympy.prod(a**m for a, m in zip(amps, powers)) * Z**h
-    conj = {**dict(zip(amps, bars)), Z: 1 / Z, sympy.I: -sympy.I}
+        half[comp] += (_exact(coef) * EPS**p * Z**h
+                       * sympy.prod(a**m for a, m in zip(amps + bars, powers)))
+    conj = {**dict(zip(amps, bars)), **dict(zip(bars, amps)), Z: 1 / Z, sympy.I: -sympy.I}
     carried = [sympy.expand(2 * s if case.real_amplitudes else s + s.xreplace(conj)) for s in half]
     return (rates, field), (declared, carried)
 
@@ -565,11 +572,50 @@ def _accel_of_rows(rows):
     return accel
 
 
-@pytest.mark.parametrize("name", msode.case_names() + ["nonlinear_layer"])
+def _same_float(value, exact):
+    """value is exact when exact is dyadic, and within one ulp of it otherwise."""
+    if exact.q & (exact.q - 1) == 0:
+        return sympy.Rational(value) == exact
+    return abs(sympy.Rational(value) - exact) <= sympy.Rational(math.ulp(value))
+
+
+def _mismatches(exact, declared):
+    """The monomials (an i among their factors) whose coefficient in
+    ``declared``, built from float rows, is not ``exact``'s by
+    :func:`_same_float`."""
+    a, b = (sympy.expand(e).as_coefficients_dict() for e in (exact, declared))
+    return [m for m in a.keys() | b.keys()
+            if not _same_float(float(b.get(m, 0)), sympy.Rational(a.get(m, 0)))]
+
+
+VAN_DER_POL = msode.CaseSpec(
+    name="van_der_pol",
+    default_ics=(1.0, 0.0),
+    # y'' = -y + eps y' - eps y^2 y'
+    accelerations=((0, -1.0, 0, (1, 0)), (0, 1.0, 1, (0, 1)), (0, -1.0, 1, (2, 1))),
+    modes=((0, 1.0, 0, (1, 0), 1j),),
+    order=2,
+)
+
+# Declared past the orders the catalog ships; their carriers hold conj(A)
+# powers: cubic's and Van der Pol's at eps^2, the quadratic oscillator's
+# 2|A|^2 at eps^1.
+BEYOND = {
+    "cubic_order_3": lambda: dataclasses.replace(catalog("cubic"), order=3),
+    "van_der_pol_order_3": lambda: dataclasses.replace(VAN_DER_POL, order=3),
+    # y'' + y + eps y^2 = 0 (Landau & Lifshitz, Mechanics, section 28)
+    "quadratic_oscillator": lambda: msode.CaseSpec(
+        "quadratic_oscillator", (1.0, 0.0), ((0, -1.0, 0, (1, 0)), (0, -1.0, 1, (2, 0))),
+        ((0, 1.0, 0, (1, 0), 1j),)),
+}
+
+
+@pytest.mark.parametrize("name", msode.case_names() + ["nonlinear_layer", *BEYOND])
 def test_amplitude_equations_follow_from_the_equation(name):
     # the rates through eps^order and the carriers through eps^(order - 1),
     # derived here in sympy from the equation alone, against the rows the
-    # catalog derives in floats; every value is dyadic, so they agree exactly.
+    # catalog derives in floats: exactly where the value is dyadic, and to
+    # one ulp where it is not (the quadratic oscillator's thirds).
     # The nonlinear layer's equation comes from its f row, u'' = -u' - eps f(u).
     if name == "nonlinear_layer":
         f = blayer._REACTION["nonlinear"][0]
@@ -578,21 +624,11 @@ def test_amplitude_equations_follow_from_the_equation(name):
         def accel(x, v, eps):
             return [-v[0] - eps * sum(sympy.Rational(c) * x[0] ** i for i, c in enumerate(f))]
     else:
-        case = catalog(name)
+        case = BEYOND[name]() if name in BEYOND else catalog(name)
         accel = _accel_of_rows(case.accelerations)
     (rates, field), (declared, carried) = _ode_oracle(case, accel)
-    assert [sympy.expand(r - d) for r, d in zip(rates, declared)] == [0] * case.n_amplitudes
-    assert [sympy.expand(f - c) for f, c in zip(field, carried)] == [0] * case.n_components
-
-
-VAN_DER_POL = msode.CaseSpec(
-    name="van_der_pol",
-    default_ics=(1.0, 0.0),
-    # y'' = -y + eps y' - eps y^2 y'
-    accelerations=((0, -1.0, 0, (1, 0)), (0, 1.0, 1, (0, 1)), (0, -1.0, 1, (2, 1))),
-    modes=((0, 1.0, 0, (1,), 1j),),
-    order=2,
-)
+    assert [_mismatches(r, d) for r, d in zip(rates, declared)] == [[]] * case.n_amplitudes
+    assert [_mismatches(f, c) for f, c in zip(field, carried)] == [[]] * case.n_components
 
 
 def test_van_der_pol_rates_are_derived_from_its_declaration():
@@ -608,14 +644,43 @@ def test_van_der_pol_rates_are_derived_from_its_declaration():
     assert sympy.expand(oracle[0] - declared[0]) == 0
 
 
+def test_quadratic_oscillator_frequency_shift():
+    # y'' + y + eps y^2 = 0 turns at 1 - (5/12) eps^2 a^2 at amplitude
+    # a = 2|A| (Landau & Lifshitz, Mechanics, section 28): the rate is
+    # -(5/3) i eps^2 |A|^2, with nothing at eps^1
+    ((j, coef, p, powers),) = BEYOND["quadratic_oscillator"]().rate_terms
+    assert (j, p, powers) == (0, 2, (1,))
+    assert complex(coef) == -5j / 3
+
+
+@pytest.mark.parametrize("name", ["cubic_order_3", "van_der_pol_order_3"])
+def test_third_order_declarations_converge_at_third_order(name):
+    # rates through eps^3 and carriers through eps^2 leave a gap of eps^3 to
+    # t = 1/eps; at order 2 the same cases fall at a slope of about 2
+    case = BEYOND[name]()
+    errors = [compare(case, eps, 1, rtol=1e-12, atol=1e-14, terms=3).max_abs_error
+              for eps in (0.1, 0.05, 0.025)]
+    slopes = np.log2(np.divide(errors[:-1], errors[1:]))
+    assert np.all(slopes >= 2.8), slopes
+
+
 def test_resonance_off_the_rate_form_is_refused():
     # x'' + x = eps y^2, y'' + y/4 = 0: y's carrier e^{it/2} squared is x's
     # own e^{it}, so B^2 forces x's mode, and B^2 is not A times a rate
-    with pytest.raises(ValueError, match="not of rate form"):
+    with pytest.raises(ValueError, match="case one_to_two: resonant term .* is not of rate form"):
         msode.CaseSpec("one_to_two", (1.0, 1.0, 0.0, 0.0),
                        ((0, -1.0, 0, (1, 0, 0, 0)), (0, 1.0, 1, (0, 2, 0, 0)),
                         (1, -0.25, 0, (0, 1, 0, 0))),
-                       modes=((0, 1.0, 0, (1, 0), 1j), (1, 1.0, 0, (0, 1), 0.5j)), order=1)
+                       modes=((0, 1.0, 0, (1, 0, 0, 0), 1j), (1, 1.0, 0, (0, 1, 0, 0), 0.5j)),
+                       order=1)
+
+
+def test_coupled_system_past_first_order_is_refused():
+    # at eps^1 the forcing on a mode's exponent has a part off the mode
+    # shape, and no carrier is solved for it
+    with pytest.raises(ValueError,
+                       match=r"case coupled_cubic: resonant term .* below eps\^2 of a coupled system"):
+        dataclasses.replace(catalog("coupled_cubic"), order=2)
 
 
 def test_fit_coupled_roundtrip():

@@ -1,5 +1,4 @@
 import json
-import math
 import re
 import mpmath
 import numpy as np
@@ -10,7 +9,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_integrator_oracle import band_problem, solve_with_scipy
-from test_msode import EPS, Z, sympy_multiple_scales
+from test_msode import EPS, Z, _same_float, sympy_multiple_scales
 
 from asymptotica import SolverError, mspde
 from asymptotica.mspde import (
@@ -75,23 +74,19 @@ def test_harmonic_balance_reproduces_the_hand_derived_models(k):
     assert KG.beta(k) == pytest.approx(1.0 / (2.0 * omega**3), rel=1e-15, abs=0.0)
     _, _, gamma = envelope_coefficients(WavePacketField(2.0 * np.pi / k, np.ones(8), k, eps))
     assert gamma == pytest.approx(eps**2 * 5.0 / (3.0 * omega), rel=1e-15, abs=0.0)
+    # carrier rows (component, coefficient, eps power, powers of A and
+    # conj(A), exponent), the exponent h times the mode's -i omega
+    lam = complex(0.0, -omega)
     assert KG.harmonic_balance(k)[1] == (
-        (1.0, 0, 1, 0, 1), (1.0, 1, 1, 1, 0), (-1.0 / 3.0, 1, 2, 0, 2))
+        (0, 1.0, 0, (1, 0), lam), (0, 1.0, 1, (1, 1), 0j), (0, -1.0 / 3.0, 1, (2, 0), 2 * lam))
     assert KG.max_order == 1
     # fourth_order: gamma = eps 3/(2 omega), u = A e^{i theta} + c.c.
     fld = WavePacketField(2.0 * np.pi / k, np.ones(8), k, eps, "fourth_order")
     _, _, gamma = envelope_coefficients(fld)
     assert gamma == pytest.approx(eps * 3.0 / (2.0 * FOURTH.omega(k)), rel=1e-15, abs=0.0)
-    assert FOURTH.harmonic_balance(k)[1] == ((1.0, 0, 1, 0, 1),)
+    assert FOURTH.harmonic_balance(k)[1] == ((0, 1.0, 0, (1, 0), complex(0.0, -FOURTH.omega(k))),)
     assert FOURTH.max_order == 0
     assert FOURTH.beta(1.0) == 2.0
-
-
-def _same_float(value, exact):
-    """value is exact when exact is dyadic, and within one ulp of it otherwise."""
-    if exact.q & (exact.q - 1) == 0:
-        return sympy.Rational(value) == exact
-    return abs(sympy.Rational(value) - exact) <= sympy.Rational(math.ulp(value))
 
 
 def _coefficients(expr, symbols):
@@ -128,7 +123,9 @@ def test_harmonic_balance_follows_from_the_equation(kind, k):
     assert _same_float(f, forcing[order, 0].coeff(a * b)), (f, forcing)
     derived = _coefficients(field, (EPS, a, b, Z))
     declared = {}
-    for c, p, m, n, h in carriers:
+    for comp, c, p, (m, n), lam in carriers:
+        h = m - n
+        assert comp == 0 and lam == h * carriers[0][4]
         declared[p, m, n, h] = declared.get((p, m, n, h), 0.0) + c
         declared[p, n, m, -h] = declared.get((p, n, m, -h), 0.0) + c
     assert declared.keys() == derived.keys()
