@@ -1,6 +1,7 @@
 """Dimensional analysis, perturbation expansions and multiple-scales solvers,
 validated against direct numerical solutions."""
 
+import math
 from fractions import Fraction
 
 __version__ = "0.1.0"
@@ -8,6 +9,18 @@ __version__ = "0.1.0"
 # the largest |e| in a decimal exponent: Python's own limit on the digits of
 # an int read from a string
 MAX_DECIMAL_EXPONENT = 4300
+
+
+def _digits(n: int) -> int:
+    """The decimal digits of |n|, without the str() that Python holds to 4300 digits."""
+    d = max(1, math.floor(abs(n).bit_length() * math.log10(2)))  # the count or one less
+    return d + (abs(n) >= 10**d)
+
+
+def _most_digits(numbers) -> int:
+    """The most digits of any numerator or denominator among exact ``numbers``, 1 if none."""
+    return max((_digits(part) for v in numbers for part in (v.numerator, v.denominator)),
+               default=1)
 
 
 class SolverError(RuntimeError):

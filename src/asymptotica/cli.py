@@ -50,7 +50,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from . import MAX_DECIMAL_EXPONENT, SolverError, parse_fraction
+from . import MAX_DECIMAL_EXPONENT, SolverError, _most_digits, parse_fraction
 
 EXIT_OK = 0
 EXIT_ACCEPT = 1
@@ -365,18 +365,6 @@ def _roots_mode(number: Callable, coefficient: Callable | None = None) -> Schema
     )
 
 
-def _digits(n: int) -> int:
-    """The decimal digits of |n|, without the str() that Python holds to 4300 digits."""
-    d = max(1, math.floor(abs(n).bit_length() * math.log10(2)))  # the count or one less
-    return d + (abs(n) >= 10**d)
-
-
-def _most_digits(numbers) -> int:
-    """The most digits of any numerator or denominator among exact ``numbers``, 1 if none."""
-    return max((_digits(part) for v in numbers for part in (v.numerator, v.denominator)),
-               default=1)
-
-
 def _check_digits(numbers, subject: str, noun: str, hint: str) -> None:
     """A config error naming ``subject`` when exact ``numbers`` would print with more
     digits than Python's int-to-str limit allows."""
@@ -384,20 +372,6 @@ def _check_digits(numbers, subject: str, noun: str, hint: str) -> None:
     if need > MAX_DECIMAL_EXPONENT:
         raise ValueError(f"{subject} needs {need}-digit {noun}, above the limit of "
                          f"{MAX_DECIMAL_EXPONENT}: {hint}")
-
-
-def _exact_digits(cfg: dict) -> None:
-    """Reject an exact expansion whose printed coefficients would pass Python's
-    int string limit: the order-p coefficient of x^2 - x + v eps has about
-    p (D + 1) digits, with D the longest numerator or denominator among the
-    family, the root and the rescale exponent."""
-    values = [*sum(cfg["family"], []), cfg["root"], cfg.get("rescale_exponent", 0)]
-    digits = _most_digits(values)
-    need = max(cfg["order"], 1) * (digits + 1)  # order 0 prints the root
-    if need > MAX_DECIMAL_EXPONENT:
-        raise ValueError(f"roots: order {cfg['order']} with {digits}-digit values needs about "
-                         f"{need}-digit coefficients, above the limit of {MAX_DECIMAL_EXPONENT}: "
-                         "lower the order or shorten the values")
 
 
 _ROOTS = Schema(
@@ -408,7 +382,7 @@ _ROOTS = Schema(
         "rescale_exponent": Key(_exact),
     },
     variant=lambda cfg: {
-        "exact": _roots_mode(_exact, lambda c: str(_exact(c)))._replace(variant=_exact_digits),
+        "exact": _roots_mode(_exact, lambda c: str(_exact(c))),
         "float": _roots_mode(_exact_float),
     }[cfg["mode"]],
 )
@@ -422,9 +396,6 @@ def _run_roots(cfg: dict, out: Path, name: str) -> tuple[dict, list[dict]]:
         family = series.rescale_singular(family, cfg["rescale_exponent"])
     expansion = series.expand_root(family, cfg["root"], cfg["order"])
     exact = cfg["mode"] == "exact"
-    if exact:  # _exact_digits estimates; the coefficients themselves decide
-        _check_digits(expansion.coefficients, f"roots: order {cfg['order']}", "coefficients",
-                      "lower the order or shorten the values")
     summary = {
         "mode": cfg["mode"],
         "order": cfg["order"],

@@ -9,9 +9,17 @@ caller supplies ``expand(y, order)``, the Taylor coefficients c_0..c_N of the
 solution through y, in place of a right-hand side; each of the callers forms
 them by Cauchy products of the series, order by order.  The driver checks the
 inputs (:func:`checked_problem`), takes each step from the last two
-coefficients (:func:`taylor_step`), advances by Horner's rule and samples
-``t_eval`` after the last step, in one Horner pass over the steps that cover
-it.
+coefficients (:func:`taylor_step`), advances by Horner's rule
+(:func:`series.horner`) and samples ``t_eval`` after the last step, in one
+Horner pass over the steps that cover it.
+
+States are real or complex, and y0 sets which: the ODE catalog's complex
+amplitudes and the packets' Fourier band are stepped as they are.  max|y|
+and |c_k| are taken over the real and imaginary parts, and the driver's
+arithmetic runs on the float view of the coefficients.  A product of a
+complex array by the real step casts the step to complex, and that can flip
+the sign of a zero part; the float view rounds each part as a real state
+would.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import SolverError
+from .series import horner
 
 
 @dataclass(frozen=True)
@@ -47,7 +56,8 @@ RTOL_FLOOR = 100 * np.finfo(float).eps
 
 def checked_problem(y0, t_span, rtol, atol, t_eval):
     """(y0, (t0, t_bound), t_eval, rtol used) of an initial value problem, as
-    float arrays and floats; ``t_eval`` None means ``[t_bound]``.
+    arrays and floats; ``t_eval`` None means ``[t_bound]``.  y0 comes back
+    complex if it is complex and as floats otherwise.
 
     Raises ValueError on a tolerance that is not positive, a non-finite or
     decreasing ``t_span``, a ``y0`` that is empty, not 1-dimensional or not
@@ -65,7 +75,8 @@ def checked_problem(y0, t_span, rtol, atol, t_eval):
         raise ValueError("t_span must be finite")
     if not t_bound > t0:
         raise ValueError("t_span must be increasing")
-    y = np.asarray(y0, dtype=float)
+    y = np.asarray(y0)
+    y = y.astype(complex if np.iscomplexobj(y) else float)
     if y.ndim != 1 or not y.size:
         raise ValueError("y0 must be a nonempty 1-dimensional array")
     if not np.isfinite(y).all():
@@ -126,13 +137,15 @@ def integrate_reference(
     """Integrate y' = f(y) from ``t_span[0]`` to ``t_span[1]`` by Taylor series.
 
     ``expand(y, order)`` returns the coefficients c_0..c_N about the state y
-    as an array of shape (N + 1, len(y)), c_0 = y.  N is ``order``, by
-    default :func:`taylor_order` at min(rtol, atol).  The step is
+    as an array of shape (N + 1, len(y)), c_0 = y, of y's dtype: real, or
+    complex for a complex y0.  N is ``order``, by default
+    :func:`taylor_order` at min(rtol, atol).  The step is
     :func:`taylor_step`'s, with tol = atol + rtol max|y| and |c_k| the
-    largest component of the k-th coefficient; the state advances by
-    Horner's rule.  Samples at ``t_eval``, by default ``[t_span[1]]`` alone,
-    come after the last step from one Horner pass over the steps that cover
-    them.  Deterministic for fixed inputs.
+    largest component of the k-th coefficient, both over the real and
+    imaginary parts; the state advances by Horner's rule.  Samples at
+    ``t_eval``, by default ``[t_span[1]]`` alone, come after the last step
+    from one Horner pass over the steps that cover them, in y's dtype.
+    Deterministic for fixed inputs.
 
     Inputs are checked by :func:`checked_problem` before the first
     expansion.  ``meta`` records ``nfev`` (the steps times the order: one
@@ -149,7 +162,7 @@ def integrate_reference(
     n_eval = n_steps = 0
     dense = []  # per step that covers samples: (their number, t_old, coefficients)
     while t < t_bound:
-        c = expand(y, order)
+        c = np.ascontiguousarray(expand(y, order)).view(float)  # parts as floats (module docstring)
         y_max, *tops = np.abs(c[[0, order - 1, order]]).max(axis=1).tolist()
         if not math.isfinite(sum(tops)):
             raise SolverError(f"Taylor integration failed at t={t}: a Taylor coefficient "
@@ -159,10 +172,7 @@ def integrate_reference(
             raise SolverError(f"Taylor integration failed at t={t}: required step size is "
                               f"less than ten spacings of doubles (steps={n_steps})")
         t_old, t = t, min(t + h, t_bound)
-        h = t - t_old
-        y = c[order]
-        for row in c[order - 1::-1]:
-            y = y * h + row
+        y = horner(c, t - t_old).view(y.dtype)
         n_steps += 1
         n_new = bisect_right(t_list, t, n_eval)
         if n_new > n_eval:
@@ -170,13 +180,12 @@ def integrate_reference(
             n_eval = n_new
     meta = {"nfev": n_steps * order, "n_steps": n_steps, "n_dense": len(dense),
             "order": order, "rtol": rtol, "atol": atol}
-    samples = np.zeros((len(t_eval), len(y)))
+    samples = np.zeros((len(t_eval), len(y)), y.dtype)
     if dense:
         counts, t_olds, coefs = zip(*dense)
-        step = np.repeat(np.arange(len(dense)), counts)  # the step that covers each sample
-        s = (t_eval - np.asarray(t_olds)[step])[:, None]
-        coefs = np.asarray(coefs).transpose(1, 0, 2)  # (order + 1, steps, n)
-        samples = coefs[order][step]
-        for row in coefs[order - 1::-1]:
-            samples = samples * s + row[step]
+        s = (t_eval - np.repeat(t_olds, counts))[:, None]
+        coefs = np.asarray(coefs).swapaxes(0, 1)  # (order + 1, steps, n)
+        if coefs.shape[1] < len(s):  # per sample: a copy only where a step covers several
+            coefs = np.repeat(coefs, counts, axis=1)
+        samples = horner(coefs, s).view(y.dtype)
     return Trajectory(t=t_eval.copy(), y=samples, meta=meta)

@@ -86,8 +86,8 @@ polynomial system y' = P(y), and one plan (:func:`_taylor_plan`) lists the
 distinct products P's rows form, so each order's coefficients come from
 Cauchy products (:func:`_expansion`).  The direct solve's rows are x' = v
 and the accelerations.  An amplitude flow's rows are each rate row times
-A_j; complex amplitudes are expanded over the series of A and conj(A) and
-handed to the integrator as pairs of reals.
+A_j; complex amplitudes are expanded over the series of A and conj(A), and
+the integrator steps A itself.
 """
 
 from __future__ import annotations
@@ -186,14 +186,14 @@ def _taylor_plan(grouped: tuple) -> tuple:
     return tuple(products), tuple(terms)
 
 
-def _expansion(plan: tuple, eps: float, pairs: bool = False) -> Callable:
+def _expansion(plan: tuple, eps: float) -> Callable:
     """``expand(y, order)`` of y' = P(y) for :func:`integrate_reference`.
 
     ``plan`` is P's :func:`_taylor_plan`.  The coefficients come order by
     order from y_{k+1} = P(y)_k / (k + 1), with P(y)_k read off the rows
     through the plan's Cauchy products, in flat lists that live across steps.
-    With ``pairs`` the series are those of the complex A and conj(A), while y
-    holds (Re A, Im A) and the coefficients returned are y's.
+    Where the plan has twice y's series, y is the complex A, the plan's
+    series are those of A and conj(A), and the coefficients returned are A's.
     """
     products, terms = plan
     n = len(terms)
@@ -204,8 +204,7 @@ def _expansion(plan: tuple, eps: float, pairs: bool = False) -> Callable:
 
     def expand(y, order):
         start = y.tolist()
-        if pairs:
-            start = [complex(re, im) for re, im in zip(start[:n // 2], start[n // 2:])]
+        if len(start) < n:
             start += [a.conjugate() for a in start]
         for s, c in zip(series, start + [1.0]):
             s[:] = [c]
@@ -217,10 +216,7 @@ def _expansion(plan: tuple, eps: float, pairs: bool = False) -> Callable:
                 out.append(sum(map(operator.mul, a, reversed(b))))
             for s, rows in flows:
                 s.append(sum([c * t[k] for c, t in rows]) / (k + 1))
-        if not pairs:
-            return np.array(series[:n]).T
-        c = np.array(series[:n // 2]).T
-        return np.concatenate([c.real, c.imag], axis=1)
+        return np.array(series[:len(y)]).T
 
     return expand
 
@@ -440,9 +436,8 @@ class CaseSpec:
 
     def amplitude_expansion(self, eps) -> Callable:
         """``expand`` of the amplitude flow dA/dt = rate(A) A, over the
-        amplitudes as reals (real and imaginary parts of complex ones), for
-        :func:`integrate_reference`."""
-        return _expansion(self._amplitude_plan, eps, pairs=not self.real_amplitudes)
+        amplitudes, real or complex, for :func:`integrate_reference`."""
+        return _expansion(self._amplitude_plan, eps)
 
     def rate(self, amps, eps):
         """rate_j in dA_j/dt = rate_j A_j."""
@@ -553,14 +548,9 @@ def case_names() -> list[str]:
     return sorted(_CATALOG)
 
 
-def _amps_to_real(case: CaseSpec, amps: np.ndarray) -> np.ndarray:
-    if case.real_amplitudes:
-        return np.asarray(amps, dtype=complex).real.copy()
-    a = np.asarray(amps, dtype=complex)
-    return np.concatenate([a.real, a.imag])
-
-
 def _real_to_amps(case: CaseSpec, vec: np.ndarray) -> np.ndarray:
+    """The amplitudes of the fit's real Newton vector: (Re A, Im A) for
+    complex amplitudes."""
     n = case.n_amplitudes
     if case.real_amplitudes:
         return np.asarray(vec[:n], dtype=float)
@@ -585,12 +575,13 @@ def integrate_amplitude(
     :meth:`CaseSpec.amplitude_closed_form` gives the same path in closed form,
     a reference for checks of this one.
     """
-    traj = integrate_reference(case.amplitude_expansion(eps), _amps_to_real(case, amps0),
+    amps0 = np.asarray(amps0, dtype=complex)
+    traj = integrate_reference(case.amplitude_expansion(eps),
+                               amps0.real if case.real_amplitudes else amps0,
                                t_span, rtol, atol, t_eval)
-    samples = _real_to_amps(case, traj.y.T).T
     meta = dict(traj.meta)
     meta.update(eps=eps, case=case.name)
-    return Trajectory(t=traj.t, y=samples.astype(complex), meta=meta)
+    return Trajectory(t=traj.t, y=traj.y.astype(complex), meta=meta)
 
 
 def fit_initial_amplitudes(case: CaseSpec, ics, eps: float) -> np.ndarray:
@@ -686,7 +677,7 @@ def resolve_horizon(
 
     Raises ValueError unless exactly one is given, when eps = 0 meets a
     nonzero exponent, when the exponent exceeds the case's validity exponent
-    + 1 or an explicit horizon exceeds eps^-(validity_exponent+1), when the
+    + 1 or an explicit horizon exceeds |eps|^-(validity_exponent+1), when the
     horizon is not positive (an explicit one, or eps**(-horizon_exponent) of
     a negative eps to an odd power or underflowed to 0), and when it is
     above ``MAX_HORIZON``.  Nothing is computed, so callers
@@ -695,7 +686,7 @@ def resolve_horizon(
     if (horizon is None) == (horizon_exponent is None):
         raise ValueError("give exactly one of horizon_exponent and horizon")
     with np.errstate(over="ignore", divide="ignore"):  # inf fails the budget below
-        limit = float(np.float64(eps) ** -(case.validity_exponent + 1)) if eps > 0 else np.inf
+        limit = float(np.float64(abs(eps)) ** -(case.validity_exponent + 1)) if eps else np.inf
         power = float(np.float64(eps) ** -(horizon_exponent or 0))
     if horizon is None:
         if eps == 0 and horizon_exponent:
@@ -708,7 +699,7 @@ def resolve_horizon(
         horizon = power
     elif horizon > limit:
         raise ValueError(
-            f"horizon {horizon} exceeds eps^-(validity_exponent+1) = {limit}"
+            f"horizon {horizon} exceeds |eps|^-(validity_exponent+1) = {limit}"
         )
     if not horizon > 0:
         raise ValueError(f"horizon {horizon} at eps {eps} is not positive")

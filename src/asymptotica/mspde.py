@@ -406,10 +406,9 @@ def _taylor_coefficients(z: np.ndarray, order: int, eps: float, symbol: np.ndarr
                          n: int, power: int) -> np.ndarray:
     """Taylor coefficients to ``order`` of the band flow about the state z.
 
-    z is [u_hat, v_hat], the band of u and v = u_t (K + 1 modes each) as
-    interleaved real and imaginary parts, and ``symbol`` is omega^2 on the
-    band.  Row k of the result is z's k-th coefficient, from
-    u_hat_{k+1} = v_hat_k / (k + 1) and
+    z is [u_hat, v_hat], the complex band of u and v = u_t (K + 1 modes
+    each), and ``symbol`` is omega^2 on the band.  Row k of the result is z's
+    k-th coefficient, from u_hat_{k+1} = v_hat_k / (k + 1) and
     v_hat_{k+1} = (eps N_k - symbol u_hat_k) / (k + 1), where N_k is the band
     of (u^p)_k.  Per order, one irfft gives u's coefficient U_k on the n-point
     grid; the Cauchy products (u^j)_k = sum_i (u^(j-1))_i U_(k-i), j = 2..p,
@@ -417,19 +416,22 @@ def _taylor_coefficients(z: np.ndarray, order: int, eps: float, symbol: np.ndarr
     rfft truncated to the band gives N_k.  The products are band-limited to
     p K < n, so N_k is exactly alias-free (see :func:`_solve_direct`).
     """
-    parts = 2 * len(symbol)  # the floats of one band
-    symbol = np.repeat(symbol, 2)
-    c = np.empty((order + 1, 2 * parts))
+    band = len(symbol)
+    c = np.empty((order + 1, 2 * band), complex)
     c[0] = z
-    u_hat, v_hat = c[:, :parts], c[:, parts:]
+    # the arithmetic by reals runs on float views of c: numpy casts a real
+    # factor to complex, and then a division multiplies by the reciprocal,
+    # which rounds otherwise, and a product can flip the sign of a zero part
+    u_hat, v_hat = c[:, :band].view(float), c[:, band:].view(float)
+    symbol = np.repeat(symbol, 2)
     powers = np.empty((power - 1, order, n))  # the coefficients of u, ..., u^(p-1)
     for k in range(order):
-        powers[0, k] = np.fft.irfft(u_hat[k].view(complex), n)
+        powers[0, k] = np.fft.irfft(c[k, :band], n)
         back = powers[0, k::-1]  # U_k, ..., U_0
         for j in range(1, power - 1):
             powers[j, k] = np.einsum("ij,ij->j", powers[j - 1, : k + 1], back)
         product = np.einsum("ij,ij->j", powers[-1, : k + 1], back)
-        nonlinear = np.fft.rfft(product)[: parts // 2].view(float)
+        nonlinear = np.fft.rfft(product)[:band].view(float)
         u_hat[k + 1] = v_hat[k] / (k + 1)
         v_hat[k + 1] = (eps * nonlinear - symbol * u_hat[k]) / (k + 1)
     return c
@@ -459,8 +461,7 @@ def _solve_direct(
     order :func:`integrator.taylor_order` gives at min(rtol, atol / max|u0|):
     atol counts relative to the starting field, so the order does not change
     with the amplitude when atol scales with it, as :func:`packet_compare`'s
-    does, and a loose rtol alone does not lower it.  |c_k| and max|y| are
-    taken over the real and imaginary parts.  ``meta`` is the driver's:
+    does, and a loose rtol alone does not lower it.  ``meta`` is the driver's:
     ``nfev`` counts the nonlinear-term evaluations (an irfft and an rfft
     each, so steps times order), then ``n_steps``, ``n_dense``, the order and
     the tolerances.  Raises :class:`asymptotica.SolverError` as the driver
@@ -470,7 +471,7 @@ def _solve_direct(
     n = u0.n
     band = _direct_band(n, d.power)
     symbol = d.symbol(_wavenumbers_rfft(u0.length, n)[:band])
-    z0 = np.concatenate([np.fft.rfft(u0.u)[:band], np.fft.rfft(u0.ut)[:band]]).view(float)
+    z0 = np.concatenate([np.fft.rfft(u0.u)[:band], np.fft.rfft(u0.ut)[:band]])
     size = float(np.max(np.abs(u0.u)))
     traj = integrate_reference(
         functools.partial(_taylor_coefficients, eps=eps, symbol=symbol, n=n, power=d.power),
@@ -478,8 +479,7 @@ def _solve_direct(
         order=taylor_order(min(rtol, atol / size) if size else rtol))
 
     def field_of(z):
-        c = z.view(complex)
-        return RealField(u0.length, np.fft.irfft(c[:band], n), np.fft.irfft(c[band:], n))
+        return RealField(u0.length, np.fft.irfft(z[:band], n), np.fft.irfft(z[band:], n))
 
     return DirectRun(t=traj.t, fields=[field_of(z) for z in traj.y], meta=traj.meta)
 

@@ -34,6 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from . import MAX_DECIMAL_EXPONENT, _most_digits
+
 
 class DegenerateRootError(ValueError):
     """The starting point is not a simple root of the unperturbed polynomial.
@@ -48,7 +50,7 @@ def horner(coeffs: Sequence, x):
 
     Exact coefficients and x give an exact value; numpy arrays broadcast.
     """
-    if not coeffs:
+    if len(coeffs) == 0:
         return 0
     acc = coeffs[-1]
     for c in reversed(coeffs[:-1]):
@@ -186,6 +188,11 @@ def expand_root(p: PolyFamily, a0, n_order: int) -> PerturbationSeries:
     Solves the hierarchy order by order: the order-p coefficient satisfies
     ``L a_p = -r_p`` where L = P'(a0) at eps=0 and r_p is the eps**p
     coefficient of P evaluated on the series built so far.
+
+    In exact arithmetic each coefficient, a0 included, is checked as it is
+    made: one whose numerator or denominator has more digits than Python
+    prints an int with (``MAX_DECIMAL_EXPONENT``) raises ValueError naming its
+    order, before the later orders, which grow further, are computed.
     """
     exact = all(c.is_exact for c in p.coefficients) and _is_exact(a0)
     c0 = [c[0] for c in p.coefficients]  # the eps = 0 polynomial
@@ -211,10 +218,15 @@ def expand_root(p: PolyFamily, a0, n_order: int) -> PerturbationSeries:
                 "use rescale_singular to recover the lost root"
             )
     coeffs = [a0]
-    for order in range(1, n_order + 1):
-        x = PerturbationSeries(tuple(coeffs) + (0,) * (order + 1 - len(coeffs)))
-        residual = p.evaluate_series(x)
-        coeffs.append(-residual[order] / deriv)
+    for order in range(n_order + 1):
+        if order:
+            x = PerturbationSeries(tuple(coeffs) + (0,) * (order + 1 - len(coeffs)))
+            coeffs.append(-p.evaluate_series(x)[order] / deriv)
+        if exact and isinstance(coeffs[-1], (int, Fraction)):
+            need = _most_digits(coeffs[-1:])
+            if need > MAX_DECIMAL_EXPONENT:
+                raise ValueError(f"order {order} needs {need}-digit coefficients, above the "
+                                 f"limit of {MAX_DECIMAL_EXPONENT}")
     return PerturbationSeries(tuple(coeffs))
 
 

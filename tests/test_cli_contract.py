@@ -101,6 +101,9 @@ REJECTED = [
     # ran 11 s, then failed on Python's int-to-str limit (test_exact_roots_digit_budget)
     pytest.param("roots", dict(ROOTS, family=[[0, "1e300"], [-1], [1]], order=64),
                  id="roots-payload28"),
+    # an explicit horizon above |eps|^-(validity exponent + 1) = 1e4: at the
+    # negative eps it ran and wrote its CSV
+    pytest.param("ode", {"case": "cubic", "eps": -0.1, "horizon": 20000}, id="ode-payload29"),
 ]
 
 
@@ -246,32 +249,35 @@ def test_pi_fixture_key_is_unknown(tmp_path, capsys):
     assert "unknown keys ['fixture']" in err
 
 
-# Exact coefficients of x^2 - x + v eps grow by about D + 1 digits an order for
-# a D-digit v, and the summary prints them: past 4300 digits Python's int-to-str
-# limit failed the run after the whole expansion (11 s for 1e300 at order 64),
-# with a message that named no key.
-@pytest.mark.parametrize("value,order,code", [
-    ("1e305", 14, EXIT_OK),  # 306 digits: 14 x 307 = 4298
-    ("1e306", 14, EXIT_CONFIG),  # 307 digits: 14 x 308 = 4312
-    ("1e-306", 14, EXIT_CONFIG),  # so do denominators
+# The exact root of x^2 - x + v eps at 1 is 1 - sum_p C_(p-1) v^p eps^p, C the
+# Catalan numbers, and the summary prints its coefficients: past 4300 digits
+# Python's int-to-str limit failed the run after the whole expansion (11 s for
+# 1e300 at order 64), with a message that named no key.  At order 14,
+# C_13 = 742900, so the last coefficient's digits decide.
+@pytest.mark.parametrize("value,order,code,digits", [
+    ("5e306", 14, EXIT_OK, None),  # 742900 5^14 10^4284: 4300 digits
+    ("6e306", 14, EXIT_CONFIG, 4301),  # 742900 6^14 10^4284
+    ("1e-308", 14, EXIT_CONFIG, 4311),  # so do denominators: 7429 / 10^4310
 ])
-def test_exact_roots_digit_budget(tmp_path, capsys, value, order, code):
+def test_exact_roots_digit_budget(tmp_path, capsys, value, order, code, digits):
     payload = {"family": [[0, value], [-1], [1]], "root": 1, "order": order}
     got, err = run(tmp_path, "roots", payload, capsys)
     assert got == code, err
     if code == EXIT_OK:
         result = json.loads((tmp_path / "cfg_summary.json").read_text())["result"]
         assert len(result["coefficients"]) == order + 1
+        assert max(len(c.lstrip("-").partition("/")[0]) for c in result["coefficients"]) == 4300
     else:
-        assert f"order {order} with" in err
+        assert f"order {order} needs {digits}-digit coefficients, above the limit of 4300" in err
 
 
 def test_exact_roots_past_the_digit_estimate_name_order_and_digits(tmp_path, capsys):
-    # The estimate is no bound: this family's coefficients grow by about one
-    # digit an order more than D + 1.  Scaled by 1e535 they pass the estimate
-    # at order 8 (4296 digits) and need 4305; scaled by 1e65 the same happens
-    # at order 64 (4288 against 4361) after 9 s.  Python's int-to-str limit
-    # then failed the run with a message that named no key.
+    # A digit estimate of p (D + 1) for a D-digit family is no bound: this
+    # family's coefficients grow by about one digit an order more.  Scaled by
+    # 1e535 they passed that estimate at order 8 (4296 digits) and need 4305;
+    # scaled by 1e65 the same happened at order 64 (4288 against 4361) after
+    # 9 s.  Python's int-to-str limit then failed the run with a message that
+    # named no key.
     rows = [[3, -8, 9], [2, 9, -4], [5, 2, 4], [4, 8, 7], [-2, -8, 2]]
     family = [[c0] + [f"{v}e535" for v in rest] for c0, *rest in rows]
     code, err = run(tmp_path, "roots", {"family": family, "root": 3, "order": 8}, capsys)

@@ -20,6 +20,7 @@ from asymptotica.msode import (
     integrate_reference,
     naive_damped_expansion,
     reconstruct_on_grid,
+    resolve_horizon,
 )
 from test_integrator_oracle import solve_with_scipy, square
 
@@ -783,12 +784,11 @@ def test_amplitude_flow_matches_a_tight_dop853(name, eps, horizon_exponent, hori
     flow = case.truncated(2)
     amps0 = fit_initial_amplitudes(flow, ics or case.default_ics, eps)
 
-    def rhs(t, vec):
-        return msode._amps_to_real(flow, flow.amplitude_rhs(t, msode._real_to_amps(flow, vec), eps))
+    def rhs(t, amps):
+        return flow.amplitude_rhs(t, amps, eps)
 
-    tight = solve_with_scipy(rhs, msode._amps_to_real(flow, amps0), (0.0, report.horizon),
-                             1e-13, 1e-14, report.t)
-    amps = Trajectory(t=report.t, y=np.atleast_2d(msode._real_to_amps(flow, tight.y)).T)
+    tight = solve_with_scipy(rhs, amps0, (0.0, report.horizon), 1e-13, 1e-14, report.t)
+    amps = Trajectory(t=report.t, y=tight.y.T.astype(complex))
     y_ms = report.stats["trajectories"]["y_multiscale"]
     assert np.max(np.abs(y_ms - reconstruct_on_grid(flow, amps, eps))) <= bound
     assert 0 < report.stats["amplitude_steps"] <= 30
@@ -846,6 +846,16 @@ def test_compare_rejects_horizon_beyond_validity():
         compare(case, 0.1, horizon=10.0 ** 3.5)
     with pytest.raises(ValueError):
         compare(case, 0.1, 2, horizon=100.0)  # both given
+
+
+def test_explicit_horizon_is_capped_at_negative_eps_as_at_positive():
+    # the cap |eps|^-(validity exponent + 1) is 1e4 for cubic at eps +-0.1;
+    # at a negative eps it once read inf
+    case = catalog("cubic")
+    for eps in (0.1, -0.1):
+        assert resolve_horizon(case, eps, horizon=9e3) == 9e3
+        with pytest.raises(ValueError, match=r"exceeds \|eps\|\^-\(validity_exponent\+1\)"):
+            resolve_horizon(case, eps, horizon=2e4)
 
 
 def test_compare_explicit_horizon():

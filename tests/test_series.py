@@ -112,6 +112,21 @@ def test_int_family_expands_to_exact_catalan_numbers():
     assert exp.is_exact
 
 
+def test_exact_coefficients_past_the_int_string_limit_are_refused_as_made():
+    # x^2 - x + v eps at 1 has coefficients -C_(p-1) v^p; at v = 6e306 the
+    # order-14 one has 4301 digits, one above what Python prints an int with
+    v = Fraction("6e306")
+    family = PolyFamily.from_coefficients([[0, v], [-1], [1]])
+    assert len(str(abs(expand_root(family, 1, 13)[13]))) == 3994
+    with pytest.raises(ValueError, match="^order 14 needs 4301-digit coefficients, above the "
+                                         "limit of 4300$"):
+        expand_root(family, 1, 64)
+    # the root is checked too: x - 10^4300 at 10^4300
+    big = 10**4300
+    with pytest.raises(ValueError, match="^order 0 needs 4301-digit"):
+        expand_root(PolyFamily.from_coefficients([[-big], [1]]), big, 1)
+
+
 def test_quintic_expansion_exact_symbolic():
     family = PolyFamily.from_coefficients(
         [
