@@ -32,6 +32,8 @@ nonlinear
     F(B0) = u(1/eps) - 1/2, each F one Taylor-series solve of the amplitude
     flow (:meth:`msode.CaseSpec.amplitude_expansion` stepped by
     :func:`integrator.integrate_reference`, the library's one integrator).
+    The flow starts from an array, so the driver steps it, and samples the
+    profile's thousands of points, in numpy.
 
 Both problems are eps y'' + y' + f(y) = 0 with f(y) = -y resp. y^2, one
 row each of a kind table holding f's polynomial coefficients and the
@@ -246,9 +248,10 @@ def _inner_profile(eps: float, b0: float, xi: np.ndarray) -> np.ndarray:
     # minus u(0) at A = 0
     a0 = _LEFT - layer.reconstruct(0.0, (0.0, b0), eps)[0]
     points, inverse = np.unique(xi, return_inverse=True)
+    expand = layer.amplitude_expansion(eps)
     traj = integrate_reference(
-        layer.amplitude_expansion(eps),
-        (a0, b0),
+        lambda y, order: np.array(expand(y.tolist(), order)).T,
+        np.array([a0, b0]),
         (0.0, float(points[-1]) if points[-1] > 0 else 1.0),
         rtol=1e-10,
         atol=1e-12,

@@ -26,10 +26,12 @@ without a traceback.  ``--jobs`` fans out across independent configs only,
 one worker per config at most.
 
 Each runner loads the modules it computes with: ``dimsys`` and ``series``
-inside the ``pi``, ``roots`` and ``euler`` runners, the solver modules and
-numpy inside the ``ode``, ``blayer`` and ``pde`` declarations and runners, so
-``pi``, ``roots`` and ``euler`` runs never import numpy and the others never
-import ``dimsys``.
+inside the ``pi``, ``roots`` and ``euler`` runners, the solver modules inside
+the ``ode``, ``blayer`` and ``pde`` declarations and runners, so ``ode``,
+``blayer`` and ``pde`` runs never import ``dimsys``.  Only ``blayer`` and
+``pde`` runs import numpy: ``msode`` computes in Python floats, and the CSV
+writer and the eps sweep's shuffle (``random.Random(seed)``) need no numpy
+either.
 
 Every solve runs on one thread, so a CLI process gives numpy's BLAS one
 thread too: :func:`main` sets ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``
@@ -42,6 +44,7 @@ workers inherit the setting.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -74,15 +77,14 @@ def _dump_json(obj, path: Path):
 
 
 def _write_csv(path: Path, header: list[str], columns: list):
-    """One row per index of the equal-length ``columns``; "%.17g" prints each
-    value as ``_fmt`` does, integers of the columns included."""
-    import numpy as np
-
-    rows = np.column_stack(columns)
+    """One row per index of the equal-length ``columns``, lists or numpy
+    arrays; "%.17g" prints each value as ``_fmt`` does, integers of the
+    columns included."""
+    columns = [c.tolist() if hasattr(c, "tolist") else c for c in columns]
     line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        fh.write(line * len(rows) % tuple(rows.ravel().tolist()))
+        fh.write(line * len(columns[0]) % tuple(itertools.chain.from_iterable(zip(*columns))))
 
 
 # --- config types -----------------------------------------------------------------
@@ -300,9 +302,9 @@ def _sweep(cfg: dict, run: Callable) -> list:
     eps_values = cfg["eps"]
     order = list(range(len(eps_values)))
     if "seed" in cfg and len(eps_values) > 1:
-        import numpy as np
+        import random
 
-        np.random.default_rng(cfg["seed"]).shuffle(order)
+        random.Random(cfg["seed"]).shuffle(order)
     results = {i: run(eps_values[i]) for i in order}
     return [results[i] for i in range(len(eps_values))]
 
@@ -484,8 +486,6 @@ _ODE = Schema(keys={}, variant=lambda cfg: _ode_keys())
 
 
 def _run_ode(cfg: dict, out: Path, name: str) -> tuple[dict, list[dict]]:
-    import numpy as np
-
     from . import msode
 
     case = msode.catalog(cfg["case"])
@@ -500,17 +500,19 @@ def _run_ode(cfg: dict, out: Path, name: str) -> tuple[dict, list[dict]]:
         suffix = f"_eps{_fmt(eps)}" if len(cfg["eps"]) > 1 else ""
         n = case.n_components
         header = ["t", "y_direct", "y_multiscale", "abs_error"]
-        columns = [np.tile(report.t, n), y_direct.ravel(), y_ms.ravel(), report.error.ravel()]
+        # per component its samples, one after the other
+        columns = [report.t * n, *(list(itertools.chain.from_iterable(rows))
+                                   for rows in (y_direct, y_ms, report.error))]
         if n > 1:  # systems get a leading component column
             header = ["component", *header]
-            columns = [np.repeat(np.arange(n), len(report.t)), *columns]
+            columns = [[k for k in range(n) for _ in report.t], *columns]
         _write_csv(out / f"{name}{suffix}.csv", header, columns)
         if cfg.get("include_naive"):
             naive = msode.naive_damped_expansion(report.t, eps)
             _write_csv(
                 out / f"{name}{suffix}_naive.csv",
                 ["t", "y_direct", "y_naive", "abs_error"],
-                [report.t, y_direct[0], naive, np.abs(y_direct[0] - naive)],
+                [report.t, y_direct[0], naive, [abs(d - v) for d, v in zip(y_direct[0], naive)]],
             )
         return {
             "eps": eps,

@@ -37,12 +37,12 @@ are picked out once per case.
 Also derived, for every case: the sizes (the state dimension is
 ``len(default_ics)``, so half of it is the number of oscillator components;
 the number of amplitudes is half the length of a mode's powers), the
-original right hand side, the
-rate, the amplitude-equation right hand side, the reconstruction map, its
+rate, the reconstruction map, its
 time derivative (product rule along the amplitude flow, with
 d conj(A_j)/dt = conj(rate_j) conj(A_j)) and the
 initial-amplitude fit (Newton on the reconstruction and its time derivative
-at t=0).  The amplitudes are real when every mode's lam is real.  The
+at t=0, each linear solve by Gaussian elimination with partial pivoting).
+The amplitudes are real when every mode's lam is real.  The
 validity exponent is 1 + the highest eps power among the rate rows: rates
 through eps^N keep the phase to t ~ eps^-(N+1), the horizons
 :func:`resolve_horizon` admits.  The rate is conserved along the flow when
@@ -88,23 +88,31 @@ Cauchy products (:func:`_expansion`).  The direct solve's rows are x' = v
 and the accelerations.  An amplitude flow's rows are each rate row times
 A_j; complex amplitudes are expanded over the series of A and conj(A), and
 the integrator steps A itself.
+
+Everything :func:`compare` runs is Python floats, lists and ``math`` or
+``cmath``: the states the integrator steps and samples, the sample grid
+(the floats ``np.linspace`` gives), the fit, the reconstruction and the
+error norms, so importing or running it loads no numpy.  Only
+:meth:`CaseSpec.reconstruct` also takes numpy arrays, for ``blayer``'s
+shooting profile.
 """
 
 from __future__ import annotations
 
+import cmath
 import copy
 import functools
+import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Optional
-
-import numpy as np
+from typing import Callable, Optional, Sequence
 
 from . import SolverError  # re-exported: callers catch it as msode.SolverError
 # Trajectory is re-exported; integrate_reference is called through this
 # module's global, so replacing the attribute intercepts every solve
-from .integrator import Trajectory, integrate_reference
+from .integrator import Trajectory, integrate_reference, max_abs
 
 
 @dataclass(frozen=True)
@@ -116,12 +124,13 @@ class RunReport:
     horizon: float
     max_abs_error: float
     l2_error: float
-    t: np.ndarray
-    error: np.ndarray  # shape (n_components, n_samples)
+    t: Sequence
+    error: Sequence  # per component its samples; lists for the ODE catalog
     stats: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.max_abs_error < 0 or self.l2_error < 0 or np.any(self.error < 0):
+        if (self.max_abs_error < 0 or self.l2_error < 0
+                or any(e < 0 for row in self.error for e in row)):
             raise ValueError("error norms must be nonnegative")
 
 
@@ -189,11 +198,13 @@ def _taylor_plan(grouped: tuple) -> tuple:
 def _expansion(plan: tuple, eps: float) -> Callable:
     """``expand(y, order)`` of y' = P(y) for :func:`integrate_reference`.
 
-    ``plan`` is P's :func:`_taylor_plan`.  The coefficients come order by
-    order from y_{k+1} = P(y)_k / (k + 1), with P(y)_k read off the rows
-    through the plan's Cauchy products, in flat lists that live across steps.
-    Where the plan has twice y's series, y is the complex A, the plan's
-    series are those of A and conj(A), and the coefficients returned are A's.
+    ``plan`` is P's :func:`_taylor_plan`.  y is a list of Python numbers,
+    and so are the coefficients: per component of y a new list c_0..c_N.
+    They come order by order from y_{k+1} = P(y)_k / (k + 1), with P(y)_k
+    read off the rows through the plan's Cauchy products, in flat lists that
+    live across steps.  Where the plan has twice y's series, y is the complex
+    A, the plan's series are those of A and conj(A), and the coefficients
+    returned are A's.
     """
     products, terms = plan
     n = len(terms)
@@ -203,7 +214,7 @@ def _expansion(plan: tuple, eps: float) -> Callable:
              for s, rows in zip(series, terms)]
 
     def expand(y, order):
-        start = y.tolist()
+        start = list(y)
         if len(start) < n:
             start += [a.conjugate() for a in start]
         for s, c in zip(series, start + [1.0]):
@@ -215,8 +226,11 @@ def _expansion(plan: tuple, eps: float) -> Callable:
             for out, a, b in cauchy:
                 out.append(sum(map(operator.mul, a, reversed(b))))
             for s, rows in flows:
-                s.append(sum([c * t[k] for c, t in rows]) / (k + 1))
-        return np.array(series[:len(y)]).T
+                total = 0.0  # the terms summed in order, as sum() adds them
+                for c, t in rows:
+                    total += c * t[k]
+                s.append(total / (k + 1))
+        return [s[:] for s in series[:len(y)]]
 
     return expand
 
@@ -425,10 +439,6 @@ class CaseSpec:
             complex(coef).real == 0 for out, coef, _, _ in self.rate_terms if out in read
         )
 
-    def original_rhs(self, t, state, eps):
-        """(positions, velocities)' = (velocities, accelerations)."""
-        return np.array(_evaluate(self._direct_rows, np.asarray(state).tolist() + [eps]))
-
     def direct_expansion(self, eps) -> Callable:
         """``expand`` of the case's equation, over (positions, velocities),
         for :func:`integrate_reference`."""
@@ -441,22 +451,19 @@ class CaseSpec:
 
     def rate(self, amps, eps):
         """rate_j in dA_j/dt = rate_j A_j."""
-        x = list(amps) if self.real_amplitudes else [np.abs(a) ** 2 for a in amps]
+        x = list(amps) if self.real_amplitudes else [abs(a) ** 2 for a in amps]
         return tuple(_evaluate(self._rate_rows, x + [eps]))
 
-    def amplitude_rhs(self, t, amps, eps):
-        """dA/dt = rate(A) A."""
-        return np.asarray(self.rate(amps, eps)) * amps
-
     def amplitude_closed_form(self, t, amps0, eps):
-        """A0 e^{rate(A0) t} on the grid t, shape (n_t, n_amp)."""
+        """A0 e^{rate(A0) t} on the grid t: per time, the amplitudes."""
         if not self.rate_conserved:
             raise ValueError(f"case {self.name} has no closed-form amplitudes")
-        rates = np.asarray(self.rate(amps0, eps))
-        return amps0[np.newaxis, :] * np.exp(np.multiply.outer(np.asarray(t), rates))
+        rates = self.rate(amps0, eps)
+        return [[a * cmath.exp(s * r) for a, r in zip(amps0, rates)] for s in t]
 
     def reconstruct(self, t, amps, eps):
-        """Oscillator components from the amplitudes at time t."""
+        """Oscillator components from the amplitudes at time t: numbers, or
+        numpy arrays of one shape, as t and the amplitudes are."""
         return self._carrier_sum(t, amps, eps)
 
     def reconstruct_dt(self, t, amps, eps):
@@ -465,24 +472,36 @@ class CaseSpec:
         return self._carrier_sum(t, amps, eps, self.rate(amps, eps))
 
     def _carrier_sum(self, t, amps, eps, rates=None):
-        t = np.asarray(t, dtype=float)
+        """2 Re of the carrier rows' sum, per component; numpy's exp for an
+        array t (``blayer``'s profile), else cmath's."""
+        exp = cmath.exp if isinstance(t, numbers.Number) else _numpy().exp
         sums = [0.0] * self.n_components
         amps = [*amps, *(a.conjugate() for a in amps)]
         rates = None if rates is None else [*rates, *(r.conjugate() for r in rates)]
         for comp, coef, p, powers, lam in self.carrier_terms:
             monomial = math.prod(a**n for a, n in zip(amps, powers) if n)
-            term = coef * eps**p * np.exp(lam * t) * monomial
+            term = coef * eps**p * exp(lam * t) * monomial
             if rates is not None:
                 term = term * (lam + sum(n * r for n, r in zip(powers, rates) if n))
             sums[comp] = sums[comp] + term
-        return np.stack([2.0 * np.real(s) for s in sums])
+        return [2.0 * s.real for s in sums]
+
+
+def _numpy():
+    import numpy
+
+    return numpy
 
 
 def _damped_linear_exact(t, eps):
-    omega = np.sqrt(1.0 - 0.25 * eps * eps)
+    """y'' + eps y' + y = 0 from (1, 0) at a time or on a list of times, while
+    |eps| < 2 (underdamped); nan otherwise."""
+    omega = math.sqrt(1.0 - 0.25 * eps * eps) if abs(eps) < 2 else math.nan
     lam = -0.5 * eps + 1j * omega
-    c = -np.conj(lam) / (lam - np.conj(lam))
-    return np.real(2.0 * c * np.exp(lam * np.asarray(t)))[np.newaxis]
+    c = -lam.conjugate() / (lam - lam.conjugate()) if omega else complex(math.nan)
+    if isinstance(t, numbers.Number):
+        return [(2.0 * c * cmath.exp(lam * t)).real]
+    return [[(2.0 * c * cmath.exp(lam * s)).real for s in t]]
 
 
 def coupled_cubic_frequencies(a0: complex, b0: complex, eps: float) -> tuple[float, float]:
@@ -548,13 +567,45 @@ def case_names() -> list[str]:
     return sorted(_CATALOG)
 
 
-def _real_to_amps(case: CaseSpec, vec: np.ndarray) -> np.ndarray:
+def _linspace(start: float, stop: float, num: int):
+    """The points of ``np.linspace(start, stop, num)``, one at a time and bit
+    for bit: i step + start with step = (stop - start) / (num - 1), or
+    i / (num - 1) (stop - start) + start where the step underflows to 0, and
+    the last point is stop."""
+    div, delta = num - 1, stop - start
+    step = delta / div if div > 0 else 0.0
+    for i in range(div):
+        yield i * step + start if step else i / div * delta + start
+    if num > 0:
+        yield stop if div else start
+
+
+def _solve(matrix: list, rhs: list, what: str) -> list:
+    """x with matrix x = rhs, by Gaussian elimination with partial pivoting;
+    raises :class:`SolverError` naming ``what`` at a zero pivot."""
+    rows = [[*row, b] for row, b in zip(matrix, rhs)]
+    n = len(rows)
+    for i in range(n):
+        pivot = max(range(i, n), key=lambda r: abs(rows[r][i]))
+        rows[i], rows[pivot] = rows[pivot], rows[i]
+        if rows[i][i] == 0:
+            raise SolverError(f"{what}: singular matrix")
+        for r in rows[i + 1:]:
+            f = r[i] / rows[i][i]
+            r[i:] = [a - f * b for a, b in zip(r[i:], rows[i][i:])]
+    x = [0.0] * n
+    for i in reversed(range(n)):
+        x[i] = (rows[i][n] - _dot(rows[i][i + 1:n], x[i + 1:])) / rows[i][i]
+    return x
+
+
+def _real_to_amps(case: CaseSpec, vec: list) -> list:
     """The amplitudes of the fit's real Newton vector: (Re A, Im A) for
     complex amplitudes."""
     n = case.n_amplitudes
     if case.real_amplitudes:
-        return np.asarray(vec[:n], dtype=float)
-    return vec[:n] + 1j * vec[n : 2 * n]
+        return vec[:n]
+    return [complex(re, im) for re, im in zip(vec[:n], vec[n:2 * n])]
 
 
 def integrate_amplitude(
@@ -566,67 +617,71 @@ def integrate_amplitude(
     atol: float = 1e-12,
     t_eval=None,
 ) -> Trajectory:
-    """Evolve the slow amplitudes; samples are complex with shape (n_t, n_amp).
+    """Evolve the slow amplitudes; per sample time, the complex amplitudes.
 
-    Stepped by :func:`integrate_reference` on
+    Stepped by :func:`integrate_reference` in Python floats on
     :meth:`CaseSpec.amplitude_expansion`, at the order min(rtol, atol) gives.
     Samples at ``t_eval``, by default ``[t_span[1]]`` as in
     :func:`integrate_reference`.  Where the rate is constant along the flow,
     :meth:`CaseSpec.amplitude_closed_form` gives the same path in closed form,
     a reference for checks of this one.
     """
-    amps0 = np.asarray(amps0, dtype=complex)
+    amps0 = [complex(a) for a in amps0]
     traj = integrate_reference(case.amplitude_expansion(eps),
-                               amps0.real if case.real_amplitudes else amps0,
+                               [a.real for a in amps0] if case.real_amplitudes else amps0,
                                t_span, rtol, atol, t_eval)
     meta = dict(traj.meta)
     meta.update(eps=eps, case=case.name)
-    return Trajectory(t=traj.t, y=traj.y.astype(complex), meta=meta)
+    y = [tuple(map(complex, row)) for row in traj.y] if case.real_amplitudes else traj.y
+    return Trajectory(t=traj.t, y=y, meta=meta)
 
 
-def fit_initial_amplitudes(case: CaseSpec, ics, eps: float) -> np.ndarray:
+def fit_initial_amplitudes(case: CaseSpec, ics, eps: float) -> list:
     """Amplitudes whose reconstruction matches the state and its derivative at t=0.
 
     Newton iteration with a finite-difference Jacobian, started from the
     eps=0 fit (where the reconstruction is linear in the amplitudes), until
     the residual is below 1e-12; raises :class:`SolverError` after 50
-    iterations.
+    iterations, and at a singular matrix in either linear solve.  Returns
+    the amplitudes as a list: floats for real amplitudes, else complex.
     """
-    ics = np.asarray(ics, dtype=float)
+    ics = [float(v) for v in ics]
     if len(ics) != case.state_dim:
         raise ValueError(f"case {case.name} needs {case.state_dim} initial values")
     n_real = case.n_amplitudes if case.real_amplitudes else 2 * case.n_amplitudes
+    what = f"initial-amplitude fit for {case.name}"
 
-    def residual(vec: np.ndarray, e: float) -> np.ndarray:
+    def residual(vec: list, e: float) -> list:
         amps = _real_to_amps(case, vec)
-        vals = np.atleast_1d(np.squeeze(case.reconstruct(0.0, amps, e)))
-        ders = np.atleast_1d(np.squeeze(case.reconstruct_dt(0.0, amps, e)))
-        return np.concatenate([vals, ders]) - ics
+        state = case.reconstruct(0.0, amps, e) + case.reconstruct_dt(0.0, amps, e)
+        return [v - w for v, w in zip(state, ics)]
 
-    def fd_jacobian(vec: np.ndarray, e: float) -> np.ndarray:
-        jac = np.empty((case.state_dim, n_real))
+    def shifted(vec: list, j: int, h: float) -> list:
+        return [v + (h if i == j else 0.0) for i, v in enumerate(vec)]
+
+    def fd_jacobian(vec: list, e: float) -> list:
         h = 1e-7
-        for j in range(n_real):
-            step = np.zeros(n_real)
-            step[j] = h
-            jac[:, j] = (residual(vec + step, e) - residual(vec - step, e)) / (2 * h)
-        return jac
+        columns = [[(a - b) / (2 * h) for a, b in zip(residual(shifted(vec, j, h), e),
+                                                      residual(shifted(vec, j, -h), e))]
+                   for j in range(n_real)]
+        return [list(row) for row in zip(*columns)]
 
     # eps = 0: the reconstruction is linear, so one Newton step is exact
-    vec = np.zeros(n_real)
+    vec = [0.0] * n_real
     base = residual(vec, 0.0)
-    lin = np.stack([residual(unit, 0.0) - base for unit in np.eye(n_real)], axis=1)
-    vec = np.linalg.solve(lin, -base)
+    columns = [[r - b for r, b in zip(residual(shifted(vec, j, 1.0), 0.0), base)]
+               for j in range(n_real)]
+    vec = _solve([list(row) for row in zip(*columns)], [-b for b in base], what)
     if eps == 0.0:
         return _real_to_amps(case, vec)
 
     # Damped Newton, continued in eps so the iterate stays on the branch
     # connected to the eps = 0 fit instead of jumping to a spurious root.
     iterations = 0
-    for e in np.linspace(0.0, eps, 2 + int(abs(eps) / 0.025))[1:]:
+    for e in itertools.islice(_linspace(0.0, eps, 2 + int(abs(eps) / 0.025)), 1, None):
         while True:
             res = residual(vec, e)
-            norm = np.max(np.abs(res))
+            norm = max_abs(res)
             if norm < 1e-12:
                 break
             if iterations >= 50:
@@ -634,38 +689,70 @@ def fit_initial_amplitudes(case: CaseSpec, ics, eps: float) -> np.ndarray:
                     f"initial-amplitude fit for {case.name} did not reach "
                     f"1e-12 in 50 Newton iterations (residual {norm:.3e})"
                 )
-            step = np.linalg.solve(fd_jacobian(vec, e), -res)
+            step = _solve(fd_jacobian(vec, e), [-r for r in res], what)
             lam = 1.0
             while (
-                np.max(np.abs(residual(vec + lam * step, e))) > (1 - 0.5 * lam) * norm
+                max_abs(residual([v + lam * s for v, s in zip(vec, step)], e))
+                > (1 - 0.5 * lam) * norm
                 and lam > 1e-3
             ):
                 lam *= 0.5
-            vec = vec + lam * step
+            vec = [v + lam * s for v, s in zip(vec, step)]
             iterations += 1
     return _real_to_amps(case, vec)
 
 
 def naive_damped_expansion(t, eps: float):
-    """Direct (non-uniform) two-term expansion of the damped linear oscillator.
+    """Direct (non-uniform) two-term expansion of the damped linear oscillator,
+    at a time or on a list of times.
 
     y = cos t - (eps/2)(sin t + t cos t); the secular t cos t term destroys
     the ordering once t ~ 1/eps, which is exactly what the multiple-scales
     reconstruction repairs.
     """
-    t = np.asarray(t, dtype=float)
-    return np.cos(t) - 0.5 * eps * (np.sin(t) + t * np.cos(t))
+    if isinstance(t, numbers.Number):
+        return naive_damped_expansion([t], eps)[0]
+    return [math.cos(s) - 0.5 * eps * (math.sin(s) + s * math.cos(s)) for s in t]
 
 
-def reconstruct_on_grid(
-    case: CaseSpec, amp_traj: Trajectory, eps: float
-) -> np.ndarray:
-    """Apply the case's reconstruction map along an amplitude trajectory."""
-    amps = amp_traj.y.T  # (n_amp, n_t); reconstructions broadcast over time
-    return np.asarray(case.reconstruct(amp_traj.t, amps, eps))
+def reconstruct_on_grid(case: CaseSpec, amp_traj: Trajectory, eps: float) -> list:
+    """Apply the case's reconstruction map along an amplitude trajectory: per
+    component, its value at each sample.
+
+    The sum of :meth:`CaseSpec.reconstruct`, taken carrier row by carrier
+    row over all the samples at once.
+    """
+    n, n_t = case.n_amplitudes, len(amp_traj.t)
+    amps = [list(column) for column in zip(*amp_traj.y)]  # per amplitude, its samples
+    amps += [[a.conjugate() for a in column] for column in amps]
+    sums = [[0.0] * n_t for _ in range(case.n_components)]
+    carriers = {}  # per exponent lam, e^(lam t) at each sample
+    for comp, coef, p, powers, lam in case.carrier_terms:
+        # per sample prod_j A_j^(n_j) conj(A_j)^(n_(N+j))
+        monomial = [1] * n_t
+        for column, k in zip(amps, powers):
+            if k:
+                monomial = list(map(operator.mul, monomial, column if k == 1 else
+                                    [a**k for a in column]))
+        if lam not in carriers:
+            carriers[lam] = [cmath.exp(lam * t) for t in amp_traj.t]
+        scale = coef * eps**p
+        sums[comp] = [total + scale * e * m
+                      for total, e, m in zip(sums[comp], carriers[lam], monomial)]
+    return [[2.0 * total.real for total in row] for row in sums]
 
 
 MAX_HORIZON = 1e5  # reference-solve budget: the direct solve's steps grow with the horizon
+
+
+def _power(x: float, n: int) -> float:
+    """x**n, +-inf past the float range as numpy's float64 gives it, where
+    Python's ** raises OverflowError."""
+    n = max(-(2**1000), min(n, 2**1000))  # past a float's range |x|**n is 0, 1 or inf
+    try:
+        return x**n
+    except OverflowError:
+        return math.copysign(math.inf, x) if n % 2 else math.inf
 
 
 def resolve_horizon(
@@ -685,9 +772,6 @@ def resolve_horizon(
     """
     if (horizon is None) == (horizon_exponent is None):
         raise ValueError("give exactly one of horizon_exponent and horizon")
-    with np.errstate(over="ignore", divide="ignore"):  # inf fails the budget below
-        limit = float(np.float64(abs(eps)) ** -(case.validity_exponent + 1)) if eps else np.inf
-        power = float(np.float64(eps) ** -(horizon_exponent or 0))
     if horizon is None:
         if eps == 0 and horizon_exponent:
             raise ValueError("eps = 0 needs an explicit horizon")
@@ -696,11 +780,13 @@ def resolve_horizon(
                 f"horizon exponent {horizon_exponent} exceeds the validity "
                 f"exponent {case.validity_exponent} + 1 for case {case.name}"
             )
-        horizon = power
-    elif horizon > limit:
-        raise ValueError(
-            f"horizon {horizon} exceeds |eps|^-(validity_exponent+1) = {limit}"
-        )
+        horizon = _power(float(eps), -horizon_exponent)
+    else:
+        limit = _power(abs(eps), -(case.validity_exponent + 1)) if eps else math.inf
+        if horizon > limit:
+            raise ValueError(
+                f"horizon {horizon} exceeds |eps|^-(validity_exponent+1) = {limit}"
+            )
     if not horizon > 0:
         raise ValueError(f"horizon {horizon} at eps {eps} is not positive")
     if horizon > MAX_HORIZON:
@@ -726,28 +812,30 @@ def compare(
     its steps; ``stats["amplitude_steps"]`` counts the amplitude flow's.
     The horizon is :func:`resolve_horizon`'s, from the full case; the fit,
     the amplitude flow and the reconstruction use ``case.truncated(terms)``.
-    The output grid always holds ``n_samples`` uniform points so error norms
-    are comparable across eps.
-    ``l2_error`` is the RMS of the pointwise euclidean error norm.
-    ``stats["trajectories"]`` always holds the compared series, ``y_direct``
-    and ``y_multiscale``, each of shape (n_components, n_samples).  When the
-    case has an exact solution its errors are recorded in ``stats`` as well.
+    The output grid always holds ``n_samples`` uniform points, the floats of
+    ``np.linspace(0, horizon, n_samples)``, so error norms are comparable
+    across eps.  ``l2_error`` is the RMS of the pointwise euclidean error
+    norm.  ``stats["trajectories"]`` always holds the compared series,
+    ``y_direct`` and ``y_multiscale``, each per component a list of
+    ``n_samples`` floats, as ``error`` is.  When the case has an exact
+    solution its errors are recorded in ``stats`` as well.  Everything runs
+    in Python floats.
     """
     horizon = resolve_horizon(case, eps, horizon_exponent, horizon)
     ics = case.default_ics if ics is None else tuple(ics)
-    grid = np.linspace(0.0, horizon, n_samples)
+    grid = list(_linspace(0.0, horizon, n_samples))
     flow = case.truncated(terms)
 
     # the fit checks len(ics), so it runs before the costly direct solve
     amps0 = fit_initial_amplitudes(flow, ics, eps)
     direct = integrate_reference(case.direct_expansion(eps), ics, (0.0, horizon), rtol, atol,
                                  t_eval=grid)
-    y_direct = direct.y[:, : case.n_components].T
+    y_direct = [list(column) for column in zip(*direct.y)][:case.n_components]
 
     amp_traj = integrate_amplitude(flow, amps0, (0.0, horizon), eps, rtol, atol, t_eval=grid)
     y_ms = reconstruct_on_grid(flow, amp_traj, eps)
 
-    err = np.abs(y_direct - y_ms)
+    err = [list(map(abs, map(operator.sub, *rows))) for rows in zip(y_direct, y_ms)]
     stats = {
         "direct_steps": direct.meta["n_steps"],
         "amplitude_steps": amp_traj.meta["n_steps"],
@@ -758,17 +846,20 @@ def compare(
         "trajectories": {"y_direct": y_direct, "y_multiscale": y_ms},
     }
     if case.exact is not None:
-        y_exact = np.asarray(case.exact(grid, eps))
-        stats["max_abs_error_vs_exact"] = float(np.max(np.abs(y_exact - y_ms)))
-        stats["max_abs_error_direct_vs_exact"] = float(
-            np.max(np.abs(y_exact - y_direct))
-        )
+        y_exact = case.exact(grid, eps)
+        for key, path in (("max_abs_error_vs_exact", y_ms),
+                          ("max_abs_error_direct_vs_exact", y_direct)):
+            stats[key] = max_abs([max_abs(list(map(operator.sub, *rows)))
+                                  for rows in zip(y_exact, path)])
+    squares = [e * e for e in err[0]]  # per sample, summed over the components
+    for row in err[1:]:
+        squares = [s + e * e for s, e in zip(squares, row)]
     return RunReport(
         case=case.name,
         eps=eps,
         horizon=horizon,
-        max_abs_error=float(err.max()),
-        l2_error=float(np.sqrt(np.mean(np.sum(err**2, axis=0)))),
+        max_abs_error=max_abs([max_abs(row) for row in err]),
+        l2_error=math.sqrt(sum(squares) / len(squares)),
         t=grid,
         error=err,
         stats=stats,

@@ -342,6 +342,33 @@ def test_eps_sweep_with_seed(tmp_path):
     assert len(list(tmp_path.glob("sweep_eps*.csv"))) == 2
 
 
+def test_seed_shuffles_the_member_order_alone(tmp_path, monkeypatch):
+    # the seed reorders the members' runs, never what they write
+    from asymptotica import msode
+
+    compare, ran = msode.compare, []
+
+    def recording(case, eps, *args, **kwargs):
+        ran.append(eps)
+        return compare(case, eps, *args, **kwargs)
+
+    monkeypatch.setattr(msode, "compare", recording)
+    sweep = {"name": "sweep", "case": "cubic", "eps": [0.1, 0.05, 0.08, 0.06],
+             "horizon_exponent": 1, "n_samples": 64}
+    summaries = []
+    for label, payload in (("plain", sweep), ("seeded", dict(sweep, seed=3))):
+        cfg = write_config(tmp_path, f"{label}.json", payload)
+        assert main(["ode", "--config", cfg, "--out-dir", str(tmp_path / label)]) == EXIT_OK
+        summaries.append(read_summary(tmp_path / label, "sweep"))
+    assert ran[:4] == sweep["eps"] and sorted(ran[4:]) == sorted(sweep["eps"])
+    assert ran[4:] != sweep["eps"]
+    assert summaries[0]["result"] == summaries[1]["result"]
+    csvs = sorted(path.name for path in (tmp_path / "plain").glob("*.csv"))
+    assert len(csvs) == 4
+    for name in csvs:
+        assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "seeded" / name).read_bytes()
+
+
 @pytest.mark.parametrize(
     "subcommand,payload",
     [

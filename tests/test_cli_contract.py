@@ -104,6 +104,12 @@ REJECTED = [
     # an explicit horizon above |eps|^-(validity exponent + 1) = 1e4: at the
     # negative eps it ran and wrote its CSV
     pytest.param("ode", {"case": "cubic", "eps": -0.1, "horizon": 20000}, id="ode-payload29"),
+    # eps**-horizon_exponent past the float range, where Python's ** raises
+    # OverflowError and numpy's float64 gives +-inf (HORIZON_PAST_THE_FLOATS)
+    pytest.param("ode", {"case": "cubic", "eps": 1e-200, "horizon_exponent": 2},
+                 id="ode-payload30"),
+    pytest.param("ode", {"case": "cubic", "eps": -1e-200, "horizon_exponent": 3},
+                 id="ode-payload31"),
 ]
 
 
@@ -114,6 +120,35 @@ def test_malformed_config_is_a_config_error(tmp_path, capsys, subcommand, payloa
     assert err.startswith("error: ") and "Traceback" not in err
     assert not list(tmp_path.glob("*.csv"))
     assert not (tmp_path / "cfg_summary.json").exists()
+
+
+HORIZON_PAST_THE_FLOATS = [
+    (1e-200, 2, "error: horizon inf is above the budget of 100000.0"),
+    (-1e-200, 3, "error: horizon -inf at eps -1e-200 is not positive"),
+]
+
+
+@pytest.mark.parametrize("eps, exponent, message", HORIZON_PAST_THE_FLOATS)
+def test_horizon_past_the_float_range_names_its_value(tmp_path, capsys, eps, exponent, message):
+    payload = {"case": "cubic", "eps": eps, "horizon_exponent": exponent}
+    assert run(tmp_path, "ode", payload, capsys) == (EXIT_CONFIG, message + "\n")
+
+
+def test_singular_fit_is_a_solver_error(tmp_path, capsys, monkeypatch):
+    # B's eps^0 carrier row dropped: B then enters only at eps^1, so the
+    # eps = 0 fit's linear system has a zero column
+    from asymptotica import msode
+
+    case = msode.catalog("quadratic_damped")
+    planted = copy.copy(case)._set_tables(case.rate_terms,
+                                          case.carrier_terms[:1] + case.carrier_terms[2:])
+    monkeypatch.setattr(msode, "catalog", lambda name: planted)
+    code, err = run(tmp_path, "ode", {"case": "quadratic_damped", "eps": 0.01, "horizon": 10.0},
+                    capsys)
+    assert code == EXIT_SOLVER, err
+    assert err.startswith("solver error: ") and "singular" in err.lower()
+    assert len(err.splitlines()) == 1
+    assert not list(tmp_path.glob("*.csv"))
 
 
 # Each of these ran its earlier members and wrote their CSVs before the bad

@@ -1,7 +1,15 @@
-"""Runs load only what they compute with: pi, roots and euler runs load no
-numpy, ode, blayer and pde runs load no dimsys, and no run loads scipy or
-sympy, nor any of their submodules, which only the tests use.  A
-CLI process gives numpy's BLAS one thread unless its caller set a thread
+"""Runs load only what they compute with:
+
+* pi, roots and euler runs load no numpy;
+* ode runs load no numpy either, seeded sweeps included: msode steps,
+  samples, fits and reconstructs in Python floats;
+* blayer and pde runs load numpy, for the layer's finite differences and
+  shooting profile and for the packets' FFTs;
+* ode, blayer and pde runs load no dimsys;
+* no run loads scipy or sympy, nor any of their submodules, which only the
+  tests use.
+
+A CLI process gives numpy's BLAS one thread unless its caller set a thread
 count."""
 
 import json
@@ -22,14 +30,19 @@ SHIPPED = [
     ("euler", "euler", str(CONFIGS / "euler_bound.json")),
     ("pde", "pde", str(CONFIGS / "phase_match.json")),
     ("blayer", "blayer", str(CONFIGS / "linear_layer.json")),
+    # the ode runs come first among the integrating runs, before any run
+    # that loads numpy in the same interpreter
     ("ode", "ode", str(CONFIGS / "damped_oscillator.json")),
-    ("packet", "pde", str(CONFIGS / "kg_packet.json")),
-    ("fourth_packet", "pde", str(CONFIGS / "fourth_packet.json")),
-    ("nonlinear_layer", "blayer", str(CONFIGS / "nonlinear_layer.json")),
     ("coupled_cubic_pilot", "ode", str(CONFIGS / "coupled_cubic_pilot.json")),
     ("coupled_cubic_short", "ode", str(CONFIGS / "coupled_cubic_short.json")),
+    ("nonlinear_layer", "blayer", str(CONFIGS / "nonlinear_layer.json")),
+    ("packet", "pde", str(CONFIGS / "kg_packet.json")),
+    ("fourth_packet", "pde", str(CONFIGS / "fourth_packet.json")),
     ("kg_packet_long", "pde", str(CONFIGS / "kg_packet_long.json")),
 ]
+# a seeded eps sweep, whose members run in an order the seed shuffles
+ODE_SWEEP = {"case": "cubic", "eps": [0.1, 0.05, 0.08], "horizon_exponent": 1, "seed": 3}
+ODE_RUNS = ["ode", "coupled_cubic_pilot", "coupled_cubic_short", "ode_sweep"]
 
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -103,12 +116,32 @@ def test_light_runs_load_no_scipy(tmp_path):
 
 @pytest.fixture(scope="module")
 def integrating_runs(tmp_path_factory):
-    """The probe over the ode, packet and nonlinear-layer runs, in one fresh
-    interpreter without BLAS thread variables."""
-    return loaded_per_run(SHIPPED[5:], tmp_path_factory.mktemp("integrating"))
+    """The probe over the ode runs, the seeded ode sweep after them, then the
+    nonlinear-layer and packet runs, in one fresh interpreter without BLAS
+    thread variables."""
+    out = tmp_path_factory.mktemp("integrating")
+    sweep = out / "ode_sweep.json"
+    sweep.write_text(json.dumps(ODE_SWEEP))
+    runs = SHIPPED[5:8] + [("ode_sweep", "ode", str(sweep))] + SHIPPED[8:]
+    return loaded_per_run(runs, out)
 
 
-INTEGRATING = [label for label, _, _ in SHIPPED[5:]]
+INTEGRATING = ODE_RUNS + [label for label, _, _ in SHIPPED[8:]]
+
+
+def test_ode_runs_load_no_numpy(integrating_runs):
+    # msode's solves, samples, fit and reconstruction run in Python floats,
+    # and the CLI writes their CSVs and shuffles a seeded sweep without numpy
+    for stage in ODE_RUNS:
+        assert not integrating_runs[stage]["numpy"], (stage, integrating_runs[stage])
+
+
+def test_layer_and_packet_runs_load_numpy(integrating_runs, tmp_path):
+    # the first run after the ode runs loads numpy itself, and so does a
+    # packet run on its own
+    assert integrating_runs["nonlinear_layer"]["numpy"], integrating_runs["nonlinear_layer"]
+    assert SHIPPED[9][0] == "packet"
+    assert loaded_per_run(SHIPPED[9:10], tmp_path)["packet"]["numpy"]
 
 
 def test_integrating_runs_load_no_scipy_integrate(integrating_runs):
@@ -137,7 +170,7 @@ def test_numeric_runs_hold_one_thread(integrating_runs):
         pytest.skip("no /proc/self/task to count threads in")
     for stage in INTEGRATING:
         seen = integrating_runs[stage]
-        assert seen["numpy"] and seen["threads"] == 1, (stage, seen)
+        assert seen["numpy"] == (stage not in ODE_RUNS) and seen["threads"] == 1, (stage, seen)
         assert seen["env"] == dict.fromkeys(THREAD_VARIABLES, "1"), (stage, seen)
 
 

@@ -5,13 +5,14 @@ is the independent oracle the tests compare it with, sample by sample, on
 the flows the library integrates.
 """
 
+import math
 import re
 
 import numpy as np
 import pytest
 from scipy.integrate import DOP853, solve_ivp
 
-from asymptotica import blayer, mspde
+from asymptotica import blayer, msode, mspde
 from asymptotica.msode import SolverError, catalog, integrate_reference
 from asymptotica.mspde import RealField, grid_points
 
@@ -20,6 +21,26 @@ def solve_with_scipy(rhs, y0, t_span, rtol, atol, t_eval, args=()):
     # solve_ivp steps a complex y0 as complex and any other as floats
     return solve_ivp(rhs, t_span, y0, method="DOP853",
                      rtol=rtol, atol=atol, t_eval=t_eval, args=args or None)
+
+
+def original_rhs(case):
+    """The case's (positions, velocities)' = (velocities, accelerations), as
+    scipy's solve_ivp calls a right-hand side: rhs(t, state, eps)."""
+
+    def rhs(t, state, eps):
+        return np.array(msode._evaluate(case._direct_rows, np.asarray(state).tolist() + [eps]))
+
+    return rhs
+
+
+def amplitude_rhs(case):
+    """The case's amplitude flow dA/dt = rate(A) A, as solve_ivp calls it:
+    rhs(t, amps, eps)."""
+
+    def rhs(t, amps, eps):
+        return np.asarray(case.rate(amps, eps)) * amps
+
+    return rhs
 
 
 def assert_matches_scipy(expand, rhs, y0, t_span, rtol, atol, t_eval, bound, args=()):
@@ -31,8 +52,8 @@ def assert_matches_scipy(expand, rhs, y0, t_span, rtol, atol, t_eval, bound, arg
     ref = solve_with_scipy(rhs, y0, t_span, 1e-13, 1e-15, end, args)
     assert ref.success, ref.message
     traj = integrate_reference(expand, y0, t_span, rtol, atol, t_eval=t_eval)
-    assert traj.t.tobytes() == ref.t.tobytes()
-    assert np.max(np.abs(traj.y - ref.y.T)) <= bound
+    assert np.asarray(traj.t).tobytes() == ref.t.tobytes()
+    assert np.max(np.abs(np.asarray(traj.y) - ref.y.T)) <= bound
     return traj
 
 
@@ -47,7 +68,7 @@ def assert_matches_scipy(expand, rhs, y0, t_span, rtol, atol, t_eval, bound, arg
 )
 def test_damped_linear_reference_matches_scipy(t_eval):
     case = catalog("damped_linear")
-    traj = assert_matches_scipy(case.direct_expansion(0.01), case.original_rhs,
+    traj = assert_matches_scipy(case.direct_expansion(0.01), original_rhs(case),
                                 case.default_ics, (0.0, 400.0), 1e-10, 1e-12, t_eval, 5e-11,
                                 args=(0.01,))
     assert traj.meta["n_steps"] > 100
@@ -56,7 +77,7 @@ def test_damped_linear_reference_matches_scipy(t_eval):
 def test_coupled_reference_on_a_compare_grid_matches_scipy():
     # 4 state components sampled on the 2048-point grid compare() uses
     case = catalog("coupled_cubic")
-    assert_matches_scipy(case.direct_expansion(0.1), case.original_rhs, case.default_ics,
+    assert_matches_scipy(case.direct_expansion(0.1), original_rhs(case), case.default_ics,
                          (0.0, 100.0), 1e-10, 1e-12, np.linspace(0.0, 100.0, 2048), 5e-10,
                          args=(0.1,))
 
@@ -64,7 +85,7 @@ def test_coupled_reference_on_a_compare_grid_matches_scipy():
 def test_many_samples_per_step_match_scipy():
     # t0 included and about a hundred samples in every step
     case = catalog("cubic")
-    traj = assert_matches_scipy(case.direct_expansion(0.1), case.original_rhs,
+    traj = assert_matches_scipy(case.direct_expansion(0.1), original_rhs(case),
                                 case.default_ics, (0.0, 20.0), 1e-10, 1e-12,
                                 np.linspace(0.0, 20.0, 4097), 5e-11, args=(0.1,))
     assert traj.meta["n_steps"] < 4097 / 40
@@ -85,14 +106,14 @@ def test_shooting_profile_matches_scipy(monkeypatch):
     ((expand, y0, t_span), kwargs), = calls
     assert len(kwargs["t_eval"]) == 8193
     layer = blayer._layer_case(blayer._REACTION["nonlinear"][0])
-    assert_matches_scipy(expand, layer.amplitude_rhs, y0, t_span, kwargs["rtol"],
+    assert_matches_scipy(expand, amplitude_rhs(layer), y0, t_span, kwargs["rtol"],
                          kwargs["atol"], kwargs["t_eval"], 1e-10, args=(eps,))
 
 
 def test_rtol_under_the_floor_matches_scipy():
     case = catalog("cubic")
     with pytest.warns(UserWarning):
-        assert_matches_scipy(case.direct_expansion(0.1), case.original_rhs, case.default_ics,
+        assert_matches_scipy(case.direct_expansion(0.1), original_rhs(case), case.default_ics,
                              (0.0, 20.0), 1e-16, 1e-16, np.linspace(0.0, 20.0, 201), 1e-12,
                              args=(0.1,))
 
@@ -153,7 +174,7 @@ def test_blow_up_fails_where_scipy_fails(t_eval):
         stepper.step()
     assert stepper.status == "failed"
     with pytest.raises(SolverError, match="step size") as failure:
-        integrate_reference(square, [2.0], (0.0, 1.0), 1e-10, 1e-12, t_eval=t_eval)
+        integrate_reference(square, np.array([2.0]), (0.0, 1.0), 1e-10, 1e-12, t_eval=t_eval)
     t_fail = float(re.search(r"at t=(\S+):", str(failure.value)).group(1))
     assert abs(t_fail - stepper.t) <= 1e-9
 
@@ -200,8 +221,31 @@ def test_complex_state_keeps_the_sign_of_a_zero_part():
     def expand(y, order):
         return np.array([y] + [np.full_like(y, complex(-0.0, -0.0))] * order)
 
-    traj = integrate_reference(expand, [complex(-0.0, -1.0)], (0.0, 1.0), t_eval=[0.5, 1.0])
+    traj = integrate_reference(expand, np.array([complex(-0.0, -1.0)]), (0.0, 1.0),
+                               t_eval=[0.5, 1.0])
     assert np.signbit(traj.y.real).all() and (traj.y.imag == -1.0).all()
+
+
+def test_python_complex_state_keeps_the_sign_of_a_zero_part():
+    # the same on a state of Python numbers, stepped and sampled in floats
+    def expand(y, order):
+        return [[a] + [complex(-0.0, -0.0)] * order for a in y]
+
+    traj = integrate_reference(expand, [complex(-0.0, -1.0)], (0.0, 1.0), t_eval=[0.5, 1.0])
+    assert [math.copysign(1.0, a.real) for a, in traj.y] == [-1.0, -1.0]
+    assert [a.imag for a, in traj.y] == [-1.0, -1.0]
+
+
+def test_python_and_array_states_step_alike():
+    # the two arithmetics make the same operations in the same order
+    case = catalog("coupled_cubic")
+    expand = case.direct_expansion(0.1)
+    grid = np.linspace(0.0, 30.0, 513)
+    floats = integrate_reference(expand, case.default_ics, (0.0, 30.0), t_eval=grid)
+    arrays = integrate_reference(lambda y, order: np.array(expand(y.tolist(), order)).T,
+                                 np.array(case.default_ics), (0.0, 30.0), t_eval=grid)
+    assert floats.meta == arrays.meta and floats.meta["n_steps"] > 10
+    assert np.asarray(floats.y).tobytes() == arrays.y.tobytes()
 
 
 @pytest.mark.parametrize("bad", [complex(1.0, np.nan), complex(np.inf, 0.0)])
