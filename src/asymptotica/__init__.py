@@ -1,8 +1,9 @@
 """Dimensional analysis, perturbation expansions and multiple-scales solvers,
 validated against direct numerical solutions."""
 
+from __future__ import annotations
+
 import math
-from fractions import Fraction
 
 __version__ = "0.1.0"
 
@@ -29,14 +30,31 @@ class SolverError(RuntimeError):
     without loading a solver module."""
 
 
+def horner(coeffs, x):
+    """coeffs[0] + coeffs[1] x + ... by Horner's rule from the highest power; 0 if empty.
+
+    Exact coefficients and x give an exact value; numpy arrays broadcast.
+    Here, free of numpy and fractions, so the integrator loads neither.
+    """
+    if len(coeffs) == 0:
+        return 0
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = acc * x + c
+    return acc
+
+
 def parse_fraction(text: str) -> Fraction:
     """The exact value of an integer, decimal or fraction string such as
     ``"-3/4"`` or ``"1.5e-3"``.
 
     Raises ValueError on a malformed string, a zero denominator and a decimal
     exponent beyond +-``MAX_DECIMAL_EXPONENT``, which ``Fraction`` would
-    expand into a power of ten of any size.
+    expand into a power of ten of any size.  ``fractions`` is imported
+    here, on the first exact value a run parses.
     """
+    from fractions import Fraction
+
     _, e, exponent = text.lower().partition("e")
     if e and abs(int(exponent)) > MAX_DECIMAL_EXPONENT:
         raise ValueError(f"decimal exponent of {text!r} beyond +-{MAX_DECIMAL_EXPONENT}")

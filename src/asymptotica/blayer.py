@@ -54,10 +54,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import SolverError
+from . import SolverError, horner
 from .integrator import integrate_reference
 from .msode import CaseSpec
-from .series import PolyFamily, derivative, expand_root, horner, rescale_singular
+from .series import PolyFamily, derivative, expand_root, rescale_singular
 
 
 def solve_banded(ab, b) -> np.ndarray:

@@ -5,7 +5,10 @@ One run is described by one JSON config file; the tool writes a JSON summary
 the output directory.  Outputs are deterministic for a fixed config: CSV
 floats are printed with 17 significant digits and JSON floats as their
 shortest round-trip repr, so re-running a config reproduces the files byte
-for byte.
+for byte.  CSVs are written a block of rows at a time; a column that several
+files or rows share is formatted once: an ``ode`` run's time grid, once per
+horizon, so sweep members at an explicit horizon share it, and its direct
+column, which the naive file repeats.
 
 ::
 
@@ -31,7 +34,11 @@ the ``ode``, ``blayer`` and ``pde`` declarations and runners, so ``ode``,
 ``blayer`` and ``pde`` runs never import ``dimsys``.  Only ``blayer`` and
 ``pde`` runs import numpy: ``msode`` computes in Python floats, and the CSV
 writer and the eps sweep's shuffle (``random.Random(seed)``) need no numpy
-either.
+either.  Importing this module loads no ``fractions``; ``pi`` and ``roots``
+runs load it with the first exact value they parse.  An ``ode`` run loads
+``msode`` and ``integrator`` and none of ``series``, ``fractions``,
+``dataclasses`` or ``inspect``: their classes are plain ones, and Horner's
+rule lives at the package root.
 
 Every solve runs on one thread, so a CLI process gives numpy's BLAS one
 thread too: :func:`main` sets ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``
@@ -49,7 +56,6 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -76,15 +82,28 @@ def _dump_json(obj, path: Path):
     path.write_text(json.dumps(obj, indent=2, default=lambda o: o.tolist()) + "\n")
 
 
+def _texts(values: list) -> list[str]:
+    """Numbers as ``_write_csv`` prints them, for a column that several
+    files, or several rows of one file, share."""
+    return list(map("%.17g".__mod__, values))
+
+
+_CSV_BLOCK = 4096  # rows formatted and written at a time
+
+
 def _write_csv(path: Path, header: list[str], columns: list):
-    """One row per index of the equal-length ``columns``, lists or numpy
-    arrays; "%.17g" prints each value as ``_fmt`` does, integers of the
-    columns included."""
-    columns = [c.tolist() if hasattr(c, "tolist") else c for c in columns]
-    line = ",".join(["%.17g"] * len(header)) + "\n"
+    """One row per index of the equal-length ``columns``: lists or numpy
+    arrays of numbers, or lists of text already formatted by ``_texts``.
+    "%.17g" prints each number as ``_fmt`` does, integers of the columns
+    included.  Rows are formatted and written ``_CSV_BLOCK`` at a time, so
+    the file's text is never held whole."""
+    line = ",".join("%s" if len(c) and isinstance(c[0], str) else "%.17g" for c in columns) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        fh.write(line * len(columns[0]) % tuple(itertools.chain.from_iterable(zip(*columns))))
+        for start in range(0, len(columns[0]), _CSV_BLOCK):
+            block = [c[start:start + _CSV_BLOCK] for c in columns]
+            block = [b.tolist() if hasattr(b, "tolist") else b for b in block]
+            fh.write(line * len(block[0]) % tuple(itertools.chain.from_iterable(zip(*block))))
 
 
 # --- config types -----------------------------------------------------------------
@@ -493,16 +512,25 @@ def _run_ode(cfg: dict, out: Path, name: str) -> tuple[dict, list[dict]]:
     cli_keys = ("name", "case", "eps", "seed", "include_naive")
     args = {k: v for k, v in cfg.items() if k not in cli_keys}
 
+    times = {}  # the time column's text, keyed by the horizon of its grid
+
     def run(eps: float) -> dict:
         report = msode.compare(case, eps, **args)
         paths = report.stats.pop("trajectories")
         y_direct, y_ms = paths["y_direct"], paths["y_multiscale"]
         suffix = f"_eps{_fmt(eps)}" if len(cfg["eps"]) > 1 else ""
         n = case.n_components
+        # the grid is fixed by the horizon, so sweep members at one horizon share its text
+        if report.horizon not in times:
+            times.clear()
+            times[report.horizon] = _texts(report.t)
+        t_text = times[report.horizon]
+        # the naive file repeats the direct column; include_naive is damped_linear's, n = 1
+        direct = [_texts(y_direct[0])] if cfg.get("include_naive") else y_direct
         header = ["t", "y_direct", "y_multiscale", "abs_error"]
         # per component its samples, one after the other
-        columns = [report.t * n, *(list(itertools.chain.from_iterable(rows))
-                                   for rows in (y_direct, y_ms, report.error))]
+        columns = [t_text * n, *(list(itertools.chain.from_iterable(rows))
+                                 for rows in (direct, y_ms, report.error))]
         if n > 1:  # systems get a leading component column
             header = ["component", *header]
             columns = [[k for k in range(n) for _ in report.t], *columns]
@@ -512,7 +540,7 @@ def _run_ode(cfg: dict, out: Path, name: str) -> tuple[dict, list[dict]]:
             _write_csv(
                 out / f"{name}{suffix}_naive.csv",
                 ["t", "y_direct", "y_naive", "abs_error"],
-                [report.t, y_direct[0], naive, [abs(d - v) for d, v in zip(y_direct[0], naive)]],
+                [t_text, direct[0], naive, [abs(d - v) for d, v in zip(y_direct[0], naive)]],
             )
         return {
             "eps": eps,

@@ -10,14 +10,20 @@ solution through y, in place of a right-hand side; each of the callers forms
 them by Cauchy products of the series, order by order.  The driver checks the
 inputs (:func:`checked_problem`), takes each step from the last two
 coefficients (:func:`taylor_step`), advances by Horner's rule
-(:func:`series.horner`) and samples ``t_eval`` after the last step, in one
-Horner pass over the steps that cover it.
+(:func:`asymptotica.horner`, defined at the package root so that this module
+loads neither ``series`` nor ``fractions``) and samples ``t_eval`` after the
+last step, in one Horner pass over the steps that cover it.  It samples every
+component, or only the leading ones a caller asks for: the ODE direct solve
+samples its positions and not its velocities.
 
 A state is either a list or tuple of Python numbers or a numpy array, and
 the driver's arithmetic follows it:
 
 * Python numbers (the ODE catalog): stepped and sampled in Python floats,
-  and nothing here imports numpy, so an ``ode`` run never loads it;
+  and nothing here imports numpy, so an ``ode`` run never loads it.  Each
+  row is sampled by a straight-line Horner function generated from the
+  order alone (:func:`_horner_kernel`), which does the operations of
+  Horner's loop in the loop's order, without the loop's overhead;
 * an array (the ``mspde`` band, and the ``blayer`` shooting, whose profile
   samples thousands of points): stepped and sampled by numpy, each Horner
   pass over all components, or all samples, at once.
@@ -33,34 +39,29 @@ can flip the sign of a zero part.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import numbers
 import operator
 import sys
 import warnings
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from . import SolverError
-from .series import horner
+from . import SolverError, horner
 
 
-@dataclass(frozen=True)
 class Trajectory:
     """Time grid plus state samples; ``y[i]`` is the state at ``t[i]``.
     Lists for a state of Python numbers, arrays for an array state."""
 
-    t: Sequence
-    y: Sequence
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if len(self.t) != len(self.y):
+    def __init__(self, t: Sequence, y: Sequence, meta: dict | None = None):
+        if len(t) != len(y):
             raise ValueError("time grid and samples must have equal length")
-        t = self.t.tolist() if hasattr(self.t, "tolist") else self.t
-        if not all(map(operator.lt, t, t[1:])):
+        times = t.tolist() if hasattr(t, "tolist") else t
+        if not all(map(operator.lt, times, times[1:])):
             raise ValueError("time grid must be strictly increasing")
+        self.t, self.y, self.meta = t, y, {} if meta is None else meta
 
 
 RTOL_FLOOR = 100 * sys.float_info.epsilon
@@ -109,7 +110,7 @@ def _python_problem(y0, t0, t_bound, t_eval) -> tuple[list, list]:
         raise ValueError("all components of y0 must be finite")
     if hasattr(t_eval, "tolist"):  # an array
         t_eval = t_eval.tolist() if t_eval.ndim == 1 else [t_eval]
-    if not all(type(s) is float or isinstance(s, numbers.Real) for s in t_eval):
+    if not all(issubclass(kind, numbers.Real) for kind in set(map(type, t_eval))):
         raise ValueError("t_eval must be 1-dimensional")
     t_eval = list(map(float, t_eval))
     if not all(map(math.isfinite, t_eval)):
@@ -175,21 +176,52 @@ def taylor_step(tops: Sequence[float], order: int, tol: float, rtol: float) -> f
     return h
 
 
+@functools.cache
+def _horner_kernel(order: int) -> Callable:
+    """``kernel(row, offsets, out)``: appends to ``out``, per offset s, the
+    polynomial with coefficients ``row`` (c_0..c_N, N = ``order``) at s.
+
+    Straight-line code generated from the order alone: the coefficients are
+    unpacked into locals and each value is ((c_N s + c_(N-1)) s + ...) s + c_0,
+    the operations of :func:`asymptotica.horner`'s loop in its order, so the
+    same floats, bit for bit, without the loop's per-coefficient overhead.
+    """
+    names = [f"c{k}" for k in range(order + 1)]
+    value = names[-1]
+    for name in reversed(names[:-1]):
+        value = f"({value}) * s + {name}"
+    source = (f"def kernel(row, offsets, out):\n"
+              f"    {', '.join(names)}, = row\n"
+              f"    append = out.append\n"
+              f"    for s in offsets:\n"
+              f"        append({value})\n")
+    namespace = {}
+    exec(source, namespace)
+    return namespace["kernel"]
+
+
 class _PythonFloats:
     """The driver's arithmetic on a state of Python numbers.
 
     ``expand`` returns, per component, its coefficients c_0..c_N.  The rows
     are those of the real state, or of the real parts and then the imaginary
-    parts of a complex one.
+    parts of a complex one.  The first n components are sampled.
     """
 
-    def __init__(self, y: list):
-        self.complex = isinstance(y[0], complex)
+    def __init__(self, y: list, n: int):
+        self.complex, self.n = isinstance(y[0], complex), n
 
     def rows(self, c) -> list:
         if not self.complex:
             return c
         return [[z.real for z in row] for row in c] + [[z.imag for z in row] for row in c]
+
+    def sampled(self, rows) -> list:
+        """The rows of the components sampled."""
+        if not self.complex:
+            return rows[:self.n]
+        half = len(rows) // 2
+        return rows[:self.n] + rows[half:half + self.n]
 
     @staticmethod
     def tops(rows, order) -> list[float]:
@@ -206,20 +238,16 @@ class _PythonFloats:
         return self.state([horner(row, h) for row in rows])
 
     def samples(self, dense: list, t_eval: list) -> list:
-        """Per row, each sample by Horner's rule from its step's row, in time
-        order; then per sample the state, a tuple."""
+        """Per row, each sample by :func:`_horner_kernel` from its step's
+        row, in time order; then per sample the state, a tuple."""
         columns = [[] for _ in dense[0][2]] if dense else []
         start = 0
         for count, t_old, rows in dense:
             offsets = [s - t_old for s in t_eval[start:start + count]]
             start += count
+            kernel = _horner_kernel(len(rows[0]) - 1)
             for column, row in zip(columns, rows):
-                top, rest = row[-1], row[-2::-1]  # from the top coefficient down
-                for s in offsets:
-                    acc = top
-                    for c in rest:
-                        acc = acc * s + c
-                    column.append(acc)
+                kernel(row, offsets, column)
         if self.complex:
             n = len(columns) // 2
             columns = [list(map(complex, re, im)) for re, im in zip(columns[:n], columns[n:])]
@@ -231,16 +259,19 @@ class _NumpyArrays:
 
     ``expand`` returns an array of shape (N + 1, len(y)), of y's dtype; the
     rows are the coefficients' float view, real and imaginary parts side by
-    side for a complex state.
+    side for a complex state.  The first n components are sampled.
     """
 
-    def __init__(self, y):
+    def __init__(self, y, n: int):
         import numpy as np
 
-        self.np, self.dtype, self.size = np, y.dtype, len(y)
+        self.np, self.dtype, self.n = np, y.dtype, n
 
     def rows(self, c):
         return self.np.ascontiguousarray(c).view(float)
+
+    def sampled(self, rows):
+        return rows[:, :self.n * (2 if self.dtype.kind == "c" else 1)]
 
     def tops(self, rows, order) -> list[float]:
         return self.np.abs(rows[[0, order - 1, order]]).max(axis=1).tolist()
@@ -251,7 +282,7 @@ class _NumpyArrays:
     def samples(self, dense: list, t_eval):
         np = self.np
         if not dense:
-            return np.zeros((len(t_eval), self.size), self.dtype)
+            return np.zeros((len(t_eval), self.n), self.dtype)
         counts, t_olds, coefs = zip(*dense)
         s = (t_eval - np.repeat(t_olds, counts))[:, None]
         coefs = np.asarray(coefs).swapaxes(0, 1)  # (order + 1, steps, n)
@@ -268,6 +299,7 @@ def integrate_reference(
     atol: float = 1e-12,
     t_eval=None,
     order: int | None = None,
+    components: int | None = None,
 ) -> Trajectory:
     """Integrate y' = f(y) from ``t_span[0]`` to ``t_span[1]`` by Taylor series.
 
@@ -281,13 +313,15 @@ def integrate_reference(
     coefficient, both over the real and imaginary parts; the state advances
     by Horner's rule.  Samples at ``t_eval``, by default ``[t_span[1]]``
     alone, come after the last step from one Horner pass over the steps that
-    cover them, as lists or as arrays, as y0 is.  Deterministic for fixed
-    inputs.
+    cover them, as lists or as arrays, as y0 is.  ``components`` n samples
+    only the first n components, so each sample holds n values; by default
+    all.  Deterministic for fixed inputs.
 
     Inputs are checked by :func:`checked_problem` before the first
-    expansion.  ``meta`` records ``nfev`` (the steps times the order: one
-    right-hand side's worth of work per order), the steps (``n_steps``),
-    those that cover samples (``n_dense``), the order and the tolerances.
+    expansion, and n must be in 1..len(y0).  ``meta`` records ``nfev`` (the
+    steps times the order: one right-hand side's worth of work per order),
+    the steps (``n_steps``), those that cover samples (``n_dense``), the
+    order and the tolerances.
     Raises :class:`SolverError` naming t when a coefficient is not finite or
     the step falls under ten times the spacing of doubles at t, as it does
     at a finite-time blow-up.
@@ -295,7 +329,10 @@ def integrate_reference(
     y, (t, t_bound), t_eval, rtol_used = checked_problem(y0, t_span, rtol, atol, t_eval)
     if order is None:
         order = taylor_order(min(rtol, atol))
-    arithmetic = _PythonFloats(y) if isinstance(y, list) else _NumpyArrays(y)
+    components = len(y) if components is None else components
+    if not 0 < components <= len(y):
+        raise ValueError(f"components must be in 1..{len(y)}")
+    arithmetic = (_PythonFloats if isinstance(y, list) else _NumpyArrays)(y, components)
     t_list = t_eval if isinstance(t_eval, list) else t_eval.tolist()
     n_eval = n_steps = 0
     dense = []  # per step that covers samples: (their number, t_old, coefficient rows)
@@ -314,7 +351,7 @@ def integrate_reference(
         n_steps += 1
         n_new = bisect_right(t_list, t, n_eval)
         if n_new > n_eval:
-            dense.append((n_new - n_eval, t_old, rows))
+            dense.append((n_new - n_eval, t_old, arithmetic.sampled(rows)))
             n_eval = n_new
     meta = {"nfev": n_steps * order, "n_steps": n_steps, "n_dense": len(dense),
             "order": order, "rtol": rtol, "atol": atol}

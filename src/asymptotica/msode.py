@@ -106,7 +106,6 @@ import itertools
 import math
 import numbers
 import operator
-from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from . import SolverError  # re-exported: callers catch it as msode.SolverError
@@ -115,23 +114,18 @@ from . import SolverError  # re-exported: callers catch it as msode.SolverError
 from .integrator import Trajectory, integrate_reference, max_abs
 
 
-@dataclass(frozen=True)
 class RunReport:
     """Outcome of one direct-vs-multiscale comparison run."""
 
-    case: str
-    eps: float
-    horizon: float
-    max_abs_error: float
-    l2_error: float
-    t: Sequence
-    error: Sequence  # per component its samples; lists for the ODE catalog
-    stats: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if (self.max_abs_error < 0 or self.l2_error < 0
-                or any(e < 0 for row in self.error for e in row)):
+    def __init__(self, case: str, eps: float, horizon: float, max_abs_error: float,
+                 l2_error: float, t: Sequence, error: Sequence, stats: dict | None = None):
+        if max_abs_error < 0 or l2_error < 0 or any(e < 0 for row in error for e in row):
             raise ValueError("error norms must be nonnegative")
+        self.case, self.eps, self.horizon = case, eps, horizon
+        self.max_abs_error, self.l2_error = max_abs_error, l2_error
+        self.t = t
+        self.error = error  # per component its samples; lists for the ODE catalog
+        self.stats = {} if stats is None else stats
 
 
 # (output, coefficient, eps power p, exponents n): adds coefficient eps^p
@@ -363,18 +357,18 @@ def _operators(accelerations: tuple[PolynomialRow, ...], nc: int) -> tuple[Calla
     return (lambda key, lam: matrix(lam * lam, lam, 1)), (lambda lam: matrix(2 * lam, 1, 0))
 
 
-@dataclass(frozen=True)
 class CaseSpec:
     """One catalog entry; see the module docstring for what it declares and derives."""
 
-    name: str
-    default_ics: tuple[float, ...]  # positions, then velocities
-    accelerations: tuple[PolynomialRow, ...]  # exponents over the state
-    modes: tuple[CarrierTerm, ...]  # the eps^0 carrier rows
-    order: int = 2  # the eps power the rate is derived through
-    exact: Optional[Callable] = None  # (t, eps) -> components
-
-    def __post_init__(self):  # derived once per case, through __dict__ since the class is frozen
+    def __init__(self, name: str, default_ics: tuple[float, ...],
+                 accelerations: tuple[PolynomialRow, ...], modes: tuple[CarrierTerm, ...],
+                 order: int = 2, exact: Optional[Callable] = None):
+        self.name = name
+        self.default_ics = default_ics  # positions, then velocities
+        self.accelerations = accelerations  # exponents over the state
+        self.modes = modes  # the eps^0 carrier rows
+        self.order = order  # the eps power the rate is derived through
+        self.exact = exact  # (t, eps) -> components
         try:
             rates, carriers = multiple_scales(self.accelerations, self.modes, self.order,
                                               *_operators(self.accelerations, self.n_components))
@@ -386,11 +380,9 @@ class CaseSpec:
                            for i in range(nc))
         direct_rows = _group_rows(velocities + tuple((nc + out, coef, p, powers) for out, coef, p,
                                                      powers in self.accelerations), dim)
-        self.__dict__.update(
-            real_amplitudes=all(complex(lam).imag == 0 for *_, lam in self.modes),
-            _direct_rows=direct_rows,
-            _direct_plan=_taylor_plan(direct_rows),
-        )
+        self.real_amplitudes = all(complex(lam).imag == 0 for *_, lam in self.modes)
+        self._direct_rows = direct_rows
+        self._direct_plan = _taylor_plan(direct_rows)
         self._set_tables(tuple(rates), self.modes + tuple(carriers))
 
     def _set_tables(self, rate_terms: tuple, carrier_terms: tuple) -> CaseSpec:
@@ -405,11 +397,10 @@ class CaseSpec:
                 flow.append((j, coef, p, own))
             else:
                 flow += [(j, coef, p, own + powers), (n + j, coef.conjugate(), p, powers + own)]
-        self.__dict__.update(rate_terms=rate_terms, carrier_terms=carrier_terms,
-                             validity_exponent=1 + max((row[2] for row in rate_terms), default=0),
-                             _rate_rows=_group_rows(rate_terms, n),
-                             _amplitude_plan=_taylor_plan(_group_rows(
-                                 flow, n if self.real_amplitudes else 2 * n)))
+        self.rate_terms, self.carrier_terms = rate_terms, carrier_terms
+        self.validity_exponent = 1 + max((row[2] for row in rate_terms), default=0)
+        self._rate_rows = _group_rows(rate_terms, n)
+        self._amplitude_plan = _taylor_plan(_group_rows(flow, n if self.real_amplitudes else 2 * n))
         return self
 
     def truncated(self, terms: int) -> CaseSpec:
@@ -743,6 +734,9 @@ def reconstruct_on_grid(case: CaseSpec, amp_traj: Trajectory, eps: float) -> lis
 
 
 MAX_HORIZON = 1e5  # reference-solve budget: the direct solve's steps grow with the horizon
+# fit budget: the fit continues in eps in steps of 0.025, so |eps| 100 takes
+# 4,002 steps (about 0.1 s)
+MAX_EPS = 100.0
 
 
 def _power(x: float, n: int) -> float:
@@ -767,11 +761,14 @@ def resolve_horizon(
     + 1 or an explicit horizon exceeds |eps|^-(validity_exponent+1), when the
     horizon is not positive (an explicit one, or eps**(-horizon_exponent) of
     a negative eps to an odd power or underflowed to 0), and when it is
-    above ``MAX_HORIZON``.  Nothing is computed, so callers
+    above ``MAX_HORIZON``; also when |eps| is above ``MAX_EPS``, the
+    initial-amplitude fit's budget.  Nothing is computed, so callers
     can check a whole eps sweep before running any of it.
     """
     if (horizon is None) == (horizon_exponent is None):
         raise ValueError("give exactly one of horizon_exponent and horizon")
+    if not abs(eps) <= MAX_EPS:
+        raise ValueError(f"|eps| {abs(eps)} is above the fit's budget of {MAX_EPS}")
     if horizon is None:
         if eps == 0 and horizon_exponent:
             raise ValueError("eps = 0 needs an explicit horizon")
@@ -808,8 +805,9 @@ def compare(
     """Run the direct and multiscale paths on a shared grid and record errors.
 
     The direct path is :func:`integrate_reference` on the full case's
-    :meth:`CaseSpec.direct_expansion`, and ``stats["direct_steps"]`` counts
-    its steps; ``stats["amplitude_steps"]`` counts the amplitude flow's.
+    :meth:`CaseSpec.direct_expansion`, sampled at the positions alone, the
+    components compared, and ``stats["direct_steps"]`` counts its steps;
+    ``stats["amplitude_steps"]`` counts the amplitude flow's.
     The horizon is :func:`resolve_horizon`'s, from the full case; the fit,
     the amplitude flow and the reconstruction use ``case.truncated(terms)``.
     The output grid always holds ``n_samples`` uniform points, the floats of
@@ -828,9 +826,10 @@ def compare(
 
     # the fit checks len(ics), so it runs before the costly direct solve
     amps0 = fit_initial_amplitudes(flow, ics, eps)
+    # only the positions are compared, so only they are sampled
     direct = integrate_reference(case.direct_expansion(eps), ics, (0.0, horizon), rtol, atol,
-                                 t_eval=grid)
-    y_direct = [list(column) for column in zip(*direct.y)][:case.n_components]
+                                 t_eval=grid, components=case.n_components)
+    y_direct = [list(column) for column in zip(*direct.y)]
 
     amp_traj = integrate_amplitude(flow, amps0, (0.0, horizon), eps, rtol, atol, t_eval=grid)
     y_ms = reconstruct_on_grid(flow, amp_traj, eps)

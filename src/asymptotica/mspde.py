@@ -90,9 +90,10 @@ from typing import Sequence
 
 import numpy as np
 
+from . import horner
 from .integrator import integrate_reference, taylor_order
 from .msode import RunReport, multiple_scales
-from .series import derivative, horner
+from .series import derivative
 
 
 # --- models -------------------------------------------------------------------

@@ -34,7 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from . import MAX_DECIMAL_EXPONENT, _most_digits
+# horner is defined at the package root and re-exported here
+from . import MAX_DECIMAL_EXPONENT, _most_digits, horner
 
 
 class DegenerateRootError(ValueError):
@@ -43,19 +44,6 @@ class DegenerateRootError(ValueError):
     The expansion in integer powers of eps does not exist there; a scaling
     transform (see :func:`rescale_singular`) is the standard escape hatch.
     """
-
-
-def horner(coeffs: Sequence, x):
-    """coeffs[0] + coeffs[1] x + ... by Horner's rule from the highest power; 0 if empty.
-
-    Exact coefficients and x give an exact value; numpy arrays broadcast.
-    """
-    if len(coeffs) == 0:
-        return 0
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = acc * x + c
-    return acc
 
 
 def derivative(coeffs: Sequence) -> list:

@@ -3,6 +3,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from asymptotica.cli import EXIT_ACCEPT, EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, main
@@ -328,6 +329,21 @@ def test_seventeen_digit_floats(tmp_path):
     row = (tmp_path / "digits.csv").read_text().splitlines()[5]
     for cell in row.split(","):
         assert float(cell) == float(format(float(cell), ".17g"))
+
+
+def test_csv_written_in_blocks_as_in_one_piece(tmp_path):
+    # rows past two blocks, of integers, text formatted ahead, an array and
+    # floats: the bytes of the whole file formatted at once
+    from asymptotica import cli
+
+    n = 2 * cli._CSV_BLOCK + 3
+    t = [i / 7 for i in range(n)]
+    columns = [list(range(n)), cli._texts(t), np.array([v * v for v in t]), [-v for v in t]]
+    cli._write_csv(tmp_path / "blocks.csv", ["k", "t", "square", "minus"], columns)
+    rows = "".join("%.17g,%.17g,%.17g,%.17g\n" % (k, v, v * v, -v) for k, v in enumerate(t))
+    assert (tmp_path / "blocks.csv").read_text() == "k,t,square,minus\n" + rows
+    cli._write_csv(tmp_path / "empty.csv", ["t"], [[]])
+    assert (tmp_path / "empty.csv").read_text() == "t\n"
 
 
 def test_eps_sweep_with_seed(tmp_path):

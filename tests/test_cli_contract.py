@@ -110,6 +110,13 @@ REJECTED = [
                  id="ode-payload30"),
     pytest.param("ode", {"case": "cubic", "eps": -1e-200, "horizon_exponent": 3},
                  id="ode-payload31"),
+    # the fit's eps continuation: 2 + int(|eps| / 0.025) steps overflowed to
+    # int(inf), an internal error (exit 4), and at eps 1e10 coupled_cubic's
+    # fit, which converges at every step, ran 4e11 of them past a timeout
+    pytest.param("ode", {"case": "cubic", "eps": 5e306, "horizon_exponent": 0},
+                 id="ode-payload32"),
+    pytest.param("ode", {"case": "coupled_cubic", "eps": 1e10, "horizon_exponent": 0},
+                 id="ode-payload33"),
 ]
 
 
@@ -163,6 +170,7 @@ def test_singular_fit_is_a_solver_error(tmp_path, capsys, monkeypatch):
         # solver after the first member had written its CSV
         ("ode", {"case": "damped_linear", "eps": [0.5, -0.1], "horizon_exponent": 1}),
         ("ode", {"case": "damped_linear", "eps": [0.5, 0.1], "horizon_exponent": -400}),
+        ("ode", {"case": "cubic", "eps": [0.1, -5e306], "horizon_exponent": 0}),
     ],
 )
 def test_bad_sweep_member_fails_before_any_run(tmp_path, capsys, subcommand, payload):

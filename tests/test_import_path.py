@@ -1,8 +1,12 @@
 """Runs load only what they compute with:
 
-* pi, roots and euler runs load no numpy;
+* ``import asymptotica.cli`` loads no numpy and no fractions;
+* pi, roots and euler runs load no numpy; pi and roots runs load fractions
+  for the exact values they parse;
 * ode runs load no numpy either, seeded sweeps included: msode steps,
-  samples, fits and reconstructs in Python floats;
+  samples, fits and reconstructs in Python floats; nor dataclasses, inspect,
+  asymptotica.series or fractions: msode and the integrator declare plain
+  classes, and Horner's rule lives at the package root;
 * blayer and pde runs load numpy, for the layer's finite differences and
   shooting profile and for the packets' FFTs;
 * ode, blayer and pde runs load no dimsys;
@@ -57,7 +61,7 @@ if sys.argv[3] == "block":
     sys.modules["scipy"] = sys.modules["sympy"] = None
 import asymptotica.cli as cli
 
-WATCHED = ("asymptotica.dimsys", "asymptotica.series", "dataclasses")
+WATCHED = ("asymptotica.dimsys", "asymptotica.series", "dataclasses", "inspect", "fractions")
 TASKS = "/proc/self/task"
 
 def package(name):
@@ -104,8 +108,11 @@ def test_light_runs_load_no_scipy(tmp_path):
     loaded = loaded_per_run(SHIPPED[:5], tmp_path)
     for stage in ("import", "pi", "roots", "euler"):
         assert not loaded[stage]["numpy"] and loaded[stage]["scipy"] == [], (stage, loaded[stage])
-    # the pi, roots and euler runners load dimsys and series themselves
+    # the pi, roots and euler runners load dimsys and series themselves, and
+    # fractions comes with the first exact value a run parses
     assert loaded["import"]["modules"] == [], loaded["import"]
+    for stage in ("pi", "roots"):
+        assert "fractions" in loaded[stage]["modules"], (stage, loaded[stage])
     assert all(seen["sympy"] == [] for seen in loaded.values()), loaded
     # the linear layer's FD reference solves its tridiagonal systems in house
     for stage in ("pde", "blayer"):
@@ -134,6 +141,12 @@ def test_ode_runs_load_no_numpy(integrating_runs):
     # and the CLI writes their CSVs and shuffles a seeded sweep without numpy
     for stage in ODE_RUNS:
         assert not integrating_runs[stage]["numpy"], (stage, integrating_runs[stage])
+
+
+def test_ode_runs_load_only_what_they_compare(integrating_runs):
+    # no dataclasses (nor the inspect it loads), series or fractions, and no dimsys
+    for stage in ODE_RUNS:
+        assert integrating_runs[stage]["modules"] == [], (stage, integrating_runs[stage])
 
 
 def test_layer_and_packet_runs_load_numpy(integrating_runs, tmp_path):

@@ -6,13 +6,14 @@ the flows the library integrates.
 """
 
 import math
+import random
 import re
 
 import numpy as np
 import pytest
 from scipy.integrate import DOP853, solve_ivp
 
-from asymptotica import blayer, msode, mspde
+from asymptotica import blayer, integrator, msode, mspde
 from asymptotica.msode import SolverError, catalog, integrate_reference
 from asymptotica.mspde import RealField, grid_points
 
@@ -252,3 +253,70 @@ def test_python_and_array_states_step_alike():
 def test_complex_start_that_is_not_finite_is_refused(bad):
     with pytest.raises(ValueError, match="must be finite"):
         integrate_reference(rotation(1j, True), [1j, bad], (0.0, 1.0))
+
+
+def loop_horner(row, s):
+    """Horner's rule by the loop the generated sampling kernel replaced: the reference."""
+    acc = row[-1]
+    for c in row[-2::-1]:
+        acc = acc * s + c
+    return acc
+
+
+@pytest.mark.parametrize("order", range(19))
+def test_generated_horner_matches_the_loop_bit_for_bit(order):
+    rng = random.Random(order)
+    kernel = integrator._horner_kernel(order)
+    for _ in range(50):
+        row = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-12, 12) for _ in range(order + 1)]
+        h = rng.uniform(1e-4, 3.0)
+        offsets = [0.0, *sorted(rng.uniform(0.0, h) for _ in range(6)), h]  # 0, interior, end
+        out = ["kept"]  # the kernel appends
+        kernel(row, offsets, out)
+        assert out[0] == "kept"
+        assert [v.hex() for v in out[1:]] == [loop_horner(row, s).hex() for s in offsets]
+
+
+def python_rotation(rate):
+    """Taylor coefficients of y' = rate y, for a state of Python numbers."""
+
+    def expand(y, order):
+        rows = [[a] for a in y]
+        for row in rows:
+            for k in range(order):
+                row.append(rate * row[-1] / (k + 1))
+        return rows
+
+    return expand
+
+
+LEADING = {
+    # the direct solve of a coupled system: positions, then velocities
+    "real": (catalog("coupled_cubic").direct_expansion(0.1), [1.2, -0.6, 0.0, 0.3], 2),
+    "complex": (python_rotation(-0.3 + 2j), [1.0 + 0.5j, -0.25 + 2.0j, 0.5 - 1j], 1),
+}
+
+
+@pytest.mark.parametrize("state", ["list", "array"])
+@pytest.mark.parametrize("kind", sorted(LEADING))
+def test_leading_components_sample_as_in_the_full_solve(kind, state):
+    expand, y0, n = LEADING[kind]
+    if state == "array":
+        y0 = np.array(y0)
+        expand = (lambda python: lambda y, order: np.array(python(y.tolist(), order)).T)(expand)
+    grid = np.linspace(0.0, 30.0, 257)  # t0, several samples per step, and t_bound
+    full = integrate_reference(expand, y0, (0.0, 30.0), t_eval=grid)
+    part = integrate_reference(expand, y0, (0.0, 30.0), t_eval=grid, components=n)
+    assert part.meta == full.meta and part.meta["n_steps"] > 10
+    if state == "list":
+        assert repr(part.y) == repr([sample[:n] for sample in full.y])
+    else:
+        assert part.y.dtype == full.y.dtype
+        assert part.y.tobytes() == np.ascontiguousarray(full.y[:, :n]).tobytes()
+
+
+@pytest.mark.parametrize("components", [0, 5])
+def test_components_beyond_the_state_are_refused(components):
+    with pytest.raises(ValueError, match="components must be in 1..4"):
+        integrate_reference(catalog("coupled_cubic").direct_expansion(0.1), [1.2, -0.6, 0.0, 0.3],
+                            (0.0, 1.0), components=components)

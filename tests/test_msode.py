@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import math
 
 import numpy as np
@@ -292,6 +291,15 @@ def test_derived_sizes_agree_with_the_declaration(name):
     assert all(type(value) is type(want) for value, want in zip(derived, DERIVED[name]))
 
 
+def redeclared(case, **changes):
+    """The case declared again through its constructor, with ``changes`` to
+    its declared fields."""
+    declared = dict(name=case.name, default_ics=case.default_ics,
+                    accelerations=case.accelerations, modes=case.modes, order=case.order,
+                    exact=case.exact)
+    return msode.CaseSpec(**{**declared, **changes})
+
+
 def planted(case, rate_terms=None, carrier_terms=None):
     """A copy of the case with the given rows in place of its derived ones."""
     return copy.copy(case)._set_tables(
@@ -432,7 +440,7 @@ def test_carrier_exponent_typos_are_caught(name, typed, meant):
     modes = rows[:len(case.modes)]
     if modes != case.modes:
         with pytest.raises(ValueError, match=f"case {name}: carrier exponent .* is not a mode"):
-            dataclasses.replace(case, modes=modes)
+            redeclared(case, modes=modes)
 
 
 # quadratic_damped's 2 eps^2 A^2 B does not move the error at t = 1/eps^2:
@@ -605,8 +613,8 @@ VAN_DER_POL = msode.CaseSpec(
 # powers: cubic's and Van der Pol's at eps^2, the quadratic oscillator's
 # 2|A|^2 at eps^1.
 BEYOND = {
-    "cubic_order_3": lambda: dataclasses.replace(catalog("cubic"), order=3),
-    "van_der_pol_order_3": lambda: dataclasses.replace(VAN_DER_POL, order=3),
+    "cubic_order_3": lambda: redeclared(catalog("cubic"), order=3),
+    "van_der_pol_order_3": lambda: redeclared(VAN_DER_POL, order=3),
     # y'' + y + eps y^2 = 0 (Landau & Lifshitz, Mechanics, section 28)
     "quadratic_oscillator": lambda: msode.CaseSpec(
         "quadratic_oscillator", (1.0, 0.0), ((0, -1.0, 0, (1, 0)), (0, -1.0, 1, (2, 0))),
@@ -684,7 +692,7 @@ def test_coupled_system_past_first_order_is_refused():
     # shape, and no carrier is solved for it
     with pytest.raises(ValueError,
                        match=r"case coupled_cubic: resonant term .* below eps\^2 of a coupled system"):
-        dataclasses.replace(catalog("coupled_cubic"), order=2)
+        redeclared(catalog("coupled_cubic"), order=2)
 
 
 def test_fit_coupled_roundtrip():
