@@ -44,6 +44,13 @@ def horner(coeffs, x):
     return acc
 
 
+def derivative(coeffs) -> list:
+    """Coefficients of the derivative of coeffs[0] + coeffs[1] x + ... (lowest
+    power first).  Here, beside :func:`horner`, so that ``blayer`` and
+    ``mspde`` load neither ``series`` nor ``fractions``."""
+    return [j * c for j, c in enumerate(coeffs)][1:]
+
+
 def parse_fraction(text: str) -> Fraction:
     """The exact value of an integer, decimal or fraction string such as
     ``"-3/4"`` or ``"1.5e-3"``.

@@ -11,13 +11,15 @@ linear
              + (1 - e^{r_- - r_+})^{-1} e^{r_- x},
 
     with r_+ and r_- the roots of the characteristic polynomial
-    eps r^2 + r - 1, expanded by :mod:`series` rather than written out:
-    :func:`series.expand_root` from r = 1 gives r_+ = 1 - eps to order eps,
-    and :func:`series.rescale_singular` followed by
-    :func:`series.expand_root` from -1 gives eps r_- = -1 - eps + eps^2 to
-    order eps^2.  It is evaluated in an algebraically rewritten form so the
-    huge factor e^{1/eps} is never formed (it overflows doubles near
-    eps ~ 0.0014).
+    eps r^2 + r - 1, neither written out nor expanded on their own: they are
+    read off the layer problem's multiple-scales derivation, the one the
+    nonlinear kind below goes through, with f = -y.  There each mode
+    u = A e^{lam xi} turns at a constant rate dA/dxi = (eps r_1 + eps^2 r_2) A,
+    so r = lam / eps + r_1 + r_2 eps in x: r_+ = 1 - eps and
+    r_- = -1/eps - 1 + eps, the root expansions to order eps (Bender &
+    Orszag, 1978, ch. 9).  It is evaluated in an algebraically rewritten
+    form so the huge factor e^{1/eps} is never formed (it overflows doubles
+    near eps ~ 0.0014).
 
 nonlinear
     eps y'' + y' + y^2 = 0,  y(0) = 0, y(1) = 1/2.  In the layer variable
@@ -37,9 +39,11 @@ nonlinear
 
 Both problems are eps y'' + y' + f(y) = 0 with f(y) = -y resp. y^2, one
 row each of a kind table holding f's polynomial coefficients and the
-boundary values (y(0), y(1)); the linear exponents, the shooting's
-amplitude equations and its boundary values are read from it, so a changed
-row moves the multiscale side and the reference alike.
+boundary values (y(0), y(1)).  Both kinds' multiscale sides come from one
+derivation of a row's layer problem (:func:`_layer_case`): the linear
+exponents and the shooting's amplitude equations, with the boundary values
+read from the row as well, so a changed row moves the multiscale side and
+the reference alike.
 :func:`solve_bvp_fd` provides the independent reference: a second-order
 centered finite-difference discretization, solved by damped Newton, with f
 and f' evaluated from the coefficients.  Each Newton step is one tridiagonal solve,
@@ -54,10 +58,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import SolverError, horner
+from . import SolverError, derivative, horner
 from .integrator import integrate_reference
 from .msode import CaseSpec
-from .series import PolyFamily, derivative, expand_root, rescale_singular
 
 
 def solve_banded(ab, b) -> np.ndarray:
@@ -114,14 +117,31 @@ _REACTION = {
 LINEAR_EPS_FLOOR = 1e-6  # the linear closed form's smallest eps
 NONLINEAR_EPS_MAX = 0.17  # the nonlinear shooting's largest eps
 
-# The linear kind's exponents are the roots of eps r^2 + r + f_1 = 0, held as
-# exact Laurent coefficients (c_-1, c_0, c_1) of eps^-1, eps^0, eps^1: the
-# slow root r_+ from r = 1 to order eps, the fast root r_- as eps r_- from -1
-# to order eps^2.  Expanded once, at import, so that no run calls into
-# series (perfbench/tracing.py would time such calls as series work).
-_CHARACTERISTIC = PolyFamily.from_coefficients([[_REACTION["linear"][0][1]], [1], [0, 1]])
-_SLOW = (0, *expand_root(_CHARACTERISTIC, 1, 1).coefficients)
-_FAST = expand_root(rescale_singular(_CHARACTERISTIC, 1), -1, 2).coefficients
+
+@functools.cache
+def _layer_case(f: tuple) -> CaseSpec:
+    """u'' = -u' - eps f(u), the layer problem in xi = x/eps, on the modes
+    u = A + B e^{-xi} of u'' + u' = 0 (halved inside 2 Re(...)), with its
+    amplitude equations and reconstruction derived by multiple scales."""
+    rows = tuple((0, -float(c), 1, (i, 0)) for i, c in enumerate(f) if c)
+    return CaseSpec("layer", (0.0, 0.0), ((0, -1.0, 0, (0, 1)),) + rows,
+                    ((0, 0.5, 0, (1, 0, 0, 0), 0.0), (0, 0.5, 0, (0, 1, 0, 0), -1.0)))
+
+
+def _exponent(case: CaseSpec, j: int) -> tuple:
+    """(c_-1, c_0, c_1) of the exponent c_-1 / eps + c_0 + c_1 eps in x of
+    the layer case's mode j: its exponent lam_j in xi = x/eps, then its
+    eps^1 and eps^2 rate coefficients, a constant rate for a linear f."""
+    lam = next(lam for *_, powers, lam in case.modes if powers[j])
+    rates = {p: coef for out, coef, p, _ in case.rate_terms if out == j}
+    return lam, rates[1], rates[2]
+
+
+# The linear kind's exponents, the roots r_+ and r_- of eps r^2 + r + f_1 = 0,
+# read off its layer case as Laurent coefficients (c_-1, c_0, c_1) of eps^-1,
+# eps^0, eps^1: exactly (0, 1, -1) for the slow mode and (-1, -1, 1) for the
+# fast one.  Derived once, at import.
+_SLOW, _FAST = (_exponent(_layer_case(_REACTION["linear"][0]), j) for j in (0, 1))
 
 
 def linear_blayer_multiscale(x, eps: float):
@@ -226,16 +246,6 @@ class ShootingSolution:
     def __call__(self, x) -> np.ndarray:
         """y(x) in the outer variable, x in [0, 1]."""
         return self.inner(np.asarray(x, dtype=float) / self.eps)
-
-
-@functools.cache
-def _layer_case(f: tuple) -> CaseSpec:
-    """u'' = -u' - eps f(u), the layer problem in xi = x/eps, on the modes
-    u = A + B e^{-xi} of u'' + u' = 0 (halved inside 2 Re(...)), with its
-    amplitude equations and reconstruction derived by multiple scales."""
-    rows = tuple((0, -float(c), 1, (i, 0)) for i, c in enumerate(f) if c)
-    return CaseSpec("nonlinear_layer", (0.0, 0.0), ((0, -1.0, 0, (0, 1)),) + rows,
-                    ((0, 0.5, 0, (1, 0, 0, 0), 0.0), (0, 0.5, 0, (0, 1, 0, 0), -1.0)))
 
 
 _LEFT, _RIGHT = _REACTION["nonlinear"][1]

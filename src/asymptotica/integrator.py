@@ -8,7 +8,8 @@ layer's amplitude flow, and the ``mspde`` pseudospectral packet solve.  The
 caller supplies ``expand(y, order)``, the Taylor coefficients c_0..c_N of the
 solution through y, in place of a right-hand side; each of the callers forms
 them by Cauchy products of the series, order by order.  The driver checks the
-inputs (:func:`checked_problem`), takes each step from the last two
+inputs once, as Python values, whichever kind the state is
+(:func:`checked_problem`), takes each step from the last two
 coefficients (:func:`taylor_step`), advances by Horner's rule
 (:func:`asymptotica.horner`, defined at the package root so that this module
 loads neither ``series`` nor ``fractions``) and samples ``t_eval`` after the
@@ -79,6 +80,9 @@ def checked_problem(y0, t_span, rtol, atol, t_eval):
     any other y0 comes back as an array, with ``t_eval`` an array.  Either
     way y0 is complex if it is complex and floats otherwise.
 
+    One check serves both: an array y0 is read as the Python values of
+    ``np.asarray(y0).tolist()``, an array ``t_eval`` as those of its
+    ``tolist()``, and the values checked are made arrays again after it.
     Raises ValueError on a tolerance that is not positive, a non-finite or
     decreasing ``t_span``, a ``y0`` that is empty, not 1-dimensional or not
     finite, and a ``t_eval`` that is not finite, not inside ``t_span`` or not
@@ -95,19 +99,19 @@ def checked_problem(y0, t_span, rtol, atol, t_eval):
         raise ValueError("t_span must be finite")
     if not t_bound > t0:
         raise ValueError("t_span must be increasing")
-    problem = _python_problem if isinstance(y0, (list, tuple)) else _array_problem
-    y, t_eval = problem(y0, t0, t_bound, [t_bound] if t_eval is None else t_eval)
-    return y, (t0, t_bound), t_eval, rtol
+    array = not isinstance(y0, (list, tuple))
+    if array:
+        import numpy as np
 
-
-def _python_problem(y0, t0, t_bound, t_eval) -> tuple[list, list]:
-    """y0 and t_eval as lists of Python numbers, checked as :func:`checked_problem` says."""
-    if not y0 or not all(isinstance(v, numbers.Number) for v in y0):
+        y0 = np.asarray(y0).tolist()
+    if not isinstance(y0, (list, tuple)) or not y0 or not all(
+            isinstance(v, numbers.Number) for v in y0):
         raise ValueError("y0 must be a nonempty 1-dimensional array")
     kind = float if all(isinstance(v, numbers.Real) for v in y0) else complex
     y = [kind(v) for v in y0]
     if not all(map(cmath.isfinite, y)):
         raise ValueError("all components of y0 must be finite")
+    t_eval = [t_bound] if t_eval is None else t_eval
     if hasattr(t_eval, "tolist"):  # an array
         t_eval = t_eval.tolist() if t_eval.ndim == 1 else [t_eval]
     if not all(issubclass(kind, numbers.Real) for kind in set(map(type, t_eval))):
@@ -119,29 +123,9 @@ def _python_problem(y0, t0, t_bound, t_eval) -> tuple[list, list]:
         raise ValueError("values in t_eval are not within t_span")
     if not all(map(operator.lt, t_eval, t_eval[1:])):
         raise ValueError("values in t_eval must strictly increase")
-    return y, t_eval
-
-
-def _array_problem(y0, t0, t_bound, t_eval):
-    """y0 and t_eval as numpy arrays, checked as :func:`checked_problem` says."""
-    import numpy as np
-
-    y = np.asarray(y0)
-    y = y.astype(complex if np.iscomplexobj(y) else float)
-    if y.ndim != 1 or not y.size:
-        raise ValueError("y0 must be a nonempty 1-dimensional array")
-    if not np.isfinite(y).all():
-        raise ValueError("all components of y0 must be finite")
-    t_eval = np.asarray(t_eval)
-    if t_eval.ndim != 1:
-        raise ValueError("t_eval must be 1-dimensional")
-    if not np.isfinite(t_eval).all():
-        raise ValueError("values in t_eval must be finite")
-    if np.any(t_eval < t0) or np.any(t_eval > t_bound):
-        raise ValueError("values in t_eval are not within t_span")
-    if np.any(np.diff(t_eval) <= 0):
-        raise ValueError("values in t_eval must strictly increase")
-    return y, t_eval
+    if array:
+        y, t_eval = np.array(y), np.array(t_eval)
+    return y, (t0, t_bound), t_eval, rtol
 
 
 def taylor_order(tol: float) -> int:

@@ -611,7 +611,8 @@ def integrate_amplitude(
     """Evolve the slow amplitudes; per sample time, the complex amplitudes.
 
     Stepped by :func:`integrate_reference` in Python floats on
-    :meth:`CaseSpec.amplitude_expansion`, at the order min(rtol, atol) gives.
+    :meth:`CaseSpec.amplitude_expansion`, at the order min(rtol, atol) gives,
+    and returned as its trajectory and meta, real amplitudes made complex.
     Samples at ``t_eval``, by default ``[t_span[1]]`` as in
     :func:`integrate_reference`.  Where the rate is constant along the flow,
     :meth:`CaseSpec.amplitude_closed_form` gives the same path in closed form,
@@ -621,10 +622,9 @@ def integrate_amplitude(
     traj = integrate_reference(case.amplitude_expansion(eps),
                                [a.real for a in amps0] if case.real_amplitudes else amps0,
                                t_span, rtol, atol, t_eval)
-    meta = dict(traj.meta)
-    meta.update(eps=eps, case=case.name)
-    y = [tuple(map(complex, row)) for row in traj.y] if case.real_amplitudes else traj.y
-    return Trajectory(t=traj.t, y=y, meta=meta)
+    if case.real_amplitudes:
+        traj.y = [tuple(map(complex, row)) for row in traj.y]
+    return traj
 
 
 def fit_initial_amplitudes(case: CaseSpec, ics, eps: float) -> list:
@@ -829,14 +829,15 @@ def compare(
     # only the positions are compared, so only they are sampled
     direct = integrate_reference(case.direct_expansion(eps), ics, (0.0, horizon), rtol, atol,
                                  t_eval=grid, components=case.n_components)
-    y_direct = [list(column) for column in zip(*direct.y)]
+    direct_steps, y_direct = direct.meta["n_steps"], [list(column) for column in zip(*direct.y)]
+    del direct  # its per-sample tuples would stay beside the columns to the end
 
     amp_traj = integrate_amplitude(flow, amps0, (0.0, horizon), eps, rtol, atol, t_eval=grid)
     y_ms = reconstruct_on_grid(flow, amp_traj, eps)
 
     err = [list(map(abs, map(operator.sub, *rows))) for rows in zip(y_direct, y_ms)]
     stats = {
-        "direct_steps": direct.meta["n_steps"],
+        "direct_steps": direct_steps,
         "amplitude_steps": amp_traj.meta["n_steps"],
         "terms": terms,
         "rtol": rtol,

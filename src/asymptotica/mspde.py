@@ -85,15 +85,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from . import horner
-from .integrator import integrate_reference, taylor_order
+from . import derivative, horner
+from .integrator import Trajectory, integrate_reference, taylor_order
 from .msode import RunReport, multiple_scales
-from .series import derivative
 
 
 # --- models -------------------------------------------------------------------
@@ -330,15 +329,6 @@ class RealField:
         return grid_points(self.length, self.n)
 
 
-@dataclass(frozen=True)
-class DirectRun:
-    """Snapshots of a direct PDE solve."""
-
-    t: np.ndarray
-    fields: list[RealField]
-    meta: dict = field(default_factory=dict)
-
-
 def _wavenumbers_rfft(length: float, n: int) -> np.ndarray:
     return 2.0 * np.pi * np.fft.rfftfreq(n, d=length / n)
 
@@ -446,7 +436,7 @@ def _solve_direct(
     rtol: float = 1e-10,
     t_eval: Sequence[float] | None = None,
     atol: float = 1e-12,
-) -> DirectRun:
+) -> Trajectory:
     """Pseudospectral reference solve of the model ``kind`` from u0 to t_end.
 
     The state is the dealiased band: the rfft modes 0..K of u and u_t, with
@@ -462,7 +452,9 @@ def _solve_direct(
     order :func:`integrator.taylor_order` gives at min(rtol, atol / max|u0|):
     atol counts relative to the starting field, so the order does not change
     with the amplitude when atol scales with it, as :func:`packet_compare`'s
-    does, and a loose rtol alone does not lower it.  ``meta`` is the driver's:
+    does, and a loose rtol alone does not lower it.  Returns the driver's
+    :class:`integrator.Trajectory`, its samples made :class:`RealField`
+    snapshots, one per time in ``t_eval``.  ``meta`` is the driver's:
     ``nfev`` counts the nonlinear-term evaluations (an irfft and an rfft
     each, so steps times order), then ``n_steps``, ``n_dense``, the order and
     the tolerances.  Raises :class:`asymptotica.SolverError` as the driver
@@ -478,11 +470,9 @@ def _solve_direct(
         functools.partial(_taylor_coefficients, eps=eps, symbol=symbol, n=n, power=d.power),
         z0, (0.0, t_end), rtol, atol, t_eval,
         order=taylor_order(min(rtol, atol / size) if size else rtol))
-
-    def field_of(z):
-        return RealField(u0.length, np.fft.irfft(z[:band], n), np.fft.irfft(z[band:], n))
-
-    return DirectRun(t=traj.t, fields=[field_of(z) for z in traj.y], meta=traj.meta)
+    traj.y = [RealField(u0.length, np.fft.irfft(z[:band], n), np.fft.irfft(z[band:], n))
+              for z in traj.y]
+    return traj
 
 
 # --- envelope solvers -----------------------------------------------------------
@@ -760,7 +750,7 @@ def packet_compare(
     rel_errors = []
     abs_errors = []
     snapshots = []
-    for snap, env, t in zip(direct.fields, envelopes, checkpoints):
+    for snap, env, t in zip(direct.y, envelopes, checkpoints):
         rec = reconstruct_field(replace(env, values=_resample(env.values, packet.n)), t, order)
         diff = snap.u - rec.u
         rel_errors.append(float(np.linalg.norm(diff) / np.linalg.norm(snap.u)))
@@ -768,7 +758,7 @@ def packet_compare(
         snapshots.append({"t": t, "direct": snap.u, "reconstructed": rec.u})
 
     e_start = energy(u0, eps, kind)
-    e_end = energy(direct.fields[-1], eps, kind)
+    e_end = energy(direct.y[-1], eps, kind)
     l2_start = float(np.linalg.norm(start.values))
     l2_end = float(np.linalg.norm(envelopes[-1].values))
     return RunReport(

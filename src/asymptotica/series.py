@@ -34,8 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-# horner is defined at the package root and re-exported here
-from . import MAX_DECIMAL_EXPONENT, _most_digits, horner
+# horner and derivative are defined at the package root and re-exported here
+from . import MAX_DECIMAL_EXPONENT, _most_digits, derivative, horner
 
 
 class DegenerateRootError(ValueError):
@@ -44,11 +44,6 @@ class DegenerateRootError(ValueError):
     The expansion in integer powers of eps does not exist there; a scaling
     transform (see :func:`rescale_singular`) is the standard escape hatch.
     """
-
-
-def derivative(coeffs: Sequence) -> list:
-    """Coefficients of the derivative of coeffs[0] + coeffs[1] x + ... (lowest power first)."""
-    return [j * c for j, c in enumerate(coeffs)][1:]
 
 
 def _is_exact(x) -> bool:

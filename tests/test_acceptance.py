@@ -272,8 +272,8 @@ def test_criterion_9_pde_pipeline(capfd):
         run = mspde._solve_direct(
             0.1, u0, 100.0, "klein_gordon", rtol=1e-10, t_eval=[0.0, 100.0]
         )
-        e0 = mspde.energy(run.fields[0], 0.1, "klein_gordon")
-        e1 = mspde.energy(run.fields[-1], 0.1, "klein_gordon")
+        e0 = mspde.energy(run.y[0], 0.1, "klein_gordon")
+        e1 = mspde.energy(run.y[-1], 0.1, "klein_gordon")
         energy_drift = abs(e1 - e0) / abs(e0)
         assert energy_drift <= 1e-8
 

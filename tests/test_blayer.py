@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from asymptotica import blayer
+from asymptotica import blayer, msode, series
 from asymptotica.blayer import (
     layer_half_width,
     linear_blayer_multiscale,
@@ -109,6 +109,42 @@ def test_linear_exponents_truncate_the_exact_roots():
     slow, fast = (c[0] / eps + c[1] + c[2] * eps for c in (blayer._SLOW, blayer._FAST))
     assert (r_plus - slow) / eps**2 == pytest.approx(2.0, rel=0.01)
     assert (r_minus - fast) / eps**2 == pytest.approx(-2.0, rel=0.01)
+
+
+def characteristic_roots(order: int) -> tuple:
+    """r_+ from 1 to eps^order and eps r_- from -1 to eps^(order + 1): the
+    roots of eps r^2 + r + f_1 expanded by series, the oracle."""
+    family = series.PolyFamily.from_coefficients(
+        [[blayer._REACTION["linear"][0][1]], [1], [0, 1]])
+    slow = series.expand_root(family, 1, order).coefficients
+    fast = series.expand_root(series.rescale_singular(family, 1), -1, order + 1).coefficients
+    return slow, fast
+
+
+def test_linear_exponents_are_the_root_expansions():
+    # the layer case's exponents and eps^1, eps^2 rates are, exactly, the
+    # slow root to order eps and the fast one, as eps r_-, to eps^2
+    slow, fast = characteristic_roots(1)
+    assert blayer._SLOW == (0, *slow) == (0, 1, -1)
+    assert blayer._FAST == fast == (-1, -1, 1)
+
+
+@pytest.mark.parametrize("order", [3, 4])
+def test_linear_layer_case_rates_are_the_root_series(order):
+    # declared at order N + 1, the layer case's constant rates carry the
+    # roots to order N: rate row p is r_+'s eps^(p - 1) coefficient and
+    # eps r_-'s eps^p coefficient (the slow mode's 2 at eps^3, -5 at eps^4)
+    layer = blayer._layer_case(blayer._REACTION["linear"][0])
+    case = msode.CaseSpec(layer.name, layer.default_ics, layer.accelerations, layer.modes,
+                          order=order)
+    assert all(not any(powers) for *_, powers in case.rate_terms)
+    rates = [[c for out, c, p, _ in sorted(case.rate_terms, key=lambda row: row[2]) if out == j]
+             for j in (0, 1)]
+    lams = [lam for *_, lam in case.modes]
+    slow, fast = characteristic_roots(order - 1)
+    assert lams[0] == 0 and rates[0] == list(slow)
+    assert [lams[1], *rates[1]] == list(fast)
+    assert rates[0][2:] == [2, -5][:order - 2]
 
 
 def test_linear_multiscale_error_is_third_order_against_exact():

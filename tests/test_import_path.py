@@ -2,13 +2,16 @@
 
 * ``import asymptotica.cli`` loads no numpy and no fractions;
 * pi, roots and euler runs load no numpy; pi and roots runs load fractions
-  for the exact values they parse;
+  (and the decimal it loads) for the exact values they parse;
 * ode runs load no numpy either, seeded sweeps included: msode steps,
   samples, fits and reconstructs in Python floats; nor dataclasses, inspect,
-  asymptotica.series or fractions: msode and the integrator declare plain
-  classes, and Horner's rule lives at the package root;
+  asymptotica.series, fractions or decimal: msode and the integrator declare
+  plain classes, and Horner's rule lives at the package root;
 * blayer and pde runs load numpy, for the layer's finite differences and
-  shooting profile and for the packets' FFTs;
+  shooting profile and for the packets' FFTs; but no asymptotica.series,
+  fractions or decimal: blayer reads the linear layer's exponents off the
+  multiple-scales derivation, and the derivative of a polynomial lives at
+  the package root beside Horner's rule;
 * ode, blayer and pde runs load no dimsys;
 * no run loads scipy or sympy, nor any of their submodules, which only the
   tests use.
@@ -61,7 +64,8 @@ if sys.argv[3] == "block":
     sys.modules["scipy"] = sys.modules["sympy"] = None
 import asymptotica.cli as cli
 
-WATCHED = ("asymptotica.dimsys", "asymptotica.series", "dataclasses", "inspect", "fractions")
+WATCHED = ("asymptotica.dimsys", "asymptotica.series", "dataclasses", "inspect", "fractions",
+           "decimal")
 TASKS = "/proc/self/task"
 
 def package(name):
@@ -113,6 +117,12 @@ def test_light_runs_load_no_scipy(tmp_path):
     assert loaded["import"]["modules"] == [], loaded["import"]
     for stage in ("pi", "roots"):
         assert "fractions" in loaded[stage]["modules"], (stage, loaded[stage])
+    assert loaded["pi"]["modules"] == ["asymptotica.dimsys", "dataclasses", "inspect",
+                                       "fractions", "decimal"], loaded["pi"]
+    for stage in ("roots", "euler"):
+        assert loaded[stage]["modules"] == ["asymptotica.dimsys", "asymptotica.series",
+                                            "dataclasses", "inspect", "fractions",
+                                            "decimal"], (stage, loaded[stage])
     assert all(seen["sympy"] == [] for seen in loaded.values()), loaded
     # the linear layer's FD reference solves its tridiagonal systems in house
     for stage in ("pde", "blayer"):
@@ -144,7 +154,8 @@ def test_ode_runs_load_no_numpy(integrating_runs):
 
 
 def test_ode_runs_load_only_what_they_compare(integrating_runs):
-    # no dataclasses (nor the inspect it loads), series or fractions, and no dimsys
+    # no dataclasses (nor the inspect it loads), series, fractions or decimal,
+    # and no dimsys
     for stage in ODE_RUNS:
         assert integrating_runs[stage]["modules"] == [], (stage, integrating_runs[stage])
 
@@ -155,6 +166,17 @@ def test_layer_and_packet_runs_load_numpy(integrating_runs, tmp_path):
     assert integrating_runs["nonlinear_layer"]["numpy"], integrating_runs["nonlinear_layer"]
     assert SHIPPED[9][0] == "packet"
     assert loaded_per_run(SHIPPED[9:10], tmp_path)["packet"]["numpy"]
+
+
+def test_layer_and_packet_runs_load_no_series(integrating_runs, tmp_path):
+    # the linear layer and phase-match runs, each first in a fresh
+    # interpreter, and the nonlinear-layer and packet runs after the ode runs
+    light = loaded_per_run([SHIPPED[4], SHIPPED[3]], tmp_path)
+    seen = {"blayer": light["blayer"], "pde": light["pde"],
+            **{label: integrating_runs[label] for label, _, _ in SHIPPED[8:]}}
+    for stage, modules in seen.items():
+        assert modules["numpy"], (stage, modules)
+        assert modules["modules"] == ["dataclasses", "inspect"], (stage, modules)
 
 
 def test_integrating_runs_load_no_scipy_integrate(integrating_runs):

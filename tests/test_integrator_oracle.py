@@ -149,7 +149,7 @@ def test_direct_solve_matches_scipy(kind):
     ref = solve_with_scipy(rhs, z0, (0.0, 5.0), 1e-13, 1e-15, [0.0, 2.5, 5.0])
     run = mspde._solve_direct(0.1, u0, 5.0, kind, 1e-10, [0.0, 2.5, 5.0], 1e-12)
     band = len(z0) // 4
-    for snap, z in zip(run.fields, np.ascontiguousarray(ref.y.T)):
+    for snap, z in zip(run.y, np.ascontiguousarray(ref.y.T)):
         assert np.max(np.abs(snap.u - np.fft.irfft(z.view(complex)[:band], n))) <= 1e-11
 
 
@@ -253,6 +253,38 @@ def test_python_and_array_states_step_alike():
 def test_complex_start_that_is_not_finite_is_refused(bad):
     with pytest.raises(ValueError, match="must be finite"):
         integrate_reference(rotation(1j, True), [1j, bad], (0.0, 1.0))
+
+
+# (y0, t_eval, the message): one refused input each, given as lists
+REFUSED = {
+    "empty-y0": ([], None, "y0 must be a nonempty 1-dimensional array"),
+    "2d-y0": ([[1.0, 2.0]], None, "y0 must be a nonempty 1-dimensional array"),
+    "nonfinite-real-part": ([1.0, math.nan], None, "all components of y0 must be finite"),
+    "nonfinite-complex-part": ([1j, complex(1.0, math.inf)], None,
+                               "all components of y0 must be finite"),
+    "2d-t_eval": ([1.0], [[0.5, 1.0]], "t_eval must be 1-dimensional"),
+    "nonfinite-t_eval": ([1.0], [0.5, math.nan], "values in t_eval must be finite"),
+    "t_eval-outside-t_span": ([1.0], [0.5, 2.0], "values in t_eval are not within t_span"),
+    "t_eval-not-increasing": ([1.0], [0.7, 0.3], "values in t_eval must strictly increase"),
+}
+
+
+@pytest.mark.parametrize("name", REFUSED)
+def test_list_and_array_states_are_refused_alike(name):
+    # one check reads both: each input given as a list with a list state and
+    # as an array with an array state raises the same message, before any
+    # expansion
+    def expand(y, order):
+        raise AssertionError("the series must not be expanded")
+
+    y0, t_eval, message = REFUSED[name]
+    messages = []
+    for make in (list, np.array):
+        with pytest.raises(ValueError) as refused:
+            integrate_reference(expand, make(y0), (0.0, 1.0),
+                                t_eval=None if t_eval is None else make(t_eval))
+        messages.append(str(refused.value))
+    assert messages == [message, message]
 
 
 def loop_horner(row, s):

@@ -149,7 +149,7 @@ def test_uniform_mode_turns_at_the_shifted_frequency(kind, eps, a):
     t = np.linspace(0.0, 200.0, 801)
     run = mspde._solve_direct(eps, reconstruct_field(fld, 0.0, d.max_order), t[-1], kind,
                               rtol=1e-10, t_eval=t)
-    phase = np.unwrap([np.angle(np.fft.rfft(f.u)[1]) for f in run.fields])
+    phase = np.unwrap([np.angle(np.fft.rfft(f.u)[1]) for f in run.y])
     frequency = -np.polyfit(t, phase, 1)[0]
     shift = envelope_coefficients(fld)[2] * a**2
     assert abs(frequency - (d.omega(1.0) - shift)) <= 0.01 * shift
@@ -246,8 +246,8 @@ def test_direct_solve_on_5x2a_grid_matches_the_power_of_two_grid():
     wide = RealField(u0.length, padded(u0.u), padded(u0.ut))
     assert np.max(np.abs(wide.u[::8] - u0.u[::5])) <= 1e-14 * np.max(np.abs(u0.u))
     runs = [mspde._solve_direct(eps, start, t, rtol=1e-9, atol=1e-11) for start in (u0, wide)]
-    coarse = runs[0].fields[-1].u
-    fine = np.fft.irfft(np.fft.rfft(runs[1].fields[-1].u)[:1281], 2560) * (2560 / 4096)
+    coarse = runs[0].y[-1].u
+    fine = np.fft.irfft(np.fft.rfft(runs[1].y[-1].u)[:1281], 2560) * (2560 / 4096)
     assert np.linalg.norm(coarse - fine) <= 1e-10 * np.linalg.norm(fine)
 
 
@@ -264,7 +264,7 @@ def test_direct_linear_mode_exact(kind):
     omega = float(dispersion(kind).omega(k))
     run = mspde._solve_direct(0.0, u0, 10.0, kind, rtol=1e-10)
     exact = 0.7 * np.cos(k * u0.x) * np.cos(omega * 10.0)
-    assert np.max(np.abs(run.fields[-1].u - exact)) <= 1e-8
+    assert np.max(np.abs(run.y[-1].u - exact)) <= 1e-8
 
 
 @pytest.mark.parametrize("kind", ["klein_gordon", "fourth_order"])
@@ -276,8 +276,8 @@ def test_direct_energy_conservation(kind):
     u0 = RealField(length, u, ut)
     rtol = 1e-10
     run = mspde._solve_direct(0.1, u0, 100.0, kind, rtol=rtol, t_eval=[0.0, 100.0])
-    e0 = energy(run.fields[0], 0.1, kind)
-    e1 = energy(run.fields[-1], 0.1, kind)
+    e0 = energy(run.y[0], 0.1, kind)
+    e1 = energy(run.y[-1], 0.1, kind)
     assert abs(e1 - e0) / abs(e0) <= 100 * rtol
 
 
@@ -296,7 +296,7 @@ def test_direct_resolution_independence():
     pkt_hi = gaussian_packet(eps, k, amplitude=0.4, t_end=10.0, points_per_wavelength=32)
     run_lo = mspde._solve_direct(eps, reconstruct_field(pkt_lo, 0.0, 1), 10.0, rtol=1e-10)
     run_hi = mspde._solve_direct(eps, reconstruct_field(pkt_hi, 0.0, 1), 10.0, rtol=1e-10)
-    assert np.max(np.abs(run_hi.fields[-1].u[::2] - run_lo.fields[-1].u)) <= 1e-8
+    assert np.max(np.abs(run_hi.y[-1].u[::2] - run_lo.y[-1].u)) <= 1e-8
 
 
 # (kind, K = (n - 1) // (p + 1) on 32 points, mode of u^p the band keeps,
@@ -364,7 +364,7 @@ def test_band_solve_matches_full_spectrum_solve(kind, order, checkpoints, max_nf
     u0 = reconstruct_field(packet, 0.0, order)
     band = mspde._solve_direct(eps, u0, checkpoints[-1], kind, rtol, checkpoints, atol)
     full = full_spectrum_solve(eps, u0, checkpoints[-1], kind, rtol, checkpoints, atol)
-    for snap, want in zip(band.fields, full):
+    for snap, want in zip(band.y, full):
         assert np.max(np.abs(snap.u - want)) <= 1e-10 * np.max(np.abs(want))
     # one irfft-rfft pair per order of each step
     assert band.meta["nfev"] == band.meta["n_steps"] * band.meta["order"] <= max_nfev
